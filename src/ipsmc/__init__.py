@@ -3,13 +3,12 @@ continuous-time jump processes on graphs."""
 
 __version__ = "0.1.0"
 
-from .ips import (PathSample, RateField, RateModel, SIRSParams, StateSpaceSpec,
-                  euler_kernel_log_pmf, euler_kernel_sample, gillespie_simulate,
-                  make_grid, path_log_density, sirs_model, sirs_rate_field,
-                  total_exit_rate)
+from .ips import (PathSample, RateModel, SIRSParams, StateSpaceSpec,
+                  euler_step_table, gillespie_simulate, make_grid,
+                  path_log_density, sirs_model)
 from .twisting import (ConstantTwist, ExactTwist, ObservationSequence,
                        TwistOracle, emission_log_potential, incremental_ess,
-                       reset_residual, twist_rate_field)
+                       reset_residual)
 from .smc import (ParticleEnsemble, SMCConfig, bpf_run, effective_sample_size,
-                  posterior_marginals_from_ensemble, systematic_resample,
-                  tsmc_run)
+                  posterior_marginals_from_ensemble, run_smc,
+                  systematic_resample)

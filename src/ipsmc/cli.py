@@ -28,7 +28,7 @@ from .bench import (BenchmarkDataset, brier_metric, cross_entropy_metric,
 from .errors import CollapseError, ConfigError, StateSpaceTooLargeError
 from .ips import SIRSParams, make_grid, rng_streams, sirs_model, write_path, PathSample
 from . import oracle as orc
-from .smc import SMCConfig, bpf_run, posterior_marginals_from_ensemble, tsmc_run
+from .smc import SMCConfig, bpf_run, posterior_marginals_from_ensemble, run_smc
 from .twisting import ObservationSequence
 from .wakesleep import (TrainConfig, Telemetry, q0_support_logmask,
                         _simulate_sleep_batch, train)
@@ -213,8 +213,7 @@ def cmd_oracle(cfg: OracleConfig, threads=1, emit_svg=False):
     orc.n_states(ds.spec)  # guard before any heavy work
     grid = orc.oracle_grid(model, ds.spec, ds.params, obs, target=cfg.grid_target)
     p0 = _dense_p0(ds)
-    marg = orc.exact_posterior_marginals(model, ds.spec, ds.params, p0, obs, grid)
-    logz = orc.exact_log_marginal_likelihood(model, ds.spec, ds.params, p0, obs, grid)
+    marg, logz = orc.exact_posterior_marginals(model, ds.spec, ds.params, p0, obs, grid)
     meta = _meta(dataclasses.asdict(cfg), cfg.seed)
     os.makedirs(cfg.out, exist_ok=True)
     rows = [(float(t), s, float(p)) for j, t in enumerate(grid)
@@ -381,9 +380,9 @@ def cmd_infer(cfg: InferConfig, threads=1, emit_svg=False):
             ens, logz = bpf_run(model, ds.spec, theta, p0, obs, smc_cfg)
         else:
             twist = tn.LearnedTwist(psi, ds.spec, obs)
-            ens, logz = tsmc_run(model, ds.spec, theta, twist,
-                                 twist.q0_dist(q0_support_logmask(p0)),
-                                 p0, obs, smc_cfg)
+            ens, logz = run_smc(model, ds.spec, theta, twist,
+                                twist.q0_dist(q0_support_logmask(p0)),
+                                p0, obs, smc_cfg)
         marg = posterior_marginals_from_ensemble(ens, ds.spec.V, eps=cfg.epsilon)
         truth = paths[idx].states_at(ens.grid)
         ce = cross_entropy_metric(marg, truth)

@@ -6,7 +6,7 @@ class StepSizeError(ValueError):
 
 
 class StateSpaceTooLargeError(ValueError):
-    """Dense oracle guard tripped (V**d exceeds the configured limit)."""
+    """Dense oracle guard tripped (the V**d-state generator would not fit)."""
 
 
 class InconsistentObservationsError(ValueError):

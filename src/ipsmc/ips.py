@@ -1,10 +1,9 @@
 """State spaces, local-rate models, exact and discretized simulation of
 interacting jump processes on graphs, and path log-densities.
 
-States are dense integer vectors in {0..V-1}^d. A rate field collects the
-local jump intensities of every coordinate at one (t, z); its "diagonal"
-column (the entry at the current value of each coordinate) holds the
-negative exit rate of that coordinate.
+States are dense integer vectors in {0..V-1}^d. A rate model gives the
+off-target jump intensities of every coordinate for a batch of states,
+(B, d, V); the entry at each coordinate's current value is zero.
 """
 
 from __future__ import annotations
@@ -82,53 +81,6 @@ class StateSpaceSpec:
         return z.astype(np.int64)
 
 
-@dataclass(frozen=True)
-class RateField:
-    """d x V table of local rates at one (t, z).
-
-    rates[i, v] = jump intensity of coordinate i to value v (v != z_i);
-    rates[i, z_i] = negative sum of the other entries of row i.
-    """
-
-    rates: np.ndarray
-
-    @classmethod
-    def from_off_rates(cls, off, z):
-        """Build from nonnegative off-target rates; zeroes the target column
-        and fills the diagonal convention entry."""
-        off = np.array(off, dtype=float)
-        d = off.shape[0]
-        idx = np.arange(d)
-        off[idx, z] = 0.0
-        if np.any(off < 0) or not np.all(np.isfinite(off)):
-            raise ValueError("off-target rates must be finite and >= 0")
-        off[idx, z] = -off.sum(axis=1)
-        return cls(off)
-
-    def exit_rates(self, z):
-        """Per-coordinate exit rates (nonnegative d-vector)."""
-        return -self.rates[np.arange(len(z)), z]
-
-    def validate(self, z, rtol=1e-12):
-        d, _ = self.rates.shape
-        idx = np.arange(d)
-        diag = self.rates[idx, z]
-        off = self.rates.copy()
-        off[idx, z] = 0.0
-        if np.any(off < 0):
-            raise ValueError("off-target rates must be >= 0")
-        if not np.all(np.isfinite(self.rates)):
-            raise ValueError("rates must be finite")
-        target = -off.sum(axis=1)
-        scale = np.maximum(np.abs(target), 1.0)
-        if np.any(np.abs(diag - target) > rtol * scale):
-            raise ValueError("diagonal entry must equal negative row exit rate")
-
-
-class TwistedRateField(RateField):
-    """Rate field after a multiplicative score tilt (same invariants)."""
-
-
 @dataclass
 class PathSample:
     """Cadlag piecewise-constant trajectory: initial state plus ordered jumps."""
@@ -190,49 +142,29 @@ class PathSample:
 
 @dataclass(frozen=True)
 class RateModel:
-    """A local-rate model: pure function (t, z, spec, theta) -> RateField.
+    """A local-rate model: pure function (t, Z, spec, theta) -> (B, d, V)
+    nonnegative off-target rates of a batch of states Z (B, d), zero at each
+    coordinate's current value.
 
     lambda_bar_fn bounds the total exit rate (assumption: bounded total
-    rate); coord_bound_fn bounds the per-coordinate exit rate and fixes the
-    largest admissible Euler step 1/coord_bound. rate_grad_fn, when present,
-    returns d rates / d theta of the off-target entries: (d, V, P) for one
-    state, (..., d, V, P) for a stack of states (..., d).
+    rate). rate_grad_fn, when present, returns d rates / d theta of the
+    off-target entries: (d, V, P) for one state, (..., d, V, P) for a stack
+    of states (..., d).
     """
 
-    rate_fn: Callable[[float, np.ndarray, StateSpaceSpec, Any], RateField]
+    batch_off_rate_fn: Callable[[float, np.ndarray, StateSpaceSpec, Any], np.ndarray]
     lambda_bar_fn: Callable[[StateSpaceSpec, Any], float] | None = None
-    coord_bound_fn: Callable[[StateSpaceSpec, Any], float] | None = None
     time_homogeneous: bool = True
     rate_grad_fn: Callable | None = None
-    batch_off_rate_fn: Callable | None = None  # (t, Z, spec, theta) -> (B, d, V)
-
-    def rates(self, t, z, spec, theta):
-        return self.rate_fn(t, z, spec, theta)
 
     def off_rates_batch(self, t, Z, spec, theta):
         """Nonnegative off-target rates for a batch of states: (B, d, V)."""
-        if self.batch_off_rate_fn is not None:
-            return self.batch_off_rate_fn(t, Z, spec, theta)
-        B, d = Z.shape
-        out = np.empty((B, d, spec.V))
-        idx = np.arange(d)
-        for b in range(B):
-            rf = self.rate_fn(t, Z[b], spec, theta).rates.copy()
-            rf[idx, Z[b]] = 0.0
-            out[b] = rf
-        return out
+        return self.batch_off_rate_fn(t, Z, spec, theta)
 
     def lambda_bar(self, spec, theta):
         if self.lambda_bar_fn is None:
             raise ValueError("model does not declare a total-rate bound")
         return self.lambda_bar_fn(spec, theta)
-
-    def max_step(self, spec, theta):
-        """Largest Delta t satisfying the small-interval assumption."""
-        if self.coord_bound_fn is None:
-            return None
-        bound = self.coord_bound_fn(spec, theta)
-        return math.inf if bound == 0 else 1.0 / bound
 
 
 @dataclass(frozen=True)
@@ -244,8 +176,9 @@ class SIRSParams:
 
     def __post_init__(self):
         for name in ("alpha0", "alpha1", "beta", "gamma"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            value = getattr(self, name)
+            if not math.isfinite(value) or value < 0:
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
     def as_array(self):
         return np.array([self.alpha0, self.alpha1, self.beta, self.gamma])
@@ -263,6 +196,9 @@ def sirs_infection_pressure(spec, Z):
 
 
 def sirs_off_rates_batch(t, Z, spec, params):
+    """Cyclic S -> I -> R -> S local rates with graph-weighted infection."""
+    if spec.V != 3:
+        raise ValueError("SIRS requires V = 3")
     B, d = Z.shape
     w = sirs_infection_pressure(spec, Z)
     off = np.zeros((B, d, spec.V))
@@ -270,15 +206,6 @@ def sirs_off_rates_batch(t, Z, spec, params):
     off[:, :, R] = params.beta * (Z == I)
     off[:, :, S] = params.gamma * (Z == R)
     return off
-
-
-def sirs_rate_field(t, z, spec, params):
-    """Cyclic S -> I -> R -> S local rates with graph-weighted infection."""
-    z = spec.validate_state(z)
-    if spec.V != 3:
-        raise ValueError("SIRS requires V = 3")
-    off = sirs_off_rates_batch(t, z[None, :], spec, params)[0]
-    return RateField.from_off_rates(off, z)
 
 
 def sirs_rate_grad(t, z, spec, params):
@@ -302,69 +229,37 @@ def sirs_model():
         wmax = sirs_infection_pressure(spec, np.full((1, spec.d), I))[0].max()
         return spec.d * max(p.alpha0 + p.alpha1 * wmax, p.beta, p.gamma)
 
-    def coord(spec, p):
-        wmax = sirs_infection_pressure(spec, np.full((1, spec.d), I))[0].max()
-        return max(p.alpha0 + p.alpha1 * wmax, p.beta, p.gamma)
-
     return RateModel(
-        rate_fn=sirs_rate_field,
+        batch_off_rate_fn=sirs_off_rates_batch,
         lambda_bar_fn=lam,
-        coord_bound_fn=coord,
         time_homogeneous=True,
         rate_grad_fn=sirs_rate_grad,
-        batch_off_rate_fn=sirs_off_rates_batch,
     )
 
 
-def total_exit_rate(rf: RateField) -> float:
-    """Sum of all off-target entries (equals minus the trace column sum)."""
-    rates = rf.rates
-    return float(rates[rates > 0].sum())
-
-
-def _step_probs(rates, z, dt):
-    """Per-coordinate categorical table delta + dt * r; raises if any stay
-    probability would be negative."""
-    d = rates.shape[0]
-    probs = dt * rates
-    probs[np.arange(d), z] += 1.0
-    stay = probs[np.arange(d), z]
+def euler_step_table(off, Z, dt):
+    """Per-coordinate categorical tables delta + dt * off of the product
+    kernel for a batch of states Z (B, d) with off-target rates off
+    (B, d, V): (B, d, V). Multi-coordinate flips are possible by
+    construction. Raises StepSizeError if any stay probability would be
+    negative."""
+    B, d = Z.shape
+    stay = 1.0 - dt * off.sum(axis=2)
     if np.any(stay < 0):
-        worst = float(stay.min())
         raise StepSizeError(
             f"Euler step {dt} violates the small-interval bound "
-            f"(stay probability {worst:.3g}); shrink the step"
+            f"(stay probability {float(stay.min()):.3g}); shrink the step"
         )
+    probs = dt * off
+    probs[np.arange(B)[:, None], np.arange(d)[None, :], Z] = stay
     return probs
-
-
-def euler_kernel_sample(rf: RateField, z, dt, rng) -> np.ndarray:
-    """One product-kernel step: each coordinate drawn independently from
-    delta + dt * r. Multi-coordinate flips are possible by construction."""
-    z = np.asarray(z)
-    probs = _step_probs(rf.rates, z, dt)
-    u = rng.random(len(z))
-    cum = np.cumsum(probs, axis=1)
-    return (u[:, None] < cum).argmax(axis=1).astype(np.int64)
-
-
-def euler_kernel_log_pmf(rf: RateField, z, z_next, dt) -> float:
-    z = np.asarray(z)
-    z_next = np.asarray(z_next)
-    probs = _step_probs(rf.rates, z, dt)
-    p = probs[np.arange(len(z)), z_next]
-    if np.any(p <= 0):
-        if np.any(p < 0):
-            raise StepSizeError("Euler step too large: negative probability")
-        return -np.inf
-    return float(np.log(p).sum())
 
 
 def euler_simulate_batch(model, spec, theta, Z0, grid, rng):
     """Euler-discretized prior paths for a batch: (B, M+1, d) states on grid.
 
     Coordinates are sampled independently per step via inverse-cdf on the
-    batched off-rate table.
+    batched kernel table.
     """
     grid = np.asarray(grid, dtype=float)
     Z0 = np.asarray(Z0, dtype=np.int64)
@@ -373,14 +268,10 @@ def euler_simulate_batch(model, spec, theta, Z0, grid, rng):
     out = np.empty((B, M + 1, d), dtype=np.int64)
     out[:, 0] = Z0
     Z = Z0.copy()
-    rows = np.arange(B)[:, None], np.arange(d)[None, :]
     for m in range(M):
         dt = grid[m + 1] - grid[m]
         off = model.off_rates_batch(grid[m], Z, spec, theta)
-        probs = dt * off
-        probs[rows[0], rows[1], Z] += 1.0 - dt * off.sum(axis=2)
-        if np.any(probs[rows[0], rows[1], Z] < 0):
-            raise StepSizeError(f"Euler step {dt} too large at grid index {m}")
+        probs = euler_step_table(off, Z, dt)
         u = rng.random((B, d, 1))
         Z = (u < np.cumsum(probs, axis=2)).argmax(axis=2).astype(np.int64)
         out[:, m + 1] = Z
@@ -398,20 +289,20 @@ def gillespie_simulate(model, spec, theta, z0, T, rng) -> PathSample:
     times, nodes, values = [], [], []
     t = 0.0
     if model.time_homogeneous:
-        rf = model.rates(t, z, spec, theta)
+        off = model.off_rates_batch(t, z[None], spec, theta)[0]
         while True:
-            lam = total_exit_rate(rf)
+            lam = _exit_rate(off)
             if lam <= 0:
                 break
             t += rng.exponential(1.0 / lam)
             if t >= T:
                 break
-            i, v = _draw_event(rf, z, rng)
+            i, v = _draw_event(off, rng)
             z[i] = v
             times.append(t)
             nodes.append(i)
             values.append(v)
-            rf = model.rates(t, z, spec, theta)
+            off = model.off_rates_batch(t, z[None], spec, theta)[0]
     else:
         lam_bar = model.lambda_bar(spec, theta)
         if not np.isfinite(lam_bar) or lam_bar < 0:
@@ -421,14 +312,14 @@ def gillespie_simulate(model, spec, theta, z0, T, rng) -> PathSample:
                 t += rng.exponential(1.0 / lam_bar)
                 if t >= T:
                     break
-                rf = model.rates(t, z, spec, theta)
-                lam = total_exit_rate(rf)
+                off = model.off_rates_batch(t, z[None], spec, theta)[0]
+                lam = _exit_rate(off)
                 if lam > lam_bar * (1 + 1e-9):
                     raise ValueError(
                         f"declared rate bound {lam_bar} violated at t={t} (rate {lam})"
                     )
                 if rng.random() < lam / lam_bar:
-                    i, v = _draw_event(rf, z, rng)
+                    i, v = _draw_event(off, rng)
                     z[i] = v
                     times.append(t)
                     nodes.append(i)
@@ -438,14 +329,18 @@ def gillespie_simulate(model, spec, theta, z0, T, rng) -> PathSample:
                       jump_values=np.array(values, dtype=np.int64))
 
 
-def _draw_event(rf, z, rng):
-    """Pick (node, value) proportional to off-target rates; index ties are
-    impossible a.s. and resolve by flat order."""
-    d, V = rf.rates.shape
-    off = rf.rates.copy()
-    off[np.arange(d), z] = 0.0
-    flat = off.ravel()
-    c = np.cumsum(flat)
+def _exit_rate(off):
+    """Total exit rate of one state's (d, V) off-target rates. Only the
+    positive entries are summed, which fixes the floating-point summation
+    order that simulated paths depend on."""
+    return float(off[off > 0].sum())
+
+
+def _draw_event(off, rng):
+    """Pick (node, value) proportional to one state's off-target rates;
+    index ties are impossible a.s. and resolve by flat order."""
+    d, V = off.shape
+    c = np.cumsum(off.ravel())
     k = int(np.searchsorted(c, rng.random() * c[-1], side="right"))
     k = min(k, d * V - 1)
     return k // V, k % V
@@ -460,25 +355,28 @@ def path_log_density(model, spec, theta, path: PathSample, p0_log, quad_step=Non
     """
     path.validate()
     z = path.initial.copy()
+
+    def off_at(t):
+        return model.off_rates_batch(t, z[None], spec, theta)[0]
+
     total = float(p0_log(z))
     seg_starts = np.concatenate([[path.t0], path.jump_times])
     seg_ends = np.concatenate([path.jump_times, [path.horizon]])
     for n in range(len(seg_starts)):
         a, b = seg_starts[n], seg_ends[n]
         if model.time_homogeneous:
-            rf = model.rates(a, z, spec, theta)
-            total -= total_exit_rate(rf) * (b - a)
+            total -= _exit_rate(off_at(a)) * (b - a)
         else:
             if quad_step is None:
                 raise ValueError("inhomogeneous model needs a quadrature step")
             k = max(1, int(np.ceil((b - a) / quad_step)))
             ts = a + (np.arange(k) + 0.5) * (b - a) / k
-            acc = sum(total_exit_rate(model.rates(t, z, spec, theta)) for t in ts)
+            acc = sum(_exit_rate(off_at(t)) for t in ts)
             total -= acc * (b - a) / k
         if n < path.n_jumps:
             tj = path.jump_times[n]
             i, v = path.jump_nodes[n], path.jump_values[n]
-            r = model.rates(tj, z, spec, theta).rates[i, v]
+            r = off_at(tj)[i, v]
             if r <= 0:
                 import warnings
 

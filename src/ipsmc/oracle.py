@@ -16,15 +16,17 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .errors import InconsistentObservationsError, StateSpaceTooLargeError
-from .ips import RateModel, RateField, make_grid
+from .ips import RateModel, make_grid
 
-STATE_GUARD = 2**20
+GENERATOR_BYTES_GUARD = 2**29  # dense float64 generator of at most 8192 states
 
 
 def n_states(spec):
     n = spec.V**spec.d
-    if n > STATE_GUARD:
-        raise StateSpaceTooLargeError(f"V^d = {n} exceeds the dense guard {STATE_GUARD}")
+    if 8 * n * n > GENERATOR_BYTES_GUARD:
+        raise StateSpaceTooLargeError(
+            f"V^d = {n} states need a {8 * n * n / 2**30:.3g} GiB dense generator; "
+            f"the guard is {GENERATOR_BYTES_GUARD / 2**30:.3g} GiB")
     return n
 
 
@@ -69,19 +71,9 @@ def build_dense_generator(model: RateModel, spec, theta, t=0.0) -> DenseGenerato
     """Assemble the global generator from the local rates; only single
     coordinate changes carry mass."""
     n = n_states(spec)
-    table = state_table(spec)
+    off = model.off_rates_batch(t, state_table(spec), spec, theta)
     Q = np.zeros((n, n))
-    powers = spec.V ** np.arange(spec.d)
-    for s in range(n):
-        z = table[s]
-        rf = model.rates(t, z, spec, theta)
-        for i in range(spec.d):
-            for v in range(spec.V):
-                if v == z[i]:
-                    continue
-                r = rf.rates[i, v]
-                if r != 0.0:
-                    Q[s, s + (v - z[i]) * powers[i]] = r
+    Q[np.arange(n)[:, None, None], neighbor_index_table(spec)] = off
     np.fill_diagonal(Q, -Q.sum(axis=1))
     return DenseGenerator(Q)
 
@@ -210,23 +202,14 @@ class LookaheadTable:
         """
         if not base_model.time_homogeneous:
             raise ValueError("exact twisting is cached for homogeneous base rates")
-        table = state_table(spec)
         nbr = neighbor_index_table(spec)
-        n = len(table)
-        idx = np.arange(spec.d)
-        base_off = np.empty((n, spec.d, spec.V))
-        for s in range(n):
-            rf = base_model.rates(0.0, table[s], spec, theta).rates.copy()
-            rf[idx, table[s]] = 0.0
-            base_off[s] = rf
-
+        base_off = base_model.off_rates_batch(0.0, state_table(spec), spec, theta)
         powers = spec.V ** np.arange(spec.d)
 
-        def rate_fn(t, z, spec_, theta_):
+        def batch_off_rate_fn(t, Z, spec_, theta_):
             lh = self.log_h_at(t)
-            s = int(np.asarray(z) @ powers)
-            off = base_off[s] * np.exp(lh[nbr[s]] - lh[s])
-            return RateField.from_off_rates(off, np.asarray(z))
+            s = Z @ powers
+            return base_off[s] * np.exp(lh[nbr[s]] - lh[s][:, None, None])
 
         worst = 0.0
         for j in range(len(self.grid)):
@@ -235,8 +218,8 @@ class LookaheadTable:
                 worst = max(worst, float((base_off * tilt).sum(axis=(1, 2)).max()))
         lam_bar = worst * safety
 
-        return RateModel(rate_fn=rate_fn, lambda_bar_fn=lambda *_: lam_bar,
-                         time_homogeneous=False)
+        return RateModel(batch_off_rate_fn=batch_off_rate_fn,
+                         lambda_bar_fn=lambda *_: lam_bar, time_homogeneous=False)
 
 
 def _log_expm_action(gen, delta, log_v):
@@ -292,7 +275,9 @@ def exact_lookahead(model, spec, theta, potentials, grid) -> LookaheadTable:
 
 def exact_posterior_marginals(model, spec, theta, p0, obs, grid):
     """Posterior state marginals on the grid: forward filter times
-    look-ahead, normalized. Returns (M+1, n)."""
+    look-ahead, normalized. Returns the (M+1, n) marginals and log Z, the
+    normalizer at grid index 0 (equal to exact_log_marginal_likelihood on
+    the same grid)."""
     la = exact_lookahead(model, spec, theta, potential_vectors(spec, obs), grid)
     gen = la.gen
     grid = la.grid
@@ -300,6 +285,7 @@ def exact_posterior_marginals(model, spec, theta, p0, obs, grid):
     with np.errstate(divide="ignore"):
         log_alpha = np.log(np.asarray(p0, dtype=float))
     out = np.empty((len(grid), n))
+    log_z = None
     for j in range(len(grid)):
         if j > 0:
             m = np.max(log_alpha[np.isfinite(log_alpha)])
@@ -316,7 +302,9 @@ def exact_posterior_marginals(model, spec, theta, p0, obs, grid):
                 f"posterior mass vanished at grid time {grid[j]}"
             )
         out[j] = np.exp(log_post - norm)
-    return out
+        if j == 0:
+            log_z = float(norm)
+    return out, log_z
 
 
 def _potential_at(la, j):

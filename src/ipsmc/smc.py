@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .errors import CollapseError
-from .ips import make_grid
+from .ips import euler_step_table, make_grid
 from .twisting import ConstantTwist, SCORE_CLIP, emission_log_table
 
 
@@ -244,8 +244,7 @@ def _propose_step(model, spec, theta, twist, Z, t, dt, rng):
         Zi = Z[easy]
         ne = len(Zi)
         rows = np.arange(ne)[:, None], np.arange(d)[None, :]
-        probs = dt * tw_off[easy]
-        probs[rows[0], rows[1], Zi] = 1.0 - dt * exit_t[easy]
+        probs = euler_step_table(tw_off[easy], Zi, dt)
         u = rng.random((ne, d, 1))
         Znext = (u < np.cumsum(probs, axis=2)).argmax(axis=2).astype(np.int64)
         jumped = Znext != Zi
@@ -274,8 +273,7 @@ def _propose_step(model, spec, theta, twist, Z, t, dt, rng):
             et = t_off.sum(axis=1)
             wc = max(float(eb.max()), float(et.max()))
             step_dt = remaining if wc * remaining <= 0.995 else 0.995 / wc
-            probs = step_dt * t_off
-            probs[np.arange(d), z] = 1.0 - step_dt * et
+            probs = euler_step_table(t_off[None], z[None], step_dt)[0]
             u = rng.random(d)
             z_next = (u[:, None] < np.cumsum(probs, axis=1)).argmax(axis=1).astype(np.int64)
             jumped = z_next != z
@@ -290,11 +288,6 @@ def _propose_step(model, spec, theta, twist, Z, t, dt, rng):
         log_ratio[s] = acc
 
     return Z_new, log_ratio
-
-
-def tsmc_run(model, spec, theta, twist, q0, p0, obs, cfg, grid=None):
-    """Twisted SMC with an arbitrary twist oracle and initial proposal."""
-    return run_smc(model, spec, theta, twist, q0, p0, obs, cfg, grid=grid)
 
 
 def bpf_run(model, spec, theta, p0, obs, cfg, grid=None):

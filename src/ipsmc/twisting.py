@@ -1,4 +1,4 @@
-"""Potentials, twisted rates, and the diagnostics coupling a prior process
+"""Potentials, twist oracles, and the diagnostics coupling a prior process
 to its (approximate) posterior.
 
 A twist assigns every (t, z) a positive value approximating the
@@ -12,16 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import StepSizeError
-from .ips import RateField, TwistedRateField, euler_kernel_log_pmf, euler_kernel_sample
-
-MASK = -1  # sentinel meaning "use spec.V"
-
-
-def mask_token(spec_or_V):
-    V = spec_or_V if isinstance(spec_or_V, int) else spec_or_V.V
-    return V
 
 
 @dataclass
@@ -119,11 +109,6 @@ class TwistOracle:
     def score_table_batch(self, t, Z):
         return np.stack([self.score_table(t, z) for z in Z])
 
-    def q0_log_pmf(self, z):
-        """Log initial proposal mass; default is the twist-tilted prior
-        handled by the caller, so plain oracles do not provide one."""
-        raise NotImplementedError
-
 
 class ConstantTwist(TwistOracle):
     """h identically one; twisted SMC degenerates to the bootstrap filter."""
@@ -189,38 +174,6 @@ class ExactTwist(TwistOracle):
 
 
 SCORE_CLIP = 35.0  # numerical guard on exp(score); far beyond trained values
-
-
-def twist_rate_field(base: RateField, score, z) -> TwistedRateField:
-    """Multiplicative tilt of the off-target rates by exp(score); the
-    diagonal is recomputed as the negative twisted exit rate."""
-    score = np.asarray(score, dtype=float)
-    if not np.all(np.isfinite(score)):
-        raise ValueError("score table must be finite")
-    z = np.asarray(z)
-    d = base.rates.shape[0]
-    off = base.rates.copy()
-    off[np.arange(d), z] = 0.0
-    off = off * np.exp(np.clip(score, -SCORE_CLIP, SCORE_CLIP))
-    return TwistedRateField.from_off_rates(off, z)
-
-
-def twisted_kernel_sample(twisted: TwistedRateField, z, dt, rng):
-    return euler_kernel_sample(twisted, z, dt, rng)
-
-
-def twisted_kernel_log_pmf(twisted: TwistedRateField, z, z_next, dt):
-    return euler_kernel_log_pmf(twisted, z, z_next, dt)
-
-
-def substep_count(base: RateField, twisted: TwistedRateField, z, dt, margin=0.995):
-    """Number of equal subdivisions of dt needed so both the base and the
-    tilted kernels satisfy the small-interval bound."""
-    z = np.asarray(z)
-    worst = max(float(base.exit_rates(z).max()), float(twisted.exit_rates(z).max()))
-    if worst <= 0:
-        return 1
-    return max(1, int(np.ceil(dt * worst / margin)))
 
 
 def reset_residual(twist: TwistOracle, log_g, t, z):

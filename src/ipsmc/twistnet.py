@@ -261,20 +261,6 @@ def q0_logits(params, ctx, strict=True):
     return F @ params.Wq + params.bq, F
 
 
-def q0_log_pmf(params, ctx, z):
-    logits, _ = q0_logits(params, ctx)
-    z = np.asarray(z)
-    ls = logits - _logsumexp_rows(logits)
-    return float(ls[np.arange(len(z)), z].sum())
-
-
-def q0_sample(params, ctx, rng, S):
-    logits, _ = q0_logits(params, ctx)
-    p = np.exp(logits - _logsumexp_rows(logits))
-    u = rng.random((S, len(p), 1))
-    return (u < np.cumsum(p, axis=1)[None]).argmax(axis=2).astype(np.int64)
-
-
 def _logsumexp_rows(x):
     m = x.max(axis=1, keepdims=True)
     return m + np.log(np.exp(x - m).sum(axis=1, keepdims=True))

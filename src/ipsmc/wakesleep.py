@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import CollapseError
 from .ips import SIRSParams, euler_simulate_batch, make_grid
-from .smc import SMCConfig, sample_path_index, tsmc_run
+from .smc import SMCConfig, run_smc, sample_path_index
 from .twisting import ObservationSequence, emission_log_table, sample_emission
 from . import twistnet as tn
 
@@ -321,9 +321,9 @@ def _wake_sample(model, spec, theta_bar, psi, p0, obs, cfg, seed):
                         ess_threshold=cfg.ess_threshold, store_paths=True,
                         seed=seed)
     try:
-        ens, _ = tsmc_run(model, spec, theta_bar, twist,
-                          twist.q0_dist(q0_support_logmask(p0)), p0,
-                          obs, smc_cfg)
+        ens, _ = run_smc(model, spec, theta_bar, twist,
+                         twist.q0_dist(q0_support_logmask(p0)), p0,
+                         obs, smc_cfg)
     except CollapseError:
         return None
     rng = np.random.default_rng(seed + 1)

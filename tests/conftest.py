@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ipsmc.ips import RateField, RateModel, StateSpaceSpec
+from ipsmc.ips import RateModel, StateSpaceSpec
 
 
 def flip_off_rates(up, down, coupling=0.0):
@@ -21,20 +21,12 @@ def flip_off_rates(up, down, coupling=0.0):
 
 
 def make_flip_model(up=0.6, down=0.4, coupling=0.0):
-    batch = flip_off_rates(up, down, coupling)
-
-    def rate_fn(t, z, spec, theta):
-        z = np.asarray(z)
-        return RateField.from_off_rates(batch(t, z[None], spec, theta)[0], z)
-
-    def coord_bound(spec, theta):
+    def lambda_bar(spec, theta):
         kmax = spec.adjacency.sum(axis=1).max()
-        return max(up + coupling * kmax, down + 0.5 * coupling * kmax)
+        return spec.d * max(up + coupling * kmax, down + 0.5 * coupling * kmax)
 
-    return RateModel(rate_fn=rate_fn,
-                     lambda_bar_fn=lambda s, th: s.d * coord_bound(s, th),
-                     coord_bound_fn=coord_bound,
-                     batch_off_rate_fn=batch)
+    return RateModel(batch_off_rate_fn=flip_off_rates(up, down, coupling),
+                     lambda_bar_fn=lambda_bar)
 
 
 def chain_spec(d, V=2, F=0):

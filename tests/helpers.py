@@ -1,13 +1,21 @@
 """Shared oracle-backed helpers for unit and acceptance tests."""
 
-import math
-
 import numpy as np
 
-from ipsmc.ips import make_grid
+from ipsmc.ips import euler_step_table, make_grid
 from ipsmc import oracle as orc
-from ipsmc.twisting import (ExactTwist, incremental_ess, twist_rate_field,
-                            twisted_kernel_log_pmf)
+from ipsmc.twisting import SCORE_CLIP, ExactTwist, incremental_ess
+
+
+def kernel_pmf(off, Z, dt, table, scores=None):
+    """Enumerated one-step pmf of the product kernel that run_smc samples
+    from: (B, n), from each state of Z (B, d) with off-target rates off
+    (B, d, V) to each state of table (n, d). scores (B, d, V), when given,
+    tilt the rates by exp(clipped score) as the twisted proposal does."""
+    if scores is not None:
+        off = off * np.exp(np.clip(scores, -SCORE_CLIP, SCORE_CLIP))
+    probs = euler_step_table(off, Z, dt)
+    return probs[:, np.arange(Z.shape[1]), table].prod(axis=2)
 
 
 def exact_twist_ess_values(spec, model, theta, obs, dt, times=None):
@@ -30,12 +38,10 @@ def exact_twist_ess_values(spec, model, theta, obs, dt, times=None):
         tilt = la.log_h[m + 1].copy()
         if m + 1 in pot_idx:
             tilt = tilt + pot_idx[m + 1]
-        for s, z in enumerate(table):
-            base = model.rates(t, z, spec, theta)
-            tilted = twist_rate_field(base, twist.score_table(t, z), z)
-            q = np.array([math.exp(twisted_kernel_log_pmf(tilted, z, zn, t1 - t))
-                          for zn in table])
+        q = kernel_pmf(model.off_rates_batch(t, table, spec, theta), table,
+                       t1 - t, table, twist.score_table_batch(t, table))
+        for s in range(len(table)):
             target = P[s] * np.exp(tilt - tilt.max())
             target /= target.sum()
-            vals.append(incremental_ess(q, target))
+            vals.append(incremental_ess(q[s], target))
     return np.array(vals)

@@ -12,18 +12,18 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from ipsmc.ips import (SIRSParams, StateSpaceSpec, euler_kernel_log_pmf,
-                       gillespie_simulate, make_grid, sirs_model)
+from ipsmc.ips import (SIRSParams, StateSpaceSpec, gillespie_simulate,
+                       make_grid, sirs_model)
 from ipsmc import oracle as orc
 from ipsmc import twistnet as tn
 from ipsmc.cli import main as cli_main
 from ipsmc.smc import (DenseInitial, SMCConfig, bpf_run, doob_initial,
-                       tsmc_run)
+                       run_smc)
 from ipsmc.twisting import ExactTwist, ObservationSequence
 from ipsmc.wakesleep import wake_grad_dense
 
 from conftest import chain_spec, make_flip_model
-from helpers import exact_twist_ess_values
+from helpers import exact_twist_ess_values, kernel_pmf
 from test_oracle import _obs
 
 
@@ -40,16 +40,12 @@ def test_criterion_1_euler_rate():
     model = make_flip_model(0.5, 0.7, coupling=0.6)
     gen = orc.build_dense_generator(model, spec, None)
     table = orc.state_table(spec)
+    off = model.off_rates_batch(0.0, table, spec, None)
 
     def max_tv(dt):
         P = orc.transition_matrix(gen, dt)
-        worst = 0.0
-        for s, z in enumerate(table):
-            rf = model.rates(0.0, z, spec, None)
-            q = np.array([math.exp(euler_kernel_log_pmf(rf, z, zn, dt))
-                          for zn in table])
-            worst = max(worst, 0.5 * np.abs(q - P[s]).sum())
-        return worst
+        q = kernel_pmf(off, table, dt, table)
+        return float((0.5 * np.abs(q - P).sum(axis=1)).max())
 
     tvs = [max_tv(dt) for dt in (0.2, 0.1, 0.05, 0.025)]
     ratios = [a / b for a, b in zip(tvs, tvs[1:])]
@@ -70,8 +66,8 @@ def test_criterion_2_doob_consistency(pair_spec):
     la = orc.exact_lookahead(model, pair_spec, theta, pots, grid)
     p0_vec = np.zeros(9)
     p0_vec[orc.state_index(pair_spec, [1, 0])] = 1.0
-    marg = orc.exact_posterior_marginals(model, pair_spec, theta, p0_vec, obs,
-                                         grid)
+    marg, _ = orc.exact_posterior_marginals(model, pair_spec, theta, p0_vec, obs,
+                                            grid)
     twisted = la.twisted_model(model, pair_spec, theta)
     n = 10_000
     rng = np.random.default_rng(2024)
@@ -136,8 +132,8 @@ def test_criterion_4_log_normalizer():
     twist = ExactTwist(la, spec)
     q0 = doob_initial(spec, p0_vec, la)
     p0 = DenseInitial(spec, p0_vec)
-    tz = [tsmc_run(model, spec, None, twist, q0, p0, obs,
-                   SMCConfig(S=256, dt=0.01, seed=s), grid=grid)[1]
+    tz = [run_smc(model, spec, None, twist, q0, p0, obs,
+                  SMCConfig(S=256, dt=0.01, seed=s), grid=grid)[1]
           for s in range(20)]
     bz = [bpf_run(model, spec, None, p0, obs,
                   SMCConfig(S=2048, dt=0.01, seed=100 + s), grid=grid)[1]

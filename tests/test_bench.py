@@ -146,8 +146,8 @@ def test_oracle_posterior_ce_beats_bootstrap(pair_spec):
     ce_oracle, ce_bpf = [], []
     for idx, (path, obs) in enumerate(zip(ds.test_paths, ds.test_obs)):
         grid = make_grid(T, 0.1, obs.times)
-        marg = orc.exact_posterior_marginals(model, pair_spec, params, p0_vec,
-                                             obs, grid)
+        marg, _ = orc.exact_posterior_marginals(model, pair_spec, params, p0_vec,
+                                                obs, grid)
         node = orc.nodewise_marginals(pair_spec, marg)
         node = (1 - 1e-3) * node + 1e-3 / 3
         truth = path.states_at(grid)

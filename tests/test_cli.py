@@ -1,6 +1,7 @@
 import filecmp
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -90,6 +91,14 @@ class TestGenerate:
                 continue  # embeds the out path via the config hash
             assert da[k] == db[k], k
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_nonfinite_rate_rejected(self, tmp_path, bad):
+        params = dict(TINY_GEN["params"], alpha0=bad)
+        cfg = dict(TINY_GEN, params=params, out=str(tmp_path / "ds"))
+        path = write_cfg(tmp_path, "gen.json", cfg)
+        assert main(["generate", "--config", path]) == 2
+        assert not os.path.exists(tmp_path / "ds")
+
     def test_threads_do_not_change_bytes(self, tmp_path):
         outs = []
         for sub, threads in (("t1", "1"), ("t8", "8")):
@@ -138,6 +147,25 @@ class TestOracle:
                          {"dataset": str(tmp_path / "dsbig"),
                           "out": str(tmp_path / "orcbig")})
         assert main(["oracle", "--config", path]) == 2
+
+    def test_rejects_generator_over_memory_guard(self, tmp_path):
+        # 3**9 = 19,683 states: a 3.1 GB dense generator, refused before
+        # any state table or generator is allocated
+        gen = dict(TINY_GEN, d=9, out=str(tmp_path / "ds9"), n_train=1,
+                   n_test=0, K=1)
+        assert main(["generate", "--config",
+                     write_cfg(tmp_path, "gen9.json", gen)]) == 0
+        path = write_cfg(tmp_path, "orc9.json",
+                         {"dataset": str(tmp_path / "ds9"),
+                          "out": str(tmp_path / "orc9")})
+        tracemalloc.start()
+        try:
+            assert main(["oracle", "--config", path]) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**22
+        assert not os.path.exists(tmp_path / "orc9")
 
 
 TWIST_CFG = {"steps": 40, "batch": 4, "dt": 0.2, "m": 8, "reuse": 20,
@@ -303,6 +331,13 @@ class TestInfer:
                "method": "bpf", "S": 1, "dt": 0.2, "seed": 0}
         code = main(["infer", "--config", write_cfg(tmp_path, "cc.json", cfg)])
         assert code == 3
+
+    def test_nonfinite_theta_rejected(self, dataset, tmp_path):
+        cfg = {"dataset": dataset, "out": str(tmp_path / "nan"),
+               "method": "bpf", "S": 4, "dt": 0.2,
+               "theta": [float("nan"), 1.0, 0.4, 0.05]}
+        code = main(["infer", "--config", write_cfg(tmp_path, "nan.json", cfg)])
+        assert code == 2
 
     def test_io_failure_exit_code(self, dataset, tmp_path):
         blocker = tmp_path / "blocker"

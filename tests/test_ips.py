@@ -8,14 +8,14 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from ipsmc.errors import StepSizeError
-from ipsmc.ips import (PathSample, RateField, SIRSParams, StateSpaceSpec,
-                       euler_kernel_log_pmf, euler_kernel_sample,
-                       euler_simulate_batch, gillespie_simulate, make_grid,
-                       path_log_density, read_path, sirs_model,
-                       sirs_rate_field, total_exit_rate, write_path)
+from ipsmc.ips import (PathSample, RateModel, SIRSParams, StateSpaceSpec,
+                       euler_simulate_batch, euler_step_table,
+                       gillespie_simulate, make_grid, path_log_density,
+                       read_path, sirs_model, sirs_off_rates_batch, write_path)
 from ipsmc import oracle as orc
 
 from conftest import chain_spec, make_flip_model
+from helpers import kernel_pmf
 
 
 def test_spec_rejects_degenerate_vocabulary():
@@ -36,122 +36,147 @@ def test_spec_rejects_self_loops():
         StateSpaceSpec(d=2, V=2, adjacency=adj, node_features=np.zeros((2, 0)))
 
 
+def _random_off_rates(rng, d, V):
+    """One random state (1, d) and its off-target rates (1, d, V), zero at
+    the current values."""
+    z = rng.integers(V, size=(1, d))
+    off = rng.exponential(size=(1, d, V))
+    off[0, np.arange(d), z[0]] = 0.0
+    return z, off
+
+
 @given(st.integers(1, 5), st.integers(2, 4), st.integers(0, 10**6))
 @settings(max_examples=60, deadline=None)
 def test_rate_field_row_sum_invariant(d, V, seed):
+    # every row of the kernel table is delta + dt * off: it sums to one and
+    # its stay entry is one minus dt times the coordinate's exit rate
     rng = np.random.default_rng(seed)
-    off = rng.exponential(size=(d, V))
-    z = rng.integers(V, size=d)
-    rf = RateField.from_off_rates(off, z)
-    rf.validate(z)
-    exits = rf.exit_rates(z)
-    assert np.all(exits >= 0)
-    assert total_exit_rate(rf) == pytest.approx(exits.sum())
-
-
-def test_rate_field_validate_catches_bad_diagonal():
-    rf = RateField(np.array([[0.5, 0.1]]))
-    with pytest.raises(ValueError):
-        rf.validate(np.array([0]))
+    z, off = _random_off_rates(rng, d, V)
+    exits = off[0].sum(axis=1)
+    dt = 0.9 / max(exits.max(), 1e-9)
+    probs = euler_step_table(off, z, dt)[0]
+    assert np.all(probs >= 0)
+    assert np.allclose(probs.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    assert np.allclose(probs[np.arange(d), z[0]], 1.0 - dt * exits,
+                       rtol=0, atol=1e-15)
 
 
 class TestSIRSRates:
+    def _off(self, z, spec, p):
+        return sirs_off_rates_batch(0.0, np.array([z]), spec, p)[0]
+
     def test_all_susceptible_absorbing_without_spontaneous_rate(self, pair_spec):
         p = SIRSParams(0.0, 1.0, 0.4, 0.05)
-        rf = sirs_rate_field(0.0, np.array([0, 0]), pair_spec, p)
-        assert np.all(rf.rates == 0.0)
+        assert np.all(self._off([0, 0], pair_spec, p) == 0.0)
 
     def test_infected_node_recovery_rate(self, pair_spec):
         p = SIRSParams(0.0, 0.0, 0.4, 0.0)
-        rf = sirs_rate_field(0.0, np.array([1, 0]), pair_spec, p)
-        assert rf.rates[0, 2] == pytest.approx(0.4)
-        assert rf.rates[0, 0] == 0.0
-        assert rf.rates[0, 1] == pytest.approx(-0.4)
+        off = self._off([1, 0], pair_spec, p)
+        assert off[0, 2] == pytest.approx(0.4)
+        assert off[0, 0] == 0.0
+        assert off[0, 1] == 0.0
 
     def test_infection_rate_with_one_infected_neighbor(self, pair_spec):
         # zero-dim features make every edge weight exactly one half
         p = SIRSParams(0.1, 1.0, 0.4, 0.05)
-        rf = sirs_rate_field(0.0, np.array([0, 1]), pair_spec, p)
-        assert rf.rates[0, 1] == pytest.approx(0.1 + 1.0 * 0.5)
+        off = self._off([0, 1], pair_spec, p)
+        assert off[0, 1] == pytest.approx(0.1 + 1.0 * 0.5)
 
     def test_total_exit_rate_of_combined_example(self, pair_spec):
         p = SIRSParams(0.1, 1.0, 0.4, 0.05)
-        rf = sirs_rate_field(0.0, np.array([0, 1]), pair_spec, p)
-        assert total_exit_rate(rf) == pytest.approx(1.0)
+        assert self._off([0, 1], pair_spec, p).sum() == pytest.approx(1.0)
 
     def test_dimension_mismatch_rejected(self, pair_spec):
         with pytest.raises(ValueError):
-            sirs_rate_field(0.0, np.array([0, 1, 2]), pair_spec,
-                            SIRSParams(0.1, 1.0, 0.4, 0.05))
+            self._off([0, 1, 2], pair_spec, SIRSParams(0.1, 1.0, 0.4, 0.05))
+
+    def test_requires_three_values(self):
+        with pytest.raises(ValueError, match="V = 3"):
+            self._off([0, 1], chain_spec(2, V=2), SIRSParams(0.1, 1.0, 0.4, 0.05))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.1])
+    def test_params_must_be_finite_and_nonnegative(self, bad):
+        for k in range(4):
+            values = [0.1, 1.0, 0.4, 0.05]
+            values[k] = bad
+            with pytest.raises(ValueError):
+                SIRSParams(*values)
+
+
+def _no_jump_log_density(off, T=2.0):
+    """log density of a jump-free path under constant off-target rates
+    (1, d, V) from the state that never moves: minus the total exit rate
+    times T."""
+    d = off.shape[1]
+    model = RateModel(batch_off_rate_fn=lambda t, Z, spec, theta: off)
+    path = PathSample(horizon=T, initial=np.zeros(d, dtype=np.int64))
+    return path_log_density(model, chain_spec(d, V=off.shape[2]), None, path,
+                            lambda z: 0.0)
 
 
 def test_total_exit_rate_zero_field():
-    rf = RateField.from_off_rates(np.zeros((2, 2)), np.array([0, 0]))
-    assert total_exit_rate(rf) == 0.0
+    assert _no_jump_log_density(np.zeros((1, 2, 2))) == 0.0
 
 
 def test_total_exit_rate_two_nodes():
-    off = np.zeros((2, 2))
-    off[0, 1] = 0.4
-    off[1, 0] = 0.4
-    rf = RateField.from_off_rates(off, np.array([0, 1]))
-    assert total_exit_rate(rf) == pytest.approx(0.8)
+    off = np.zeros((1, 2, 2))
+    off[0, 0, 1] = 0.4
+    off[0, 1, 1] = 0.4
+    assert _no_jump_log_density(off, T=2.0) == pytest.approx(-1.6)
 
 
 class TestEulerKernel:
     def test_zero_rates_identity(self):
-        rf = RateField.from_off_rates(np.zeros((3, 2)), np.array([0, 1, 0]))
+        spec = chain_spec(3, V=2)
+        Z0 = np.array([[0, 1, 0]] * 4)
         rng = np.random.default_rng(0)
-        z = np.array([0, 1, 0])
         for dt in (0.01, 0.5, 10.0):
-            assert np.array_equal(euler_kernel_sample(rf, z, dt, rng), z)
+            grid = np.arange(4) * dt
+            out = euler_simulate_batch(make_flip_model(0.0, 0.0), spec, None,
+                                       Z0, grid, rng)
+            assert np.all(out == Z0[:, None, :])
 
     def test_single_flip_probability(self):
-        off = np.array([[0.0, 0.5]])
-        rf = RateField.from_off_rates(off, np.array([0]))
-        lp_flip = euler_kernel_log_pmf(rf, np.array([0]), np.array([1]), 0.1)
-        lp_stay = euler_kernel_log_pmf(rf, np.array([0]), np.array([0]), 0.1)
-        assert lp_flip == pytest.approx(math.log(0.05))
-        assert lp_stay == pytest.approx(math.log(0.95))
+        off = np.array([[[0.0, 0.5]]])
+        z = np.array([[0]])
+        q = kernel_pmf(off, z, 0.1, np.array([[1], [0]]))[0]
+        assert q[0] == pytest.approx(0.05)
+        assert q[1] == pytest.approx(0.95)
 
     def test_joint_flip_probability_is_product(self):
-        off = np.zeros((2, 2))
-        off[0, 1] = 1.0
-        off[1, 0] = 1.0
-        z = np.array([0, 1])
-        rf = RateField.from_off_rates(off, z)
-        lp = euler_kernel_log_pmf(rf, z, np.array([1, 0]), 0.1)
-        assert lp == pytest.approx(math.log(0.01))
+        off = np.zeros((1, 2, 2))
+        off[0, 0, 1] = 1.0
+        off[0, 1, 0] = 1.0
+        z = np.array([[0, 1]])
+        q = kernel_pmf(off, z, 0.1, np.array([[1, 0]]))[0, 0]
+        assert q == pytest.approx(0.01)
 
     def test_pmf_normalizes_over_state_space(self):
         spec = chain_spec(3, V=2)
         model = make_flip_model(0.7, 0.5, coupling=0.4)
-        z = np.array([0, 1, 0])
-        rf = model.rates(0.0, z, spec, None)
+        z = np.array([[0, 1, 0]])
         table = orc.state_table(spec)
-        total = sum(math.exp(euler_kernel_log_pmf(rf, z, zn, 0.2)) for zn in table)
-        assert total == pytest.approx(1.0, abs=1e-12)
+        q = kernel_pmf(model.off_rates_batch(0.0, z, spec, None), z, 0.2, table)
+        assert q.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_step_size_error(self):
-        off = np.array([[0.0, 3.0]])
-        rf = RateField.from_off_rates(off, np.array([0]))
+        spec = chain_spec(1, V=2)
+        model = make_flip_model(3.0, 3.0)
         with pytest.raises(StepSizeError):
-            euler_kernel_sample(rf, np.array([0]), 0.5, np.random.default_rng(0))
+            euler_simulate_batch(model, spec, None, np.array([[0]]),
+                                 np.array([0.0, 0.5]), np.random.default_rng(0))
         with pytest.raises(StepSizeError):
-            euler_kernel_log_pmf(rf, np.array([0]), np.array([1]), 0.5)
+            kernel_pmf(np.array([[[0.0, 3.0]]]), np.array([[0]]), 0.5,
+                       np.array([[1]]))
 
     @given(st.integers(1, 4), st.integers(2, 4), st.integers(0, 10**6))
     @settings(max_examples=40, deadline=None)
     def test_pmf_normalizes_on_random_spaces(self, d, V, seed):
         rng = np.random.default_rng(seed)
-        off = rng.exponential(size=(d, V))
-        z = rng.integers(V, size=d)
-        rf = RateField.from_off_rates(off, z)
-        dt = 0.9 / max(rf.exit_rates(z).max(), 1e-9)
-        spec = chain_spec(d, V=V)
-        table = orc.state_table(spec)
-        total = sum(math.exp(euler_kernel_log_pmf(rf, z, zn, dt))
-                    for zn in table)
+        z, off = _random_off_rates(rng, d, V)
+        dt = 0.9 / max(off[0].sum(axis=1).max(), 1e-9)
+        table = orc.state_table(chain_spec(d, V=V))
+        total = kernel_pmf(off, z, dt, table).sum()
         assert abs(total - 1.0) < 1e-10
 
 
@@ -161,16 +186,11 @@ def test_euler_tv_error_halves_like_squared_step():
     model = make_flip_model(0.5, 0.7, coupling=0.6)
     gen = orc.build_dense_generator(model, spec, None)
     table = orc.state_table(spec)
+    off = model.off_rates_batch(0.0, table, spec, None)
 
     def max_tv(dt):
         P = orc.transition_matrix(gen, dt)
-        worst = 0.0
-        for s, z in enumerate(table):
-            rf = model.rates(0.0, z, spec, None)
-            q = np.array([math.exp(euler_kernel_log_pmf(rf, z, zn, dt))
-                          for zn in table])
-            worst = max(worst, 0.5 * np.abs(q - P[s]).sum())
-        return worst
+        return (0.5 * np.abs(kernel_pmf(off, table, dt, table) - P).sum(axis=1)).max()
 
     ratio = max_tv(0.2) / max_tv(0.1)
     assert 2.5 <= ratio <= 6.0
@@ -203,9 +223,8 @@ class TestGillespie:
     def test_inhomogeneous_requires_bound(self):
         spec = chain_spec(1, V=2)
         base = make_flip_model(1.0, 1.0)
-        from ipsmc.ips import RateModel
-
-        model = RateModel(rate_fn=base.rate_fn, time_homogeneous=False)
+        model = RateModel(batch_off_rate_fn=base.batch_off_rate_fn,
+                          time_homogeneous=False)
         with pytest.raises(ValueError):
             gillespie_simulate(model, spec, None, np.array([0]), 1.0,
                                np.random.default_rng(0))
@@ -264,10 +283,10 @@ class TestPathLogDensity:
             PathSample(horizon=T, initial=z0))}
         # enumerate single-coordinate moves with positive rates
         moves = []
-        rf0 = model.rates(0.0, z0, pair_spec, p)
+        off0 = model.off_rates_batch(0.0, z0[None], pair_spec, p)[0]
         for i in range(2):
             for v in range(3):
-                if v != z0[i] and rf0.rates[i, v] > 0:
+                if v != z0[i] and off0[i, v] > 0:
                     moves.append((i, v))
         nq = 48
         ts, w = np.polynomial.legendre.leggauss(nq)
@@ -284,10 +303,10 @@ class TestPathLogDensity:
             key = orc.state_index(pair_spec, z1)
             total[key] = total.get(key, 0.0) + mass
             # 2 jumps
-            rf1 = model.rates(0.0, z1, pair_spec, p)
+            off1 = model.off_rates_batch(0.0, z1[None], pair_spec, p)[0]
             for i2 in range(2):
                 for v2 in range(3):
-                    if v2 != z1[i2] and rf1.rates[i2, v2] > 0:
+                    if v2 != z1[i2] and off1[i2, v2] > 0:
                         z2 = z1.copy()
                         z2[i2] = v2
                         acc = 0.0

@@ -6,8 +6,8 @@ from scipy.linalg import expm
 from scipy.special import logsumexp
 
 from ipsmc.errors import StateSpaceTooLargeError
-from ipsmc.ips import (RateField, RateModel, SIRSParams, gillespie_simulate,
-                       make_grid, sirs_model)
+from ipsmc.ips import (RateModel, SIRSParams, gillespie_simulate, make_grid,
+                       sirs_model)
 from ipsmc import oracle as orc
 from ipsmc.twisting import ObservationSequence
 
@@ -15,11 +15,6 @@ from conftest import chain_spec, make_flip_model
 
 
 def two_state_model(r01=0.5, r10=0.3):
-    def rate_fn(t, z, spec, theta):
-        off = np.zeros((1, 2))
-        off[0, 1 - z[0]] = r01 if z[0] == 0 else r10
-        return RateField.from_off_rates(off, np.asarray(z))
-
     def batch(t, Z, spec, theta):
         B = len(Z)
         off = np.zeros((B, 1, 2))
@@ -27,9 +22,8 @@ def two_state_model(r01=0.5, r10=0.3):
         off[:, 0, 0] = r10 * (Z[:, 0] == 1)
         return off
 
-    return RateModel(rate_fn=rate_fn, lambda_bar_fn=lambda s, th: max(r01, r10),
-                     coord_bound_fn=lambda s, th: max(r01, r10),
-                     batch_off_rate_fn=batch)
+    return RateModel(batch_off_rate_fn=batch,
+                     lambda_bar_fn=lambda s, th: max(r01, r10))
 
 
 class TestDenseGenerator:
@@ -53,6 +47,29 @@ class TestDenseGenerator:
         spec = chain_spec(21, V=2)
         with pytest.raises(StateSpaceTooLargeError):
             orc.n_states(spec)
+
+    def test_guard_bounds_generator_bytes(self):
+        # 8192 states fit in 512 MiB of float64 generator; 8193 would not
+        assert orc.n_states(chain_spec(13, V=2)) == 8192
+        for d, V in ((14, 2), (9, 3)):
+            with pytest.raises(StateSpaceTooLargeError):
+                orc.n_states(chain_spec(d, V=V))
+
+    def test_matches_per_state_assembly(self, pair_spec):
+        # the vectorized assembly puts r_i(v | z) at (z, z^{i->v})
+        p = SIRSParams(0.3, 1.0, 0.5, 0.3)
+        model = sirs_model()
+        Q = orc.build_dense_generator(model, pair_spec, p).Q
+        table = orc.state_table(pair_spec)
+        for s, z in enumerate(table):
+            off = model.off_rates_batch(0.0, z[None], pair_spec, p)[0]
+            for i in range(2):
+                for v in range(3):
+                    if v != z[i]:
+                        z2 = z.copy()
+                        z2[i] = v
+                        assert Q[s, orc.state_index(pair_spec, z2)] == off[i, v]
+            assert Q[s, s] == -off.sum()
 
 
 class TestTransitionMatrix:
@@ -170,8 +187,8 @@ class TestPosterior:
         grid = make_grid(1.0, 0.25)
         p0 = np.zeros(9)
         p0[orc.state_index(pair_spec, [1, 0])] = 1.0
-        marg = orc.exact_posterior_marginals(model, pair_spec, p, p0,
-                                             _empty_obs(pair_spec, 1.0), grid)
+        marg, _ = orc.exact_posterior_marginals(model, pair_spec, p, p0,
+                                                _empty_obs(pair_spec, 1.0), grid)
         gen = orc.build_dense_generator(model, pair_spec, p)
         for j, t in enumerate(grid):
             prior = expm(gen.Q * t).T @ p0
@@ -183,8 +200,8 @@ class TestPosterior:
         grid = make_grid(1.0, 0.25)
         p0 = np.full(9, 1 / 9)
         with pytest.warns(UserWarning):
-            marg = orc.exact_posterior_marginals(sirs_model(), pair_spec, p,
-                                                 p0, obs, grid)
+            marg, _ = orc.exact_posterior_marginals(sirs_model(), pair_spec, p,
+                                                    p0, obs, grid)
         target = orc.state_index(pair_spec, [2, 1])
         assert marg[-1][target] == pytest.approx(1.0)
 
@@ -195,7 +212,7 @@ class TestPosterior:
         obs = _obs(pair_spec, 2.0, [0.7, 1.4], [[1, 3], [3, 2]])
         grid = make_grid(2.0, 0.1, obs.times)
         p0 = np.full(9, 1 / 9)
-        marg = orc.exact_posterior_marginals(model, pair_spec, p, p0, obs, grid)
+        marg, _ = orc.exact_posterior_marginals(model, pair_spec, p, p0, obs, grid)
 
         gen = orc.build_dense_generator(model, pair_spec, p)
         pots = {float(t): np.exp(v) for t, v in orc.potential_vectors(pair_spec, obs)}
@@ -247,6 +264,16 @@ class TestLogMarginalLikelihood:
         val = orc.exact_log_marginal_likelihood(sirs_model(), pair_spec, p, p0, obs)
         assert val == pytest.approx(0.0, abs=1e-12)
 
+    def test_posterior_normalizer_is_log_z(self, pair_spec):
+        p = SIRSParams(0.3, 1.0, 0.5, 0.3)
+        obs = _obs(pair_spec, 2.0, [0.7, 1.4], [[1, 3], [3, 2]])
+        grid = make_grid(2.0, 0.1, obs.times)
+        p0 = np.full(9, 1 / 9)
+        _, log_z = orc.exact_posterior_marginals(sirs_model(), pair_spec, p, p0,
+                                                 obs, grid)
+        assert log_z == orc.exact_log_marginal_likelihood(
+            sirs_model(), pair_spec, p, p0, obs, grid)
+
     def test_grid_refinement_invariance(self, pair_spec):
         p = SIRSParams(0.3, 1.0, 0.5, 0.3)
         obs = _obs(pair_spec, 2.0, [0.9], [[1, 2]])
@@ -290,7 +317,7 @@ class TestPosteriorSampling:
         obs = _obs(pair_spec, 1.5, [0.8], [[1, 3]])
         grid = make_grid(1.5, 0.25, obs.times)
         p0 = np.full(9, 1 / 9)
-        marg = orc.exact_posterior_marginals(model, pair_spec, p, p0, obs, grid)
+        marg, _ = orc.exact_posterior_marginals(model, pair_spec, p, p0, obs, grid)
         rng = np.random.default_rng(4)
         n = 20_000
         sk = orc.sample_posterior_skeleton(model, pair_spec, p, p0, obs, grid,
@@ -310,7 +337,7 @@ class TestPosteriorSampling:
         la = orc.exact_lookahead(model, pair_spec, p, pots, grid)
         p0 = np.zeros(9)
         p0[orc.state_index(pair_spec, [1, 0])] = 1.0
-        marg = orc.exact_posterior_marginals(model, pair_spec, p, p0, obs, grid)
+        marg, _ = orc.exact_posterior_marginals(model, pair_spec, p, p0, obs, grid)
         twisted = la.twisted_model(model, pair_spec, p)
         rng = np.random.default_rng(21)
         n = 4000

@@ -11,7 +11,7 @@ from ipsmc import oracle as orc
 from ipsmc.smc import (DenseInitial, FactorizedInitial, SMCConfig, bpf_run,
                        doob_initial, effective_sample_size,
                        posterior_marginals_from_ensemble, sample_path_index,
-                       systematic_resample, tsmc_run)
+                       run_smc, systematic_resample)
 from ipsmc.twisting import ConstantTwist, ExactTwist, ObservationSequence
 
 from conftest import chain_spec, make_flip_model
@@ -107,8 +107,8 @@ class TestTrivialRuns:
         p0 = FactorizedInitial(np.full((2, 2), 0.5))
         for seed in (0, 1, 17):
             cfg = SMCConfig(S=32, dt=0.1, seed=seed)
-            ens, logz = tsmc_run(model, spec, None, ConstantTwist(2, 2), p0,
-                                 p0, empty, cfg)
+            ens, logz = run_smc(model, spec, None, ConstantTwist(2, 2), p0,
+                                p0, empty, cfg)
             assert logz == 0.0
             assert np.all(ens.log_weights == 0.0)
 
@@ -137,8 +137,8 @@ class TestAgainstOracle:
         vals = []
         for seed in range(8):
             cfg = SMCConfig(S=128, dt=0.02, seed=seed)
-            _, logz = tsmc_run(model, spec, None, twist, q0, p0, obs, cfg,
-                               grid=grid)
+            _, logz = run_smc(model, spec, None, twist, q0, p0, obs, cfg,
+                              grid=grid)
             vals.append(logz)
         assert abs(np.mean(vals) - exact) < 0.01 * abs(exact) + 0.01
 
@@ -162,7 +162,7 @@ class TestAgainstOracle:
         q0 = doob_initial(spec, p0_vec, la)
         p0 = DenseInitial(spec, p0_vec)
         cfg = SMCConfig(S=256, dt=0.01, seed=5)
-        ens, _ = tsmc_run(model, spec, None, twist, q0, p0, obs, cfg, grid=grid)
+        ens, _ = run_smc(model, spec, None, twist, q0, p0, obs, cfg, grid=grid)
         ess = np.array([e for _, e in ens.ess_history])
         assert ess.min() >= 0.99 * cfg.S
 
@@ -175,9 +175,9 @@ class TestAgainstOracle:
         q0 = doob_initial(spec, p0_vec, la)
         p0 = DenseInitial(spec, p0_vec)
         cfg = SMCConfig(S=4000, dt=0.02, seed=2)
-        ens, _ = tsmc_run(model, spec, None, twist, q0, p0, obs, cfg, grid=grid)
-        marg = orc.exact_posterior_marginals(model, spec, None, p0_vec, obs,
-                                             grid)
+        ens, _ = run_smc(model, spec, None, twist, q0, p0, obs, cfg, grid=grid)
+        marg, _ = orc.exact_posterior_marginals(model, spec, None, p0_vec, obs,
+                                                grid)
         node = orc.nodewise_marginals(spec, marg)
         emp = posterior_marginals_from_ensemble(ens, V=2, eps=0.0)
         for j in (0, len(grid) // 2, len(grid) - 1):
@@ -264,8 +264,8 @@ class TestAdaptiveSubstepping:
         p0 = DenseInitial(spec, p0_vec)
         exact = orc.exact_log_marginal_likelihood(model, spec, None, p0_vec,
                                                   obs, grid)
-        vals = [tsmc_run(model, spec, None, twist, q0, p0, obs,
-                         SMCConfig(S=256, dt=0.1, seed=s), grid=grid)[1]
+        vals = [run_smc(model, spec, None, twist, q0, p0, obs,
+                        SMCConfig(S=256, dt=0.1, seed=s), grid=grid)[1]
                 for s in range(6)]
         se = np.std(vals, ddof=1) / math.sqrt(len(vals))
         # coarse grid: allow discretization slack on top of the MC band

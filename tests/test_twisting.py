@@ -7,19 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from ipsmc.ips import (RateField, SIRSParams, euler_kernel_log_pmf, make_grid,
+from ipsmc.ips import (RateModel, SIRSParams, euler_simulate_batch, make_grid,
                        sirs_model)
 from ipsmc import oracle as orc
+from ipsmc.smc import _propose_step
 from ipsmc.twisting import (ConstantTwist, ExactTwist, ObservationSequence,
-                            emission_log_potential, emission_log_table,
-                            incremental_ess, read_observations,
-                            reset_residual, sample_emission,
-                            substep_count, twist_rate_field,
-                            twisted_kernel_log_pmf, twisted_kernel_sample,
+                            TwistOracle, emission_log_potential,
+                            emission_log_table, incremental_ess,
+                            read_observations, reset_residual, sample_emission,
                             write_observations)
 
 from conftest import chain_spec, make_flip_model
-from helpers import exact_twist_ess_values
+from helpers import exact_twist_ess_values, kernel_pmf
 from test_oracle import two_state_model, _obs
 
 
@@ -94,29 +93,57 @@ class TestEmission:
         assert abs(masked / n - 0.3) < 3 * math.sqrt(0.3 * 0.7 / n)
 
 
+class FixedScores(TwistOracle):
+    """Twist with log h = 0 and the same score table at every state."""
+
+    def __init__(self, score):
+        self.score = np.asarray(score, dtype=float)
+
+    def log_h_batch(self, t, Z):
+        return np.zeros(len(Z))
+
+    def score_table_batch(self, t, Z):
+        return np.broadcast_to(self.score, (len(Z),) + self.score.shape)
+
+
+def constant_model(off):
+    """Model whose off-target rates are off (d, V) at every state."""
+    off = np.asarray(off, dtype=float)
+    return RateModel(batch_off_rate_fn=lambda t, Z, spec, theta:
+                     np.broadcast_to(off, (len(Z),) + off.shape).copy())
+
+
 class TestTwistRateField:
     def test_zero_score_is_identity(self):
-        off = np.array([[0.0, 0.4, 0.1], [0.2, 0.0, 0.7]])
-        z = np.array([0, 1])
-        base = RateField.from_off_rates(off, z)
-        tilted = twist_rate_field(base, np.zeros((2, 3)), z)
-        assert np.array_equal(tilted.rates, base.rates)
+        # a zero score table proposes from the prior Euler kernel itself:
+        # the same draws as euler_simulate_batch and a zero weight ratio
+        spec = chain_spec(3, V=2)
+        model = make_flip_model(0.7, 0.5, coupling=0.4)
+        Z = np.random.default_rng(1).integers(0, 2, size=(50, 3))
+        Z1, log_ratio = _propose_step(model, spec, None, ConstantTwist(3, 2), Z,
+                                      0.0, 0.2, np.random.default_rng(5))
+        ref = euler_simulate_batch(model, spec, None, Z, np.array([0.0, 0.2]),
+                                   np.random.default_rng(5))
+        assert np.array_equal(Z1, ref[:, 1])
+        assert np.all(log_ratio == 0.0)
 
     def test_single_entry_doubles(self):
-        off = np.array([[0.0, 0.4, 0.1]])
-        z = np.array([0])
-        base = RateField.from_off_rates(off, z)
+        # score log 2 on one entry doubles that rate in the proposal, and
+        # the weight ratio of a jump there is log(r / 2r)
+        spec = chain_spec(1, V=3)
+        model = constant_model([[0.0, 0.4, 0.1]])
         score = np.zeros((1, 3))
         score[0, 1] = math.log(2.0)
-        tilted = twist_rate_field(base, score, z)
-        assert tilted.rates[0, 1] == pytest.approx(0.8)
-        assert tilted.rates[0, 2] == pytest.approx(0.1)
-        assert tilted.rates[0, 0] == pytest.approx(-0.9)
-
-    def test_nonfinite_score_rejected(self):
-        base = RateField.from_off_rates(np.array([[0.0, 1.0]]), np.array([0]))
-        with pytest.raises(ValueError):
-            twist_rate_field(base, np.array([[0.0, np.nan]]), np.array([0]))
+        n, dt = 40_000, 0.5
+        Z1, log_ratio = _propose_step(model, spec, None, FixedScores(score),
+                                      np.zeros((n, 1), dtype=np.int64), 0.0,
+                                      dt, np.random.default_rng(3))
+        to1 = Z1[:, 0] == 1
+        assert abs(to1.mean() - 0.8 * dt) < 4 * math.sqrt(0.4 * 0.6 / n)
+        assert np.allclose(log_ratio[to1], -math.log(2.0))
+        assert np.all(log_ratio[Z1[:, 0] == 2] == 0.0)
+        stay = math.log1p(-0.5 * dt) - math.log1p(-0.9 * dt)
+        assert np.allclose(log_ratio[Z1[:, 0] == 0], stay)
 
     def test_exact_scores_recover_conditioned_bridge_rates(self):
         # analytic two-state bridge: r*(t) = r * P_{T-t}(v, y) / P_{T-t}(z, y)
@@ -129,38 +156,54 @@ class TestTwistRateField:
             g = np.log(np.array([0.0, 1.0]))  # condition on endpoint 1
         with pytest.warns(UserWarning):
             la = orc.exact_lookahead(model, spec, None, [(T, g)], grid)
-        twist = ExactTwist(la, spec)
+        with np.errstate(invalid="ignore"):  # log h = -inf at the horizon
+            twisted = la.twisted_model(model, spec, None)
         for t in (0.3, 0.75, 1.2):
             P = expm(gen.Q * (T - t))
-            z = np.array([0])
-            base = model.rates(t, z, spec, None)
-            score = twist.score_table(t, z)
-            tilted = twist_rate_field(base, score, z)
+            off = twisted.off_rates_batch(t, np.array([[0]]), spec, None)
             expected = 0.8 * P[1, 1] / P[0, 1]
-            assert tilted.rates[0, 1] == pytest.approx(expected, rel=1e-6)
+            assert off[0, 0, 1] == pytest.approx(expected, rel=1e-6)
 
 
 class TestTwistedKernel:
     def test_zero_rates_identity_kernel(self):
-        z = np.array([0, 1])
-        tilted = twist_rate_field(RateField.from_off_rates(np.zeros((2, 2)), z),
-                                  np.zeros((2, 2)), z)
-        out = twisted_kernel_sample(tilted, z, 0.5, np.random.default_rng(0))
-        assert np.array_equal(out, z)
+        spec = chain_spec(2, V=2)
+        Z = np.array([[0, 1], [1, 0]])
+        score = np.random.default_rng(0).normal(size=(2, 2))
+        Z1, log_ratio = _propose_step(make_flip_model(0.0, 0.0), spec, None,
+                                      FixedScores(score), Z, 0.0, 0.5,
+                                      np.random.default_rng(0))
+        assert np.array_equal(Z1, Z)
+        assert np.all(log_ratio == 0.0)
 
     def test_pmf_sums_to_one(self):
         spec = chain_spec(2, V=3)
         p = SIRSParams(0.3, 1.0, 0.5, 0.3)
-        z = np.array([0, 1])
-        base = sirs_model().rates(0.0, z, spec, p)
+        z = np.array([[0, 1]])
         rng = np.random.default_rng(2)
-        score = rng.normal(size=(2, 3)) * 0.5
-        score[np.arange(2), z] = 0.0
-        tilted = twist_rate_field(base, score, z)
-        table = orc.state_table(spec)
-        total = sum(math.exp(twisted_kernel_log_pmf(tilted, z, zn, 0.05))
-                    for zn in table)
-        assert total == pytest.approx(1.0, abs=1e-12)
+        score = rng.normal(size=(1, 2, 3)) * 0.5
+        score[0, np.arange(2), z[0]] = 0.0
+        off = sirs_model().off_rates_batch(0.0, z, spec, p)
+        q = kernel_pmf(off, z, 0.05, orc.state_table(spec), score)
+        assert q.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_propose_step_samples_enumerated_pmf(self, pair_spec):
+        # run_smc's proposal draws follow the enumerated tilted kernel
+        p = SIRSParams(0.3, 1.0, 0.5, 0.3)
+        model = sirs_model()
+        z = np.array([[0, 1]])
+        score = np.random.default_rng(4).normal(size=(2, 3))
+        score[np.arange(2), z[0]] = 0.0
+        n, dt = 40_000, 0.3
+        Z1, _ = _propose_step(model, pair_spec, p, FixedScores(score),
+                              np.repeat(z, n, axis=0), 0.0, dt,
+                              np.random.default_rng(6))
+        table = orc.state_table(pair_spec)
+        q = kernel_pmf(model.off_rates_batch(0.0, z, pair_spec, p), z, dt,
+                       table, score[None])[0]
+        idx = Z1[:, 0] + 3 * Z1[:, 1]
+        freq = np.bincount(idx, minlength=len(table)) / n
+        assert 0.5 * np.abs(freq - q).sum() < 0.01
 
     def test_one_step_tv_second_order_against_twisted_target(self, pair_spec):
         # one Euler step of the tilted rates vs the normalized product
@@ -171,6 +214,7 @@ class TestTwistedKernel:
         pots = orc.potential_vectors(pair_spec, obs)
         gen = orc.build_dense_generator(model, pair_spec, p)
         table = orc.state_table(pair_spec)
+        off = model.off_rates_batch(0.0, table, pair_spec, p)
 
         def max_tv(dt):
             # one step anchored at t = 0.4 regardless of resolution
@@ -180,17 +224,11 @@ class TestTwistedKernel:
             m = int(np.argmin(np.abs(grid - 0.4)))
             t, t1 = grid[m], grid[m + 1]
             P = orc.transition_matrix(gen, t1 - t)
-            worst = 0.0
-            for s, z in enumerate(table):
-                base = model.rates(t, z, pair_spec, p)
-                tilted = twist_rate_field(base, twist.score_table(t, z), z)
-                q = np.array([math.exp(twisted_kernel_log_pmf(tilted, z, zn,
-                                                              t1 - t))
-                              for zn in table])
-                target = P[s] * np.exp(la.log_h_at(t1))
-                target /= target.sum()
-                worst = max(worst, 0.5 * np.abs(q - target).sum())
-            return worst
+            q = kernel_pmf(off, table, t1 - t, table,
+                           twist.score_table_batch(t, table))
+            target = P * np.exp(la.log_h_at(t1))[None, :]
+            target /= target.sum(axis=1, keepdims=True)
+            return (0.5 * np.abs(q - target).sum(axis=1)).max()
 
         tvs = [max_tv(dt) for dt in (0.1, 0.05, 0.025)]
         for coarse, fine in zip(tvs, tvs[1:]):
@@ -284,14 +322,3 @@ class TestScoreAntisymmetry:
         s1 = twist.score_table(t, z)[i, v]
         s2 = twist.score_table(t, z2)[i, z[i]]
         assert abs(s1 + s2) < 1e-10
-
-
-def test_substep_count():
-    z = np.array([0])
-    base = RateField.from_off_rates(np.array([[0.0, 2.0]]), z)
-    tilted = twist_rate_field(base, np.array([[0.0, math.log(4.0)]]), z)
-    assert substep_count(base, tilted, z, 0.1) == 1
-    assert substep_count(base, tilted, z, 0.5) >= 5
-    zero = twist_rate_field(RateField.from_off_rates(np.zeros((1, 2)), z),
-                            np.zeros((1, 2)), z)
-    assert substep_count(zero, zero, z, 100.0) == 1

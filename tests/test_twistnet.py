@@ -4,8 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from ipsmc.ips import (RateField, RateModel, SIRSParams, StateSpaceSpec,
-                       euler_simulate_batch, make_grid, sirs_model)
+from ipsmc.ips import (SIRSParams, StateSpaceSpec, euler_simulate_batch,
+                       make_grid, sirs_model)
 from ipsmc import oracle as orc
 from ipsmc import twistnet as tn
 from ipsmc.smc import FactorizedInitial

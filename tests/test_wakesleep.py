@@ -32,7 +32,7 @@ def test_sirs_log_rate_derivative_examples(pair_spec):
     p = SIRSParams(0.1, 1.0, 0.4, 0.05)
     z = np.array([1, 0])  # node 0 infected
     g = sirs_rate_grad(0.0, z, pair_spec, p)
-    r = sirs_model().rates(0.0, z, pair_spec, p).rates[0, 2]
+    r = sirs_model().off_rates_batch(0.0, z[None], pair_spec, p)[0, 0, 2]
     assert g[0, 2, 2] / r == pytest.approx(1 / 0.4)
     assert g[0, 2, 2] / r == pytest.approx(2.5)
 
