@@ -204,6 +204,8 @@ def cmd_generate(cfg: GenerateConfig, threads=1, emit_svg=False):
 
 
 def cmd_oracle(cfg: OracleConfig, threads=1, emit_svg=False):
+    if not 0 < cfg.grid_target < np.inf:
+        raise ConfigError(f"grid_target must be positive and finite, got {cfg.grid_target}")
     ds = load_dataset(cfg.dataset)
     obs_list = ds.train_obs if cfg.split == "train" else ds.test_obs
     if cfg.index >= len(obs_list):
@@ -353,6 +355,8 @@ def cmd_infer(cfg: InferConfig, threads=1, emit_svg=False):
     paths = ds.train_paths if cfg.split == "train" else ds.test_paths
     obs_list = ds.train_obs if cfg.split == "train" else ds.test_obs
     indices = cfg.indices if cfg.indices is not None else list(range(len(obs_list)))
+    if cfg.theta is not None and np.shape(cfg.theta) != (4,):
+        raise ConfigError("theta must list 4 rates: alpha0, alpha1, beta, gamma")
     theta = (SIRSParams(*cfg.theta) if cfg.theta is not None else ds.params)
     S = cfg.S or (250 if cfg.method == "bpf" else 25)
     psi = None

@@ -105,7 +105,7 @@ class PathSample:
         if len(t) and (t[0] <= self.t0 or t[-1] >= self.horizon):
             raise ValueError("jump times must lie in (t0, horizon)")
         if np.any(np.diff(t) <= 0):
-            raise ValueError("jump times must be strictly increasing")
+            raise ValueError("jump times must increase, with no ties")
         z = self.initial.copy()
         for n in range(len(t)):
             i, v = self.jump_nodes[n], self.jump_values[n]
@@ -240,17 +240,18 @@ def sirs_model():
 def euler_step_table(off, Z, dt):
     """Per-coordinate categorical tables delta + dt * off of the product
     kernel for a batch of states Z (B, d) with off-target rates off
-    (B, d, V): (B, d, V). Multi-coordinate flips are possible by
-    construction. Raises StepSizeError if any stay probability would be
-    negative."""
+    (B, d, V): (B, d, V). dt is one step for the batch or one per state
+    (B,). Multi-coordinate flips are possible by construction. Raises
+    StepSizeError if any stay probability would be negative."""
     B, d = Z.shape
+    dt = np.reshape(dt, (-1, 1))
     stay = 1.0 - dt * off.sum(axis=2)
     if np.any(stay < 0):
         raise StepSizeError(
-            f"Euler step {dt} violates the small-interval bound "
+            f"Euler step {float(dt.max())} violates the small-interval bound "
             f"(stay probability {float(stay.min()):.3g}); shrink the step"
         )
-    probs = dt * off
+    probs = dt[..., None] * off
     probs[np.arange(B)[:, None], np.arange(d)[None, :], Z] = stay
     return probs
 

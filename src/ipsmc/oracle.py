@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .errors import InconsistentObservationsError, StateSpaceTooLargeError
+from .errors import (CollapseError, InconsistentObservationsError,
+                     StateSpaceTooLargeError)
 from .ips import RateModel, make_grid
 
 GENERATOR_BYTES_GUARD = 2**29  # dense float64 generator of at most 8192 states
@@ -132,7 +133,7 @@ def _uniformized_sum(M, rho, x0, tail):
         acc += w * term
         covered += w
         if k > 100000:
-            raise RuntimeError("uniformization failed to converge")
+            raise CollapseError("uniformization failed to converge")
     return acc / covered
 
 
@@ -162,17 +163,16 @@ class LookaheadTable:
             self._lin = (lam, M, scales, vs)
         return self._lin
 
-    def log_h_at(self, t, side="right"):
+    def log_h_at(self, t):
         """Exact log h at an arbitrary time by propagating back from the
-        next grid point. side='left' returns the left limit at potential
-        times."""
+        next grid point."""
         grid = self.grid
         if t < grid[0] - 1e-12 or t > grid[-1] + 1e-12:
             raise ValueError("time outside the table grid")
         j = int(np.searchsorted(grid, t - 1e-12, side="left"))
         j = min(j, len(grid) - 1)
         if abs(grid[j] - t) <= 1e-12:
-            return self.log_h_left[j] if side == "left" else self.log_h[j]
+            return self.log_h[j]
         # grid[j-1] < t < grid[j]: propagate the left limit at grid[j] back
         lam, M, scales, vs = self._linear_cache()
         rho = lam * (grid[j] - t)
@@ -357,7 +357,7 @@ def nodewise_marginals(spec, joint):
 
 
 def sample_posterior_skeleton(model, spec, theta, p0, obs, grid, n_paths, rng):
-    """Exact draws of the conditioned chain restricted to the grid.
+    """Exact draws of the conditioned chain at the grid points.
 
     The grid skeleton of the posterior is Markov with one-step kernels
     P_dt(z, z') h_{t'}(z') G_{t'}(z')^[t' observed] / h_t(z); sampling those

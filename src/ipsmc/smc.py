@@ -107,7 +107,7 @@ class DenseInitial:
         from .oracle import state_table
 
         self.table = state_table(spec)
-        self.spec = spec
+        self.powers = spec.V ** np.arange(spec.d)
         probs = np.asarray(probs, dtype=float)
         self.probs = probs / probs.sum()
         with np.errstate(divide="ignore"):
@@ -118,10 +118,7 @@ class DenseInitial:
         return self.table[idx]
 
     def log_pmf_batch(self, Z):
-        from .oracle import state_index
-
-        idx = np.array([state_index(self.spec, z) for z in Z])
-        return self.log_probs[idx]
+        return self.log_probs[Z @ self.powers]
 
 
 def doob_initial(spec, p0_vec, lookahead):
@@ -223,71 +220,47 @@ def _propose_step(model, spec, theta, twist, Z, t, dt, rng):
     return the summed log prior/proposal kernel ratio.
 
     Coordinates whose score row is zero contribute exactly zero to the
-    ratio. Steps that violate the small-interval bound for either kernel
-    are subdivided with the twist table frozen at the left grid time, so
-    the twist ratios still telescope across the step.
+    ratio. A particle whose remaining time would break the small-interval
+    bound for either kernel takes the largest admissible substep instead,
+    and the loop repeats on the particles with time left, recomputing rates
+    after every move. The twist table stays frozen at the left grid time,
+    so the twist ratios still telescope across the step, and the substep
+    schedule is a deterministic function of the visited states, so the
+    realized proposal pmf is exactly what is accumulated.
     """
     S, d = Z.shape
-    scores = np.clip(twist.score_table_batch(t, Z), -SCORE_CLIP, SCORE_CLIP)
-    base_off = model.off_rates_batch(t, Z, spec, theta)
-    tw_off = base_off * np.exp(scores)
-    exit_b = base_off.sum(axis=2)
-    exit_t = tw_off.sum(axis=2)
-    worst = np.maximum(exit_b.max(axis=1), exit_t.max(axis=1)) * dt
-    needs_split = worst > 0.995
-
-    Z_new = Z.copy()
+    Z = Z.copy()
     log_ratio = np.zeros(S)
-
-    easy = ~needs_split
-    if np.any(easy):
-        Zi = Z[easy]
-        ne = len(Zi)
-        rows = np.arange(ne)[:, None], np.arange(d)[None, :]
-        probs = euler_step_table(tw_off[easy], Zi, dt)
-        u = rng.random((ne, d, 1))
+    remaining = np.full(S, float(dt))
+    live = np.arange(S)
+    while len(live):
+        Zl = Z[live]
+        n = len(live)
+        rows = np.arange(n)[:, None], np.arange(d)[None, :]
+        scores = np.clip(twist.score_table_batch(t, Zl), -SCORE_CLIP, SCORE_CLIP)
+        base_off = model.off_rates_batch(t, Zl, spec, theta)
+        tw_off = base_off * np.exp(scores)
+        exit_b = base_off.sum(axis=2)
+        exit_t = tw_off.sum(axis=2)
+        worst = np.maximum(exit_b.max(axis=1), exit_t.max(axis=1))
+        h = remaining[live]
+        split = worst * h > 0.995
+        h[split] = 0.995 / worst[split]
+        probs = euler_step_table(tw_off, Zl, h)
+        u = rng.random((n, d, 1))
         Znext = (u < np.cumsum(probs, axis=2)).argmax(axis=2).astype(np.int64)
-        jumped = Znext != Zi
-        b_at = base_off[easy][rows[0], rows[1], Znext]
-        t_at = tw_off[easy][rows[0], rows[1], Znext]
+        jumped = Znext != Zl
+        b_at = base_off[rows[0], rows[1], Znext]
+        t_at = tw_off[rows[0], rows[1], Znext]
         with np.errstate(divide="ignore", invalid="ignore"):
             jump_term = np.log(b_at) - np.log(t_at)
-        stay_term = np.log1p(-dt * exit_b[easy]) - np.log1p(-dt * exit_t[easy])
-        contrib = np.where(jumped, jump_term, stay_term)
-        log_ratio[easy] = contrib.sum(axis=1)
-        Z_new[easy] = Znext
-
-    # Particles that would break the small-interval bound take the largest
-    # admissible substep repeatedly, recomputing rates after every move.
-    # The substep schedule is a deterministic function of the visited
-    # states, so the realized proposal pmf is exactly what is accumulated.
-    for s in np.flatnonzero(needs_split):
-        z = Z[s].copy()
-        remaining = dt
-        acc = 0.0
-        while remaining > 1e-15:
-            sc = np.clip(twist.score_table(t, z), -SCORE_CLIP, SCORE_CLIP)
-            b_off = model.off_rates_batch(t, z[None, :], spec, theta)[0]
-            t_off = b_off * np.exp(sc)
-            eb = b_off.sum(axis=1)
-            et = t_off.sum(axis=1)
-            wc = max(float(eb.max()), float(et.max()))
-            step_dt = remaining if wc * remaining <= 0.995 else 0.995 / wc
-            probs = euler_step_table(t_off[None], z[None], step_dt)[0]
-            u = rng.random(d)
-            z_next = (u[:, None] < np.cumsum(probs, axis=1)).argmax(axis=1).astype(np.int64)
-            jumped = z_next != z
-            with np.errstate(divide="ignore", invalid="ignore"):
-                jt = np.log(b_off[np.arange(d), z_next]) - np.log(
-                    t_off[np.arange(d), z_next])
-            st = np.log1p(-step_dt * eb) - np.log1p(-step_dt * et)
-            acc += float(np.where(jumped, jt, st).sum())
-            z = z_next
-            remaining -= step_dt
-        Z_new[s] = z
-        log_ratio[s] = acc
-
-    return Z_new, log_ratio
+        stay_term = (np.log1p(-h[:, None] * exit_b)
+                     - np.log1p(-h[:, None] * exit_t))
+        log_ratio[live] += np.where(jumped, jump_term, stay_term).sum(axis=1)
+        Z[live] = Znext
+        remaining[live] -= h
+        live = live[remaining[live] > 1e-15]
+    return Z, log_ratio
 
 
 def bpf_run(model, spec, theta, p0, obs, cfg, grid=None):

@@ -16,7 +16,7 @@ import numpy as np
 
 @dataclass
 class ObservationSequence:
-    """Per-node snapshots at strictly increasing times; value V means masked."""
+    """Per-node snapshots at increasing, distinct times; value V means masked."""
 
     horizon: float
     times: np.ndarray          # (K,)
@@ -31,7 +31,7 @@ class ObservationSequence:
         if len(self.times) != len(self.values):
             raise ValueError("times and values disagree in length")
         if len(self.times) and (np.any(np.diff(self.times) <= 0)):
-            raise ValueError("observation times must be strictly increasing")
+            raise ValueError("observation times must increase, with no ties")
         if len(self.times) and (self.times[0] <= 0 or self.times[-1] > self.horizon):
             raise ValueError("observation times must lie in (0, horizon]")
         if np.any(self.values < 0) or np.any(self.values > self.V):
@@ -90,24 +90,15 @@ def sample_emission(obs_template, z, rng):
 
 
 class TwistOracle:
-    """Interface: log twist values and the d x V table of log score ratios
-    log h(z^{i->v}) - log h(z), zero at v = z_i."""
-
-    def log_h(self, t, z):
-        raise NotImplementedError
-
-    def log_h_left(self, t, z):
-        """Left limit at t (differs from log_h only at potential times)."""
-        return self.log_h(t, z)
-
-    def score_table(self, t, z):
-        raise NotImplementedError
+    """Interface on a batch of states Z (S, d): log twist values (S,) and
+    the (S, d, V) tables of log score ratios log h(z^{i->v}) - log h(z),
+    zero at v = z_i."""
 
     def log_h_batch(self, t, Z):
-        return np.array([self.log_h(t, z) for z in Z])
+        raise NotImplementedError
 
     def score_table_batch(self, t, Z):
-        return np.stack([self.score_table(t, z) for z in Z])
+        raise NotImplementedError
 
 
 class ConstantTwist(TwistOracle):
@@ -115,12 +106,6 @@ class ConstantTwist(TwistOracle):
 
     def __init__(self, d, V):
         self.d, self.V = d, V
-
-    def log_h(self, t, z):
-        return 0.0
-
-    def score_table(self, t, z):
-        return np.zeros((self.d, self.V))
 
     def log_h_batch(self, t, Z):
         return np.zeros(len(Z))
@@ -133,53 +118,32 @@ class ExactTwist(TwistOracle):
     """Twist backed by an exact look-ahead table on the dense state space."""
 
     def __init__(self, table, spec):
-        from .oracle import neighbor_index_table, state_index
+        from .oracle import neighbor_index_table
 
         self._table = table
         self._spec = spec
         self._nbr = neighbor_index_table(spec)
-        self._sidx = lambda z: state_index(spec, z)
+        self._powers = spec.V ** np.arange(spec.d)
         self._cache = {}
 
-    def _log_h_vec(self, t, side="right"):
-        key = (float(t), side)
+    def _log_h_vec(self, t):
+        key = float(t)
         if key not in self._cache:
-            self._cache[key] = self._table.log_h_at(t, side=side)
+            self._cache[key] = self._table.log_h_at(t)
         return self._cache[key]
 
-    def log_h(self, t, z):
-        return float(self._log_h_vec(t)[self._sidx(z)])
-
-    def log_h_left(self, t, z):
-        return float(self._log_h_vec(t, "left")[self._sidx(z)])
-
-    def score_table(self, t, z):
-        lh = self._log_h_vec(t)
-        s = self._sidx(z)
-        out = lh[self._nbr[s]] - lh[s]
-        out[np.arange(self._spec.d), np.asarray(z)] = 0.0
-        return out
-
     def log_h_batch(self, t, Z):
-        lh = self._log_h_vec(t)
-        idx = np.array([self._sidx(z) for z in Z])
-        return lh[idx]
+        return self._log_h_vec(t)[Z @ self._powers]
 
     def score_table_batch(self, t, Z):
         lh = self._log_h_vec(t)
-        idx = np.array([self._sidx(z) for z in Z])
+        idx = Z @ self._powers
         out = lh[self._nbr[idx]] - lh[idx, None, None]
         out[np.arange(len(Z))[:, None], np.arange(self._spec.d)[None, :], Z] = 0.0
         return out
 
 
 SCORE_CLIP = 35.0  # numerical guard on exp(score); far beyond trained values
-
-
-def reset_residual(twist: TwistOracle, log_g, t, z):
-    """Violation of the multiplicative reset at a potential time:
-    log h(t-) - log G_t - log h(t). Zero for the exact look-ahead."""
-    return twist.log_h_left(t, z) - log_g(t, z) - twist.log_h(t, z)
 
 
 def incremental_ess(proposal, target):

@@ -115,12 +115,12 @@ class TwistContext:
         self._w = w
         self._deg = np.maximum(deg, 1.0)
 
-    def start_index(self, t, strict=True):
-        side = "right" if strict else "left"
-        return int(np.searchsorted(self.obs.times, t, side=side))
+    def start_index(self, t):
+        """Index of the first observation later than t."""
+        return int(np.searchsorted(self.obs.times, t, side="right"))
 
-    def has_future(self, t, strict=True):
-        return self.start_index(t, strict) < self.K
+    def has_future(self, t):
+        return self.start_index(t) < self.K
 
     def _segment(self, start):
         if start in self._seg_cache:
@@ -148,11 +148,11 @@ class TwistContext:
         self._seg_cache[start] = seg
         return seg
 
-    def features(self, t, strict=True):
+    def features(self, t):
         """(d, V, nf) feature tensor at time t."""
         d, V = self.spec.d, self.spec.V
         T = self.T
-        start = self.start_index(t, strict)
+        start = self.start_index(t)
         (next_val, next_time, count, nbr_frac, nbr_wfrac,
          next_event) = self._segment(start)
         nf = feature_dim(V)
@@ -175,9 +175,9 @@ class TwistContext:
         return out
 
 
-def encode_context(params, ctx: TwistContext, t, strict=True):
+def encode_context(params, ctx: TwistContext, t):
     """State-independent embeddings Phi (d, V, m) at time t."""
-    F = ctx.features(t, strict=strict)
+    F = ctx.features(t)
     return TANH(F @ params.W1 + params.b1), F
 
 
@@ -214,50 +214,46 @@ def encoder_backward(params, F, Phi, dPhi, grads):
     grads["b1"] += flatd.sum(axis=0)
 
 
-def _pooled(Phi, z):
-    """Per-node running sums excluding each node, computed with fixed-order
-    prefix/suffix accumulation: identical bit patterns for states that
-    agree off the excluded coordinate."""
-    own = Phi[np.arange(len(z)), z]  # (d, m)
+def twist_log_values(params, Phi, Z):
+    """(S,) log twists: rho of the pooled embedding of each state of Z (S, d)."""
+    totals = Phi[np.arange(Z.shape[1])[None, :], Z].sum(axis=1)
+    out, _ = rho_forward(params, totals)
+    return out
+
+
+def twist_table(params, Phi, Z):
+    """(S, d, V) tables of log twist values after single swaps of each
+    state of Z (S, d); entry [s, i, Z[s, i]] is the log twist of Z[s]
+    itself (recomputed per row). The pooled sum excluding node i is
+    accumulated in a fixed prefix/suffix order, so row i is bitwise equal
+    for states that agree off node i."""
+    d = Z.shape[1]
+    own = Phi[np.arange(d)[None, :], Z]  # (S, d, m)
     prefix = np.zeros_like(own)
-    np.cumsum(own[:-1], axis=0, out=prefix[1:])
+    np.cumsum(own[:, :-1], axis=1, out=prefix[:, 1:])
     suffix = np.zeros_like(own)
-    np.cumsum(own[1:][::-1], axis=0, out=suffix[:-1][::-1])
-    return prefix + suffix, own
-
-
-def twist_log_value(params, Phi, z):
-    """rho of the pooled embedding of the state."""
-    z = np.asarray(z)
-    total = Phi[np.arange(len(z)), z].sum(axis=0)
-    out, _ = rho_forward(params, total)
-    return float(out)
-
-
-def twist_table(params, Phi, z):
-    """(d, V) table of log twist values after single swaps; entry [i, z_i]
-    is the log twist of z itself (recomputed per row)."""
-    z = np.asarray(z)
-    excl, _ = _pooled(Phi, z)
-    A = excl[:, None, :] + Phi  # (d, V, m)
+    np.cumsum(own[:, 1:][:, ::-1], axis=1, out=suffix[:, :-1][:, ::-1])
+    excl = prefix + suffix
+    A = excl[:, :, None, :] + Phi[None, :, :, :]  # (S, d, V, m)
     return rho_forward(params, A)
 
 
-def twist_score_table(params, Phi, z):
-    """Log score ratios; exactly zero at [i, z_i]."""
-    z = np.asarray(z)
-    H, _ = twist_table(params, Phi, z)
-    score = H - H[np.arange(len(z)), z][:, None]
-    score[np.arange(len(z)), z] = 0.0
+def twist_score_table(params, Phi, Z):
+    """(S, d, V) log score ratios; exactly zero at [s, i, Z[s, i]]."""
+    H, _ = twist_table(params, Phi, Z)
+    S, d = Z.shape
+    rows = np.arange(S)[:, None], np.arange(d)[None, :]
+    score = H - H[rows[0], rows[1], Z][:, :, None]
+    score[rows[0], rows[1], Z] = 0.0
     return score
 
 
 # ---------------------------------------------------------------------------
 # initial-distribution head
 
-def q0_logits(params, ctx, strict=True):
+def q0_logits(params, ctx):
     """(d, V) logits from the time-zero context features."""
-    F = ctx.features(0.0, strict=strict)
+    F = ctx.features(0.0)
     return F @ params.Wq + params.bq, F
 
 
@@ -267,7 +263,7 @@ def _logsumexp_rows(x):
 
 
 class _Q0Dist:
-    """Initial proposal: per-node softmax of the q0 head, restricted to the
+    """Initial proposal: per-node softmax of the q0 head, confined to the
     support of the prior initial law so importance weights stay finite."""
 
     def __init__(self, params, ctx, support_logmask=None):
@@ -346,7 +342,8 @@ def _sleep_item(params, model, spec, theta, item, ms, grads, wscale, q0_support)
         z, z_next = states[m], states[m + 1]
         F = ctx.features(t)
         Phi = TANH(F @ params.W1 + params.b1)
-        H, cache = twist_table(params, Phi, z)
+        H, cache = twist_table(params, Phi, z[None])
+        H = H[0]
         base = H[rows, z]
         score = H - base[:, None]
         score[rows, z] = 0.0
@@ -361,7 +358,7 @@ def _sleep_item(params, model, spec, theta, item, ms, grads, wscale, q0_support)
         dH = g.copy()
         dH[rows, z] -= g.sum(axis=1)
         dH *= scale * wscale
-        dA = rho_backward(params, cache, dH, grads)
+        dA = rho_backward(params, cache, dH[None], grads)[0]
         dPhi = dA.copy()
         D = dA.sum(axis=1)          # (d, m) per-node total
         Dtot = D.sum(axis=0)        # (m,)
@@ -487,54 +484,21 @@ class LearnedTwist(TwistOracle):
         self.ctx = TwistContext(spec, obs)
         self._phi_cache = {}
 
-    def _phi(self, t, strict=True):
-        key = (float(t), strict)
+    def _phi(self, t):
+        key = float(t)
         if key not in self._phi_cache:
-            F = self.ctx.features(t, strict=strict)
-            self._phi_cache[key] = TANH(F @ self.params.W1 + self.params.b1)
+            self._phi_cache[key], _ = encode_context(self.params, self.ctx, t)
         return self._phi_cache[key]
-
-    def log_h(self, t, z):
-        if not self.ctx.has_future(t):
-            return 0.0
-        return twist_log_value(self.params, self._phi(t), z)
-
-    def log_h_left(self, t, z):
-        if not self.ctx.has_future(t, strict=False):
-            return 0.0
-        return twist_log_value(self.params, self._phi(t, strict=False), z)
-
-    def score_table(self, t, z):
-        if not self.ctx.has_future(t):
-            return np.zeros((self.spec.d, self.spec.V))
-        return twist_score_table(self.params, self._phi(t), z)
 
     def log_h_batch(self, t, Z):
         if not self.ctx.has_future(t):
             return np.zeros(len(Z))
-        Phi = self._phi(t)
-        d = self.spec.d
-        totals = Phi[np.arange(d)[None, :], Z].sum(axis=1)
-        out, _ = rho_forward(self.params, totals)
-        return out
+        return twist_log_values(self.params, self._phi(t), Z)
 
     def score_table_batch(self, t, Z):
         if not self.ctx.has_future(t):
             return np.zeros((len(Z), self.spec.d, self.spec.V))
-        Phi = self._phi(t)
-        S, d = Z.shape
-        own = Phi[np.arange(d)[None, :], Z]  # (S, d, m)
-        prefix = np.zeros_like(own)
-        np.cumsum(own[:, :-1], axis=1, out=prefix[:, 1:])
-        suffix = np.zeros_like(own)
-        np.cumsum(own[:, 1:][:, ::-1], axis=1, out=suffix[:, :-1][:, ::-1])
-        excl = prefix + suffix
-        A = excl[:, :, None, :] + Phi[None, :, :, :]
-        H, _ = rho_forward(self.params, A)
-        base = H[np.arange(S)[:, None], np.arange(d)[None, :], Z]
-        score = H - base[:, :, None]
-        score[np.arange(S)[:, None], np.arange(d)[None, :], Z] = 0.0
-        return score
+        return twist_score_table(self.params, self._phi(t), Z)
 
     def q0_dist(self, support_logmask=None):
         return _Q0Dist(self.params, self.ctx, support_logmask)

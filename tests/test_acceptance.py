@@ -261,16 +261,16 @@ def test_criterion_7_twist_table_algebra():
         i = int(rng.integers(d))
         u = int(rng.integers(V))
         v = int(rng.integers(V))
-        table = tn.twist_score_table(params, Phi, z)
-        naive = (tn.twist_log_value(params, Phi,
-                                    np.concatenate([z[:i], [v], z[i + 1:]]))
-                 - tn.twist_log_value(params, Phi, z))
+        table = tn.twist_score_table(params, Phi, z[None])[0]
+        naive = (tn.twist_log_values(params, Phi,
+                                     np.concatenate([z[:i], [v], z[i + 1:]])[None])[0]
+                 - tn.twist_log_values(params, Phi, z[None])[0])
         worst_naive = max(worst_naive, abs(table[i, v] - naive))
         z2 = z.copy()
         z2[i] = u
-        H1, _ = tn.twist_table(params, Phi, z)
-        H2, _ = tn.twist_table(params, Phi, z2)
-        invariance_exact &= bool(np.array_equal(H1[i], H2[i]))
+        H1, _ = tn.twist_table(params, Phi, z[None])
+        H2, _ = tn.twist_table(params, Phi, z2[None])
+        invariance_exact &= bool(np.array_equal(H1[0, i], H2[0, i]))
     ok = worst_naive <= 1e-10 and invariance_exact
     _report(7, "shifted-sum table algebra", ok,
             f"max |table - naive| = {worst_naive:.2e} <= 1e-10; "

@@ -167,6 +167,29 @@ class TestOracle:
         assert peak < 2**22
         assert not os.path.exists(tmp_path / "orc9")
 
+    @pytest.mark.parametrize("target", [0, -1, float("inf"), float("nan")])
+    def test_rejects_bad_grid_target(self, dataset, tmp_path, target):
+        out = tmp_path / "orc"
+        path = write_cfg(tmp_path, "orc.json", {"dataset": dataset, "out": str(out),
+                                                "grid_target": target})
+        assert main(["oracle", "--config", path]) == 2
+        assert not os.path.exists(out)
+
+    def test_uniformization_failure_is_collapse(self, tmp_path):
+        # R -> S at rate 1e6 on a four-step grid: about 3e5 expected
+        # uniformized jumps per step, past the series' iteration cap
+        params = dict(TINY_GEN["params"], gamma=1e6)
+        gen = dict(TINY_GEN, params=params, out=str(tmp_path / "dsfast"),
+                   n_train=1, n_test=0)
+        assert main(["generate", "--config",
+                     write_cfg(tmp_path, "genfast.json", gen)]) == 0
+        out = tmp_path / "orcfast"
+        path = write_cfg(tmp_path, "orcfast.json",
+                         {"dataset": str(tmp_path / "dsfast"), "out": str(out),
+                          "grid_target": 1e9})
+        assert main(["oracle", "--config", path]) == 3
+        assert not os.path.exists(out)
+
 
 TWIST_CFG = {"steps": 40, "batch": 4, "dt": 0.2, "m": 8, "reuse": 20,
              "seed": 11}
@@ -338,6 +361,13 @@ class TestInfer:
                "theta": [float("nan"), 1.0, 0.4, 0.05]}
         code = main(["infer", "--config", write_cfg(tmp_path, "nan.json", cfg)])
         assert code == 2
+
+    def test_theta_of_wrong_length_rejected(self, dataset, tmp_path):
+        cfg = {"dataset": dataset, "out": str(tmp_path / "short"),
+               "method": "bpf", "S": 4, "dt": 0.2, "theta": [0.1, 1.0]}
+        code = main(["infer", "--config", write_cfg(tmp_path, "short.json", cfg)])
+        assert code == 2
+        assert not os.path.exists(tmp_path / "short")
 
     def test_io_failure_exit_code(self, dataset, tmp_path):
         blocker = tmp_path / "blocker"

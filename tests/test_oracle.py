@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import expm
 from scipy.special import logsumexp
 
-from ipsmc.errors import StateSpaceTooLargeError
+from ipsmc.errors import CollapseError, StateSpaceTooLargeError
 from ipsmc.ips import (RateModel, SIRSParams, gillespie_simulate, make_grid,
                        sirs_model)
 from ipsmc import oracle as orc
@@ -104,6 +104,13 @@ class TestTransitionMatrix:
         p = SIRSParams(0.4, 0.8, 0.6, 0.2)
         gen = orc.build_dense_generator(sirs_model(), pair_spec, p)
         assert np.abs(orc.transition_matrix(gen, 1.3) - expm(gen.Q * 1.3)).max() < 1e-10
+
+    def test_iteration_cap_is_collapse(self):
+        # 1.5e5 expected uniformized jumps outrun the series' iteration cap
+        gen = orc.build_dense_generator(two_state_model(1e5, 1e5), chain_spec(1, V=2),
+                                        None)
+        with pytest.raises(CollapseError, match="failed to converge"):
+            orc.expm_action(gen, 1.5, np.array([1.0, 0.0]))
 
 
 def _obs(spec, T, times, values, p_mask=0.5, delta=0.01):

@@ -11,11 +11,12 @@ from ipsmc import oracle as orc
 from ipsmc.smc import (DenseInitial, FactorizedInitial, SMCConfig, bpf_run,
                        doob_initial, effective_sample_size,
                        posterior_marginals_from_ensemble, sample_path_index,
-                       run_smc, systematic_resample)
+                       run_smc, systematic_resample, _propose_step)
 from ipsmc.twisting import ConstantTwist, ExactTwist, ObservationSequence
 
 from conftest import chain_spec, make_flip_model
-from test_oracle import _obs, _empty_obs
+from test_oracle import _obs, _empty_obs, two_state_model
+from test_twisting import FixedScores
 
 
 class TestESS:
@@ -270,3 +271,36 @@ class TestAdaptiveSubstepping:
         se = np.std(vals, ddof=1) / math.sqrt(len(vals))
         # coarse grid: allow discretization slack on top of the MC band
         assert abs(np.mean(vals) - exact) < 3 * se + 0.05 * abs(exact)
+
+    def test_substeps_sample_enumerated_kernel_product(self):
+        # one node, exit rates 0.5 from value 0 and 3.0 from value 1, both
+        # moves tilted by exp(1): from value 1 the tilted exit rate breaks
+        # the small-interval bound at dt 0.5, so the step is subdivided
+        base = np.array([[0.0, 0.5], [3.0, 0.0]])
+        tilted = base * np.exp(1.0)
+        model = two_state_model(0.5, 3.0)
+        spec = chain_spec(1, V=2)
+        dt, n = 0.5, 20_000
+
+        def end_pmf(z, remaining):
+            # the substep schedule of _propose_step, enumerated recursively
+            worst = max(base[z].sum(), tilted[z].sum())
+            h = remaining if worst * remaining <= 0.995 else 0.995 / worst
+            out = np.zeros(2)
+            for z2, p in ((z, 1.0 - h * tilted[z].sum()), (1 - z, h * tilted[z, 1 - z])):
+                if remaining - h > 1e-15:
+                    out += p * end_pmf(z2, remaining - h)
+                else:
+                    out[z2] += p
+            return out
+
+        rng = np.random.default_rng(11)
+        for z0 in (0, 1):
+            Z = np.full((n, 1), z0, dtype=np.int64)
+            Z1, _ = _propose_step(model, spec, None, FixedScores(np.ones((1, 2))),
+                                  Z, 0.0, dt, rng)
+            freq = np.bincount(Z1[:, 0], minlength=2) / n
+            assert 0.5 * np.abs(freq - end_pmf(z0, dt)).sum() < 0.01
+            _, log_ratio = _propose_step(model, spec, None, ConstantTwist(1, 2),
+                                         Z, 0.0, dt, rng)
+            assert np.all(log_ratio == 0.0)

@@ -14,7 +14,7 @@ from ipsmc.smc import _propose_step
 from ipsmc.twisting import (ConstantTwist, ExactTwist, ObservationSequence,
                             TwistOracle, emission_log_potential,
                             emission_log_table, incremental_ess,
-                            read_observations, reset_residual, sample_emission,
+                            read_observations, sample_emission,
                             write_observations)
 
 from conftest import chain_spec, make_flip_model
@@ -235,31 +235,6 @@ class TestTwistedKernel:
             assert 2.5 <= coarse / fine <= 6.0
 
 
-class TestResetResidual:
-    def test_exact_twist_zero_residual(self, pair_spec):
-        p = SIRSParams(0.3, 1.0, 0.5, 0.3)
-        model = sirs_model()
-        obs = _obs(pair_spec, 1.5, [0.6, 1.2], [[1, 3], [2, 0]])
-        grid = make_grid(1.5, 0.1, obs.times)
-        la = orc.exact_lookahead(model, pair_spec, p,
-                                 orc.potential_vectors(pair_spec, obs), grid)
-        twist = ExactTwist(la, pair_spec)
-        table = orc.state_table(pair_spec)
-        for k in range(obs.K):
-            tau = obs.times[k]
-
-            def log_g(t, z, k=k):
-                return emission_log_potential(obs, k, z)
-
-            for z in table:
-                assert abs(reset_residual(twist, log_g, tau, z)) < 1e-8
-
-    def test_constant_twist_residual_equals_minus_log_potential(self):
-        twist = ConstantTwist(d=1, V=2)
-        val = reset_residual(twist, lambda t, z: -0.7, 0.5, np.array([0]))
-        assert val == pytest.approx(0.7)
-
-
 class TestIncrementalESS:
     def test_matching_distributions(self):
         p = np.array([0.3, 0.7])
@@ -319,6 +294,6 @@ class TestScoreAntisymmetry:
         v = int(rng.integers(3))
         z2 = z.copy()
         z2[i] = v
-        s1 = twist.score_table(t, z)[i, v]
-        s2 = twist.score_table(t, z2)[i, z[i]]
+        s1 = twist.score_table_batch(t, z[None])[0, i, v]
+        s2 = twist.score_table_batch(t, z2[None])[0, i, z[i]]
         assert abs(s1 + s2) < 1e-10

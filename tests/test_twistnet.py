@@ -90,8 +90,8 @@ class TestFeatures:
         ctx = tn.TwistContext(spec, _obs3())
         Phi, _ = tn.encode_context(params, ctx, 0.3)
         z = np.array([0, 1, 2, 0])
-        assert tn.twist_log_value(params, Phi, z) == 0.0
-        assert np.all(tn.twist_score_table(params, Phi, z) == 0.0)
+        assert tn.twist_log_values(params, Phi, z[None])[0] == 0.0
+        assert np.all(tn.twist_score_table(params, Phi, z[None]) == 0.0)
 
 
 class TestTableAlgebra:
@@ -103,7 +103,7 @@ class TestTableAlgebra:
         params = _rand_params(3, 8, 3)
         ctx = tn.TwistContext(spec, obs)
         Phi, _ = tn.encode_context(params, ctx, 0.4)
-        val = tn.twist_log_value(params, Phi, np.array([1]))
+        val = tn.twist_log_values(params, Phi, np.array([[1]]))[0]
         direct, _ = tn.rho_forward(params, Phi[0, 1])
         assert val == pytest.approx(float(direct), abs=1e-14)
 
@@ -115,8 +115,8 @@ class TestTableAlgebra:
         Phi[1] = Phi[0]
         z = np.array([2, 2])
         swapped = np.array([2, 2])
-        assert tn.twist_log_value(params, Phi, z) == pytest.approx(
-            tn.twist_log_value(params, Phi, swapped))
+        assert tn.twist_log_values(params, Phi, z[None])[0] == pytest.approx(
+            tn.twist_log_values(params, Phi, swapped[None])[0])
 
     def test_shift_trick_matches_naive(self):
         spec = chain_spec(32, V=3)
@@ -125,14 +125,14 @@ class TestTableAlgebra:
         Phi = rng.normal(size=(32, 3, 64)) * 0.3
         for _ in range(5):
             z = rng.integers(0, 3, size=32)
-            table = tn.twist_score_table(params, Phi, z)
-            base = tn.twist_log_value(params, Phi, z)
+            table = tn.twist_score_table(params, Phi, z[None])[0]
+            base = tn.twist_log_values(params, Phi, z[None])[0]
             for _ in range(20):
                 i = int(rng.integers(32))
                 v = int(rng.integers(3))
                 z2 = z.copy()
                 z2[i] = v
-                naive = tn.twist_log_value(params, Phi, z2) - base
+                naive = tn.twist_log_values(params, Phi, z2[None])[0] - base
                 assert abs(table[i, v] - naive) <= 1e-10
 
     def test_invariance_under_swaps_exact(self):
@@ -145,16 +145,16 @@ class TestTableAlgebra:
             u = int(rng.integers(3))
             z2 = z.copy()
             z2[i] = u
-            H1, _ = tn.twist_table(params, Phi, z)
-            H2, _ = tn.twist_table(params, Phi, z2)
-            assert np.array_equal(H1[i], H2[i])
+            H1, _ = tn.twist_table(params, Phi, z[None])
+            H2, _ = tn.twist_table(params, Phi, z2[None])
+            assert np.array_equal(H1[0, i], H2[0, i])
 
     def test_score_diagonal_exact_zero(self):
         rng = np.random.default_rng(7)
         params = _rand_params(3, 16, 7)
         Phi = rng.normal(size=(6, 3, 16))
         z = rng.integers(0, 3, size=6)
-        table = tn.twist_score_table(params, Phi, z)
+        table = tn.twist_score_table(params, Phi, z[None])[0]
         assert np.all(table[np.arange(6), z] == 0.0)
 
 
@@ -400,7 +400,8 @@ class TestCheckpoint:
         Phi, _ = tn.encode_context(params, ctx, 0.6)
         Phi2, _ = tn.encode_context(back, ctx, 0.6)
         z = np.array([0, 1, 2, 0])
-        assert tn.twist_log_value(params, Phi, z) == tn.twist_log_value(back, Phi2, z)
+        assert (tn.twist_log_values(params, Phi, z[None])[0]
+                == tn.twist_log_values(back, Phi2, z[None])[0])
         assert adam2.step == 7
         assert adam2.m["W1"][0, 0] == 0.25
         assert header["note"] == 1
@@ -413,12 +414,12 @@ class TestLearnedTwistWrapper:
         params = _rand_params(3, 8, 13)
         obs = _obs3(d=3)
         lt = tn.LearnedTwist(params, spec, obs)
-        z = np.array([0, 1, 2])
-        assert lt.log_h(1.6, z) == 0.0
-        assert np.all(lt.score_table(1.6, z) == 0.0)
-        assert lt.log_h(1.4, z) != 0.0
-        # left limit at the last snapshot still sees the potential
-        assert lt.log_h_left(1.5, z) != 0.0
+        Z = np.array([[0, 1, 2]])
+        assert lt.log_h_batch(1.6, Z)[0] == 0.0
+        assert np.all(lt.score_table_batch(1.6, Z) == 0.0)
+        assert lt.log_h_batch(1.4, Z)[0] != 0.0
+        # just before the last snapshot the twist still sees it
+        assert lt.log_h_batch(np.nextafter(1.5, 0.0), Z)[0] != 0.0
 
     def test_batch_matches_scalar(self):
         spec = chain_spec(4, V=3)
@@ -430,8 +431,10 @@ class TestLearnedTwistWrapper:
         lh = lt.log_h_batch(0.3, Z)
         st = lt.score_table_batch(0.3, Z)
         for s in range(6):
-            assert lh[s] == pytest.approx(lt.log_h(0.3, Z[s]), abs=1e-12)
-            assert np.allclose(st[s], lt.score_table(0.3, Z[s]), atol=1e-12)
+            assert lh[s] == pytest.approx(lt.log_h_batch(0.3, Z[s:s + 1])[0],
+                                          abs=1e-12)
+            assert np.allclose(st[s], lt.score_table_batch(0.3, Z[s:s + 1])[0],
+                               atol=1e-12)
 
     def test_score_antisymmetry(self):
         spec = chain_spec(4, V=3)
@@ -444,8 +447,8 @@ class TestLearnedTwistWrapper:
             v = int(rng.integers(3))
             z2 = z.copy()
             z2[i] = v
-            s1 = lt.score_table(0.4, z)[i, v]
-            s2 = lt.score_table(0.4, z2)[i, z[i]]
+            s1 = lt.score_table_batch(0.4, z[None])[0, i, v]
+            s2 = lt.score_table_batch(0.4, z2[None])[0, i, z[i]]
             assert abs(s1 + s2) < 1e-10
 
 
@@ -486,7 +489,7 @@ def test_learned_score_sign_matches_oracle_near_endpoint():
     for t in grid[:-1]:
         lh = la.log_h_at(t)
         oracle_score = lh[1] - lh[0]
-        learned = lt.score_table(t, np.array([0]))[0, 1]
+        learned = lt.score_table_batch(t, np.array([[0]]))[0, 0, 1]
         total += 1
         agree += int(np.sign(oracle_score) == np.sign(learned))
     assert agree / total >= 0.95
