@@ -388,6 +388,10 @@ def cmd_infer(cfg: InferConfig, threads=1, emit_svg=False):
                                 twist.q0_dist(q0_support_logmask(p0)),
                                 p0, obs, smc_cfg)
         marg = posterior_marginals_from_ensemble(ens, ds.spec.V, eps=cfg.epsilon)
+        if not cfg.store_particles:
+            # the paths are only written out as particles; free them before
+            # the remaining paths run
+            ens.trajectories = None
         truth = paths[idx].states_at(ens.grid)
         ce = cross_entropy_metric(marg, truth)
         brier = brier_metric(marg, truth)

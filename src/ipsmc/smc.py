@@ -43,7 +43,7 @@ class ParticleEnsemble:
     states: np.ndarray        # (S, d) final states
     log_weights: np.ndarray   # (S,) final unnormalized log weights
     trajectories: np.ndarray | None  # (S, M+1, d) if stored
-    ancestry: list = field(default_factory=list)      # (time, (S,) indices)
+    ancestors: np.ndarray | None = None  # (M, S) grid-m parent of particle s at m+1
     ess_history: list = field(default_factory=list)   # (time, ess)
 
     @property
@@ -162,13 +162,18 @@ def run_smc(model, spec, theta, twist, q0, p0, obs, cfg, grid=None):
         logw = logw + _emission_batch(obs, pot[0], Z)
     _check_alive(logw, step=0)
 
-    traj = None
+    # path storage (Jacob, Murray & Rubenthaler 2015): each step's states
+    # are written once into a compact history and the paths are traced back
+    # through the parent rows at the end, so a resampling costs one (S,) row
+    # instead of a copy of every stored prefix
+    hist = None
     if cfg.store_paths:
-        traj = np.empty((S, M + 1, Z.shape[1]), dtype=np.int64)
-        traj[:, 0] = Z
+        hist = np.empty((M + 1, S, Z.shape[1]),
+                        dtype=np.min_scalar_type(spec.V - 1))
+        hist[0] = Z
+    parents = np.tile(np.arange(S), (M, 1))
 
     log_z = 0.0
-    ancestry = []
     ess_history = []
     log_S = np.log(S)
 
@@ -182,10 +187,8 @@ def run_smc(model, spec, theta, twist, q0, p0, obs, cfg, grid=None):
             anc = systematic_resample(logw, rng)
             Z = Z[anc]
             lh = lh[anc]
-            if traj is not None:
-                traj[:, : m + 1] = traj[anc, : m + 1]
             logw = np.zeros(S)
-            ancestry.append((float(t), anc))
+            parents[m] = anc
 
         Z, log_ratio = _propose_step(model, spec, theta, twist, Z, t, dt, rng)
         lh_next = twist.log_h_batch(t1, Z)
@@ -194,14 +197,29 @@ def run_smc(model, spec, theta, twist, q0, p0, obs, cfg, grid=None):
             logw = logw + _emission_batch(obs, pot[m + 1], Z)
         _check_alive(logw, step=m + 1)
         lh = lh_next
-        if traj is not None:
-            traj[:, m + 1] = Z
+        if hist is not None:
+            hist[m + 1] = Z
 
     log_z += float(logsumexp(logw)) - log_S
+    traj = None if hist is None else _trace_paths(hist, parents)
     ens = ParticleEnsemble(grid=grid, states=Z, log_weights=logw,
-                           trajectories=traj, ancestry=ancestry,
+                           trajectories=traj, ancestors=parents,
                            ess_history=ess_history)
     return ens, log_z
+
+
+def _trace_paths(hist, parents):
+    """(S, M+1, d) int64 paths of the final particles: hist (M+1, S, d)
+    holds each step's states, parents (M, S) each particle's parent one
+    step back."""
+    M1, S, d = hist.shape
+    traj = np.empty((S, M1, d), dtype=np.int64)
+    idx = np.arange(S)
+    for m in range(M1 - 1, -1, -1):
+        traj[:, m] = hist[m, idx]
+        if m:
+            idx = parents[m - 1, idx]
+    return traj
 
 
 def _check_alive(logw, step):

@@ -226,16 +226,57 @@ def twist_table(params, Phi, Z):
     state of Z (S, d); entry [s, i, Z[s, i]] is the log twist of Z[s]
     itself (recomputed per row). The pooled sum excluding node i is
     accumulated in a fixed prefix/suffix order, so row i is bitwise equal
-    for states that agree off node i."""
+    for states that agree off node i.
+
+    The first aggregator layer is linear, so it is applied to the (S, d, m)
+    excluded sums and the (d, V, m) embeddings apart; only their sum, the
+    hidden layer, has the full (S, d, V, m) shape. The cache holds
+    (Phi, Z, hidden) for twist_table_backward."""
     d = Z.shape[1]
+    m = Phi.shape[-1]
     own = Phi[np.arange(d)[None, :], Z]  # (S, d, m)
-    prefix = np.zeros_like(own)
-    np.cumsum(own[:, :-1], axis=1, out=prefix[:, 1:])
-    suffix = np.zeros_like(own)
-    np.cumsum(own[:, 1:][:, ::-1], axis=1, out=suffix[:, :-1][:, ::-1])
-    excl = prefix + suffix
-    A = excl[:, :, None, :] + Phi[None, :, :, :]  # (S, d, V, m)
-    return rho_forward(params, A)
+    excl = np.zeros_like(own)
+    np.cumsum(own[:, :-1], axis=1, out=excl[:, 1:])
+    # suffix sums in place: own[:, i] becomes the sum over j >= i
+    np.cumsum(own[:, ::-1], axis=1, out=own[:, ::-1])
+    excl[:, :-1] += own[:, 1:]
+    # The projection reuses own's buffer: with few large temporaries per
+    # call the allocator keeps its pages instead of returning them to the
+    # kernel and faulting them in again at the next step. The products stay
+    # stacked, one BLAS call per (d, m) or (V, m) matrix, each too small for
+    # BLAS to split over threads that would spin on a second core.
+    proj = np.matmul(excl, params.W2, out=own)
+    del excl
+    hidden = proj[:, :, None, :] + (Phi @ params.W2 + params.b2)
+    TANH(hidden, out=hidden)
+    out = (hidden.reshape(-1, m) @ params.w3).reshape(hidden.shape[:3]) + params.b3
+    return out, (Phi, Z, hidden)
+
+
+def twist_table_backward(params, cache, dout, grads):
+    """Accumulate the aggregator gradients of twist_table for the table
+    cotangent dout (S, d, V) into grads; returns the (d, V, m) gradient of
+    Phi, through both the swapped-in embedding and the excluded sums.
+
+    excl[s, i] sums own[s, j] = Phi[j, Z[s, j]] over j != i, so the
+    cotangent of excl @ W2 is added into that of Phi @ W2 at (j, Z[s, j])
+    first; the gradients of W2 and Phi are then one product each with
+    that (d, V, m) cotangent."""
+    Phi, Z, hidden = cache
+    S, d, V, m = hidden.shape
+    flat_out = dout.reshape(-1)
+    grads["w3"] += flat_out @ hidden.reshape(-1, m)
+    grads["b3"] += flat_out.sum()
+    dpre = (dout[..., None] * params.w3) * _dtanh(hidden)
+    dproj = dpre.sum(axis=0)                  # (d, V, m), of Phi @ W2 + b2
+    grads["b2"] += dproj.reshape(-1, m).sum(axis=0)
+    dexcl = dpre.sum(axis=2)                  # (S, d, m), of excl @ W2
+    down = dexcl.sum(axis=1, keepdims=True) - dexcl
+    rows = np.arange(d)
+    for s in range(S):
+        dproj[rows, Z[s]] += down[s]
+    grads["W2"] += Phi.reshape(-1, m).T @ dproj.reshape(-1, m)
+    return dproj @ params.W2.T
 
 
 def twist_score_table(params, Phi, Z):
@@ -358,11 +399,7 @@ def _sleep_item(params, model, spec, theta, item, ms, grads, wscale, q0_support)
         dH = g.copy()
         dH[rows, z] -= g.sum(axis=1)
         dH *= scale * wscale
-        dA = rho_backward(params, cache, dH[None], grads)[0]
-        dPhi = dA.copy()
-        D = dA.sum(axis=1)          # (d, m) per-node total
-        Dtot = D.sum(axis=0)        # (m,)
-        dPhi[rows, z] += Dtot[None, :] - D
+        dPhi = twist_table_backward(params, cache, dH[None], grads)
         encoder_backward(params, F, Phi, dPhi, grads)
     return loss
 

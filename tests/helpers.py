@@ -4,6 +4,7 @@ import numpy as np
 
 from ipsmc.ips import euler_step_table, make_grid
 from ipsmc import oracle as orc
+from ipsmc import smc
 from ipsmc.twisting import SCORE_CLIP, ExactTwist, incremental_ess
 
 
@@ -45,3 +46,36 @@ def exact_twist_ess_values(spec, model, theta, obs, dt, times=None):
             target /= target.sum()
             vals.append(incremental_ess(q[s], target))
     return np.array(vals)
+
+
+def history_rewrite_paths(model, spec, theta, twist, q0, p0, obs, cfg, grid):
+    """(S, M+1, d) trajectories of run_smc with the same arguments, stored
+    the direct way: one int64 history whose prefix is rewritten through the
+    ancestor indices at every resampling. The reference for run_smc's
+    ancestor-traced path storage; the draws are those of run_smc."""
+    M = len(grid) - 1
+    pot = smc._potential_lookup(obs, grid)
+    rng = np.random.default_rng(cfg.seed)
+    Z = q0.sample(rng, cfg.S)
+    lh = twist.log_h_batch(grid[0], Z)
+    logw = p0.log_pmf_batch(Z) + lh - q0.log_pmf_batch(Z)
+    if 0 in pot:
+        logw = logw + smc._emission_batch(obs, pot[0], Z)
+    traj = np.empty((cfg.S, M + 1, Z.shape[1]), dtype=np.int64)
+    traj[:, 0] = Z
+    for m in range(M):
+        t, t1 = grid[m], grid[m + 1]
+        if smc.effective_sample_size(logw) < cfg.ess_threshold * cfg.S:
+            anc = smc.systematic_resample(logw, rng)
+            Z, lh = Z[anc], lh[anc]
+            traj[:, : m + 1] = traj[anc, : m + 1]
+            logw = np.zeros(cfg.S)
+        Z, log_ratio = smc._propose_step(model, spec, theta, twist, Z, t,
+                                         t1 - t, rng)
+        lh_next = twist.log_h_batch(t1, Z)
+        logw = logw + log_ratio + (lh_next - lh)
+        if m + 1 in pot:
+            logw = logw + smc._emission_batch(obs, pot[m + 1], Z)
+        lh = lh_next
+        traj[:, m + 1] = Z
+    return traj

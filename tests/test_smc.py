@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ipsmc.errors import CollapseError
-from ipsmc.ips import SIRSParams, make_grid, sirs_model
+from ipsmc.ips import RateModel, SIRSParams, make_grid, sirs_model
 from ipsmc import oracle as orc
 from ipsmc.smc import (DenseInitial, FactorizedInitial, SMCConfig, bpf_run,
                        doob_initial, effective_sample_size,
@@ -15,6 +15,7 @@ from ipsmc.smc import (DenseInitial, FactorizedInitial, SMCConfig, bpf_run,
 from ipsmc.twisting import ConstantTwist, ExactTwist, ObservationSequence
 
 from conftest import chain_spec, make_flip_model
+from helpers import history_rewrite_paths
 from test_oracle import _obs, _empty_obs, two_state_model
 from test_twisting import FixedScores
 
@@ -191,12 +192,20 @@ class TestBookkeeping:
         p0 = DenseInitial(spec, p0_vec)
         cfg = SMCConfig(S=32, dt=0.1, seed=9)
         ens, _ = bpf_run(model, spec, None, p0, obs, cfg)
-        assert ens.trajectories.shape[0] == 32
-        for t, anc in ens.ancestry:
-            assert np.all(anc >= 0) and np.all(anc < 32)
-        # states only change one coordinate per euler step here rarely;
-        # at minimum every entry is a valid value
-        assert ens.trajectories.min() >= 0 and ens.trajectories.max() < 2
+        traj, anc = ens.trajectories, ens.ancestors
+        M = len(ens.grid) - 1
+        assert traj.shape == (32, M + 1, 2) and anc.shape == (M, 32)
+        assert np.all(anc >= 0) and np.all(anc < 32)
+        assert traj.min() >= 0 and traj.max() < 2
+        # final particles with a common ancestor at grid m share the whole
+        # path up to m
+        lineage = np.arange(32)
+        for m in range(M, 0, -1):
+            lineage = anc[m - 1, lineage]
+            for a in np.unique(lineage):
+                shared = traj[lineage == a, :m]
+                assert np.all(shared == shared[0])
+        assert len(np.unique(lineage)) < 32
 
     def test_collapse_error_carries_step(self):
         # noiseless emission and an impossible observation under a frozen
@@ -227,6 +236,101 @@ class TestBookkeeping:
         rng = np.random.default_rng(0)
         idx = sample_path_index(ens, rng)
         assert 0 <= idx < 4
+
+
+class _CountingTwist:
+    """Delegates to a twist and counts score-table calls: more calls than
+    grid steps means some particle substepped."""
+
+    def __init__(self, twist):
+        self.twist, self.calls = twist, 0
+
+    def log_h_batch(self, t, Z):
+        return self.twist.log_h_batch(t, Z)
+
+    def score_table_batch(self, t, Z):
+        self.calls += 1
+        return self.twist.score_table_batch(t, Z)
+
+
+def _cyclic_model(rate):
+    """Every node moves z -> z+1 mod V at a constant rate."""
+
+    def fn(t, Z, spec, theta):
+        off = np.zeros(Z.shape + (spec.V,))
+        B, d = Z.shape
+        off[np.arange(B)[:, None], np.arange(d)[None, :], (Z + 1) % spec.V] = rate
+        return off
+
+    return RateModel(batch_off_rate_fn=fn,
+                     lambda_bar_fn=lambda spec, theta: spec.d * rate)
+
+
+class TestPathStorage:
+    """run_smc's traced-back trajectories equal, bitwise, those of a run
+    that rewrites its whole stored history at every resampling."""
+
+    def _bpf_case(self, **cfg_kw):
+        spec, model, obs, p0_vec = _flip_setup(obs_times=(0.3, 0.6),
+                                               values=((1, 0), (0, 1)))
+        p0 = DenseInitial(spec, p0_vec)
+        grid = make_grid(1.0, 0.05, obs.times)
+        cfg = SMCConfig(S=64, dt=0.05, seed=3, **cfg_kw)
+        ens, _ = bpf_run(model, spec, None, p0, obs, cfg, grid=grid)
+        ref = history_rewrite_paths(model, spec, None, ConstantTwist(2, 2), p0,
+                                    p0, obs, cfg, grid)
+        return ens, ref, cfg
+
+    def test_bootstrap_filter(self):
+        ens, ref, _ = self._bpf_case()
+        assert ens.trajectories.dtype == np.int64
+        assert np.array_equal(ens.trajectories, ref)
+
+    def test_twisted_smc_with_substeps(self):
+        spec, model, obs, p0_vec = _flip_setup(delta=0.002)
+        grid = make_grid(1.0, 0.1, obs.times)
+        la = orc.exact_lookahead(model, spec, None,
+                                 orc.potential_vectors(spec, obs), grid)
+        twist = _CountingTwist(ExactTwist(la, spec))
+        q0 = doob_initial(spec, p0_vec, la)
+        p0 = DenseInitial(spec, p0_vec)
+        cfg = SMCConfig(S=64, dt=0.1, seed=4)
+        ens, _ = run_smc(model, spec, None, twist, q0, p0, obs, cfg, grid=grid)
+        assert twist.calls > len(grid) - 1
+        ref = history_rewrite_paths(model, spec, None, twist, q0, p0, obs, cfg,
+                                    grid)
+        assert np.array_equal(ens.trajectories, ref)
+
+    def test_adaptive_resampling_skips_steps(self):
+        ens, ref, cfg = self._bpf_case(ess_threshold=0.5)
+        ess = np.array([e for _, e in ens.ess_history])
+        assert np.any(ess < 0.5 * cfg.S) and np.any(ess >= 0.5 * cfg.S)
+        assert np.array_equal(ens.trajectories, ref)
+
+    def test_unstored_paths_leave_draws_unchanged(self):
+        ens, _, _ = self._bpf_case()
+        bare, _, _ = self._bpf_case(store_paths=False)
+        assert bare.trajectories is None
+        assert np.array_equal(bare.ancestors, ens.ancestors)
+        assert np.array_equal(bare.states, ens.states)
+
+    def test_values_beyond_one_byte(self):
+        V, d = 300, 3
+        spec = chain_spec(d, V=V)
+        model = _cyclic_model(3.0)
+        probs = np.zeros((d, V))
+        probs[:, 250:] = 1.0 / 50
+        p0 = FactorizedInitial(probs)
+        obs = ObservationSequence(horizon=1.0, times=np.array([0.5, 1.0]),
+                                  values=np.array([[252, 299, V], [255, 2, 1]]),
+                                  V=V, p_mask=0.5, label_noise=0.001)
+        grid = make_grid(1.0, 0.05, obs.times)
+        cfg = SMCConfig(S=32, dt=0.05, seed=6)
+        ens, _ = bpf_run(model, spec, None, p0, obs, cfg, grid=grid)
+        ref = history_rewrite_paths(model, spec, None, ConstantTwist(d, V), p0,
+                                    p0, obs, cfg, grid)
+        assert ens.trajectories.max() > 255
+        assert np.array_equal(ens.trajectories, ref)
 
 
 class TestMarginalSmoothing:

@@ -158,6 +158,49 @@ class TestTableAlgebra:
         assert np.all(table[np.arange(6), z] == 0.0)
 
 
+class TestProjectedTable:
+    """twist_table and twist_table_backward against the aggregator run on
+    the materialized (S, d, V, m) shifted sums."""
+
+    S, d, V, m = 25, 32, 3, 64
+
+    def _case(self):
+        rng = np.random.default_rng(8)
+        params = _rand_params(self.V, self.m, 8)
+        Phi = rng.normal(size=(self.d, self.V, self.m)) * 0.3
+        Z = rng.integers(0, self.V, size=(self.S, self.d))
+        own = Phi[np.arange(self.d)[None, :], Z]
+        excl = own.sum(axis=1, keepdims=True) - own
+        A = excl[:, :, None, :] + Phi[None]
+        return rng, params, Phi, Z, A
+
+    def test_forward_matches_materialized_sums(self):
+        _, params, Phi, Z, A = self._case()
+        H, _ = tn.twist_table(params, Phi, Z)
+        ref, _ = tn.rho_forward(params, A)
+        assert H.shape == (self.S, self.d, self.V)
+        assert np.abs(H - ref).max() <= 1e-12
+
+    def test_backward_matches_materialized_sums(self):
+        rng, params, Phi, Z, A = self._case()
+        dout = rng.normal(size=(self.S, self.d, self.V))
+        _, cache = tn.twist_table(params, Phi, Z)
+        grads = tn.zero_grads(params)
+        dPhi = tn.twist_table_backward(params, cache, dout, grads)
+        _, ref_cache = tn.rho_forward(params, A)
+        ref = tn.zero_grads(params)
+        dA = tn.rho_backward(params, ref_cache, dout, ref)
+        # A[s, i, v] = Phi[i, v] + sum over j != i of Phi[j, Z[s, j]]
+        ref_dPhi = dA.sum(axis=0)
+        dexcl = dA.sum(axis=2)
+        down = dexcl.sum(axis=1, keepdims=True) - dexcl
+        for s in range(self.S):
+            ref_dPhi[np.arange(self.d), Z[s]] += down[s]
+        for k in ref:
+            assert np.abs(grads[k] - ref[k]).max() <= 1e-12 * np.abs(ref[k]).max()
+        assert np.abs(dPhi - ref_dPhi).max() <= 1e-12 * np.abs(ref_dPhi).max()
+
+
 class TestSleepLoss:
     def test_single_step_constant_twist_hand_value(self):
         # one grid step, unit exit rate, uniform two-state initial head:
