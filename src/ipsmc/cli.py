@@ -30,8 +30,7 @@ from .ips import SIRSParams, make_grid, rng_streams, sirs_model, write_path, Pat
 from . import oracle as orc
 from .smc import SMCConfig, bpf_run, posterior_marginals_from_ensemble, run_smc
 from .twisting import ObservationSequence
-from .wakesleep import (TrainConfig, Telemetry, q0_support_logmask,
-                        _simulate_sleep_batch, train)
+from .wakesleep import TrainConfig, q0_support_logmask, sleep_steps, train
 
 
 def config_hash(resolved: dict) -> str:
@@ -233,56 +232,37 @@ def _dense_p0(ds: BenchmarkDataset):
 
 
 def cmd_train_twist(cfg: TrainTwistConfig, threads=1, emit_svg=False, resume=None):
+    wcfg = TrainConfig(batch=cfg.batch, dt=cfg.dt, mc_loss=cfg.mc_loss,
+                       reuse=cfg.reuse, lr_psi=cfg.lr, seed=cfg.seed,
+                       loss=cfg.loss, width=cfg.m, pretrain_steps=0)
+    if cfg.checkpoint_every and cfg.checkpoint_every % cfg.reuse:
+        raise ConfigError("checkpoint_every must be a multiple of reuse")
     ds = load_dataset(cfg.dataset)
     model = sirs_model()
     p0 = ds.p0()
     tau_grids = [np.asarray(o.times) for o in ds.train_obs]
-    obs_template = ds.train_obs[0]
-    wcfg = TrainConfig(batch=cfg.batch, dt=cfg.dt, mc_loss=cfg.mc_loss,
-                       reuse=cfg.reuse, lr_psi=cfg.lr, seed=cfg.seed,
-                       loss=cfg.loss, width=cfg.m, pretrain_steps=0)
     meta = _meta(dataclasses.asdict(cfg), cfg.seed)
     os.makedirs(cfg.out, exist_ok=True)
 
+    rng = np.random.default_rng(cfg.seed)
     if resume is not None:
         psi, adam, header = tn.load_checkpoint(resume)
-        rng = np.random.default_rng(cfg.seed)
         rng.bit_generator.state = json.loads(header["rng_state"])
         start = int(header["step"])
     else:
         psi = tn.init_params(ds.spec.V, m=cfg.m, seed=cfg.seed)
         adam = tn.AdamState.init(psi.arrays())
-        rng = np.random.default_rng(cfg.seed)
         start = 0
 
-    if cfg.checkpoint_every and cfg.checkpoint_every % cfg.reuse:
-        raise ConfigError("checkpoint_every must be a multiple of reuse")
-
-    hyper = tn.AdamHyper(lr=cfg.lr)
     telemetry = []
     step = start
-    while step < cfg.steps:
-        batch_taus = [tau_grids[int(rng.integers(len(tau_grids)))]
-                      for _ in range(cfg.batch)]
-        items = _simulate_sleep_batch(model, ds.spec, ds.params, p0, batch_taus,
-                                      obs_template, wcfg, rng,
-                                      with_negatives=cfg.loss == "dre")
-        for _ in range(min(cfg.reuse, cfg.steps - step)):
-            mcs = ([int(rng.integers(len(it.grid) - 1)) for it in items]
-                   if cfg.mc_loss else None)
-            if cfg.loss == "dre":
-                loss, grads = tn.dre_loss(psi, ds.spec, items, mc_indices=mcs)
-            else:
-                loss, grads = tn.sleep_loss_forward_kl(psi, model, ds.spec,
-                                                       ds.params, items,
-                                                       mc_indices=mcs,
-                                                       q0_support=q0_support_logmask(p0))
-            psi = psi.replace_arrays(tn.adam_step(psi.arrays(), grads, adam, hyper))
-            step += 1
-            telemetry.append((step, float(loss)))
-            if cfg.checkpoint_every and step % cfg.checkpoint_every == 0 and step < cfg.steps:
-                _save_twist(os.path.join(cfg.out, f"twist_step{step:06d}.npz"),
-                            psi, adam, rng, step, cfg, meta)
+    steps = sleep_steps(psi, adam, ds.params, model, ds.spec, p0, tau_grids,
+                        ds.train_obs[0], wcfg, rng, cfg.steps - start)
+    for step, (psi, loss) in enumerate(steps, start + 1):
+        telemetry.append((step, float(loss)))
+        if cfg.checkpoint_every and step % cfg.checkpoint_every == 0 and step < cfg.steps:
+            _save_twist(os.path.join(cfg.out, f"twist_step{step:06d}.npz"),
+                        psi, adam, rng, step, cfg, meta)
     _save_twist(os.path.join(cfg.out, "twist.npz"), psi, adam, rng, step, cfg, meta)
     _write_rows(os.path.join(cfg.out, "telemetry.csv"), ["step", "loss"],
                 telemetry, meta)

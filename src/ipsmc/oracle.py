@@ -8,7 +8,6 @@ sampling from the conditioned process. Guarded to small state spaces.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -91,36 +90,27 @@ def neighbor_index_table(spec):
     return out
 
 
-def transition_matrix(gen: DenseGenerator, delta, tail=1e-12):
-    """exp(Q * delta) by uniformization: a Poisson mixture of powers of the
-    stochastic matrix I + Q/lam. Preserves nonnegativity and row sums in
-    floating point, unlike scaling-and-squaring."""
-    Q = gen.Q
-    n = gen.n
+def expm_action(A, delta, x, tail=1e-12):
+    """exp(A delta) @ x for a vector or matrix x, by uniformization: a
+    Poisson mixture of powers of I + A/lam, lam the largest diagonal
+    magnitude. A is an intensity matrix Q or its transpose, so every term
+    is nonnegative and, unlike scaling-and-squaring, the series keeps
+    nonnegativity and (for x = eye(n)) row sums in floating point."""
     if delta < 0:
         raise ValueError("delta must be >= 0")
-    lam = float(np.max(-np.diag(Q)))
+    lam = float(np.max(-np.diag(A)))
+    x = np.asarray(x, dtype=float)
     if delta == 0 or lam == 0:
-        return np.eye(n)
-    M = np.eye(n) + Q / lam
-    return _uniformized_sum(M, lam * delta, np.eye(n), tail)
-
-
-def expm_action(gen: DenseGenerator, delta, vec, tail=1e-12):
-    """exp(Q * delta) @ vec without forming the matrix exponential."""
-    Q = gen.Q
-    lam = float(np.max(-np.diag(Q)))
-    vec = np.asarray(vec, dtype=float)
-    if delta == 0 or lam == 0:
-        return vec.copy()
-    M = np.eye(gen.n) + Q / lam
-    return _uniformized_sum(M, lam * delta, vec, tail)
+        return x.copy()
+    M = np.eye(A.shape[0]) + A / lam
+    return _uniformized_sum(M, lam * delta, x, tail)
 
 
 def _uniformized_sum(M, rho, x0, tail):
     """sum_k Poisson(rho)(k) M^k x0, truncated when the remaining Poisson
     mass drops below tail."""
     log_w = -rho  # log Poisson(rho) weight at k=0
+    log_rho = np.log(rho)
     acc = np.exp(log_w) * x0
     term = x0
     covered = np.exp(log_w)
@@ -128,7 +118,7 @@ def _uniformized_sum(M, rho, x0, tail):
     while covered < 1.0 - tail:
         k += 1
         term = M @ term
-        log_w += np.log(rho) - np.log(k)
+        log_w += log_rho - np.log(k)
         w = np.exp(log_w)
         acc += w * term
         covered += w
@@ -178,19 +168,8 @@ class LookaheadTable:
         rho = lam * (grid[j] - t)
         if rho == 0.0:
             return self.log_h_left[j]
-        w = math.exp(-rho)
-        acc = w * vs[j]
-        term = vs[j]
-        covered = w
-        k = 0
-        while covered < 1.0 - 1e-12:
-            k += 1
-            term = M @ term
-            w *= rho / k
-            acc += w * term
-            covered += w
         with np.errstate(divide="ignore"):
-            return np.log(acc / covered) + scales[j]
+            return np.log(_uniformized_sum(M, rho, vs[j], 1e-12)) + scales[j]
 
     def twisted_model(self, base_model, spec, theta, safety=1.5):
         """Rate model of the conditioned process r * h(z^{i->v}) / h(z).
@@ -222,10 +201,10 @@ class LookaheadTable:
                          lambda_bar_fn=lambda *_: lam_bar, time_homogeneous=False)
 
 
-def _log_expm_action(gen, delta, log_v):
-    """log(exp(Q delta) @ exp(log_v)), stabilized by factoring out the max."""
+def _log_expm_action(A, delta, log_v):
+    """log(exp(A delta) @ exp(log_v)), stabilized by factoring out the max."""
     m = np.max(log_v[np.isfinite(log_v)]) if np.any(np.isfinite(log_v)) else 0.0
-    w = expm_action(gen, delta, np.exp(log_v - m))
+    w = expm_action(A, delta, np.exp(log_v - m))
     with np.errstate(divide="ignore"):
         return np.log(np.maximum(w, 0.0)) + m
 
@@ -267,7 +246,7 @@ def exact_lookahead(model, spec, theta, potentials, grid) -> LookaheadTable:
     log_h_left = np.zeros((M + 1, n))
     log_h_left[M] = pot[M] if is_pot[M] else 0.0
     for j in range(M - 1, -1, -1):
-        log_h[j] = _log_expm_action(gen, grid[j + 1] - grid[j], log_h_left[j + 1])
+        log_h[j] = _log_expm_action(gen.Q, grid[j + 1] - grid[j], log_h_left[j + 1])
         log_h_left[j] = log_h[j] + pot[j] if is_pot[j] else log_h[j]
     return LookaheadTable(grid=grid, log_h=log_h, log_h_left=log_h_left,
                           is_potential=is_pot, gen=gen)
@@ -288,10 +267,7 @@ def exact_posterior_marginals(model, spec, theta, p0, obs, grid):
     log_z = None
     for j in range(len(grid)):
         if j > 0:
-            m = np.max(log_alpha[np.isfinite(log_alpha)])
-            a = _expm_action_general(gen.Q.T, grid[j] - grid[j - 1], np.exp(log_alpha - m))
-            with np.errstate(divide="ignore"):
-                log_alpha = np.log(np.maximum(a, 0.0)) + m
+            log_alpha = _log_expm_action(gen.Q.T, grid[j] - grid[j - 1], log_alpha)
             if la.is_potential[j]:
                 k = _potential_at(la, j)
                 log_alpha = log_alpha + k
@@ -309,16 +285,6 @@ def exact_posterior_marginals(model, spec, theta, p0, obs, grid):
 
 def _potential_at(la, j):
     return la.log_h_left[j] - la.log_h[j]
-
-
-def _expm_action_general(A, delta, vec, tail=1e-12):
-    """exp(A delta) @ vec for an intensity-matrix transpose: shift by the
-    largest diagonal magnitude so the series has nonnegative terms."""
-    lam = float(np.max(-np.diag(A)))
-    if delta == 0 or lam == 0:
-        return np.asarray(vec, dtype=float).copy()
-    M = np.eye(A.shape[0]) + A / lam
-    return _uniformized_sum(M, lam * delta, np.asarray(vec, dtype=float), tail)
 
 
 def exact_log_marginal_likelihood(model, spec, theta, p0, obs, grid=None):
@@ -375,7 +341,7 @@ def sample_posterior_skeleton(model, spec, theta, p0, obs, grid, n_paths, rng):
     out = np.empty((n_paths, len(grid)), dtype=np.int64)
     out[:, 0] = rng.choice(n, size=n_paths, p=p_init)
     for j in range(len(grid) - 1):
-        P = transition_matrix(gen, grid[j + 1] - grid[j])
+        P = expm_action(gen.Q, grid[j + 1] - grid[j], np.eye(n))
         tilt = la.log_h[j + 1].copy()
         if la.is_potential[j + 1]:
             tilt = tilt + _potential_at(la, j + 1)

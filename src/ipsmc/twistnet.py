@@ -263,7 +263,7 @@ def twist_table_backward(params, cache, dout, grads):
     first; the gradients of W2 and Phi are then one product each with
     that (d, V, m) cotangent."""
     Phi, Z, hidden = cache
-    S, d, V, m = hidden.shape
+    _, d, V, m = hidden.shape
     flat_out = dout.reshape(-1)
     grads["w3"] += flat_out @ hidden.reshape(-1, m)
     grads["b3"] += flat_out.sum()
@@ -272,9 +272,10 @@ def twist_table_backward(params, cache, dout, grads):
     grads["b2"] += dproj.reshape(-1, m).sum(axis=0)
     dexcl = dpre.sum(axis=2)                  # (S, d, m), of excl @ W2
     down = dexcl.sum(axis=1, keepdims=True) - dexcl
-    rows = np.arange(d)
-    for s in range(S):
-        dproj[rows, Z[s]] += down[s]
+    # one scatter over flat (row, node, unit) indices: each (node, value)
+    # cell gains its rows' terms in row order
+    flat = ((np.arange(d) * V + Z)[..., None] * m + np.arange(m)).reshape(-1)
+    np.add.at(dproj.reshape(-1), flat, down.reshape(-1))
     grads["W2"] += Phi.reshape(-1, m).T @ dproj.reshape(-1, m)
     return dproj @ params.W2.T
 

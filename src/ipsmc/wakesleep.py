@@ -130,41 +130,37 @@ def wake_grad_dense(model, spec, theta, skeletons, grid):
     vectorized over dense state indices for small systems: skeletons is
     (N, M+1) of state indices. Returns the mean gradient of the *negative*
     loss (the score estimate). Time-homogeneous models only.
+
+    A step earns the jump term of every coordinate it changes. A changed
+    coordinate of zero rate contributes nothing here, while
+    wake_loss_and_grad gives that path a loss of +inf.
     """
-    from .oracle import neighbor_index_table, state_table
+    from .oracle import state_table
 
     _require_time_homogeneous(model)
     table = state_table(spec)
-    nbr = neighbor_index_table(spec)
     n = len(table)
     off = model.off_rates_batch(0.0, table, spec, theta)  # (n, d, V)
     rg = model.rate_grad_fn(0.0, table, spec, theta)      # (n, d, V, P)
     exit_grad = rg.sum(axis=(1, 2))
-    P = exit_grad.shape[1]
-    pair_grad = {}
-    for s in range(n):
-        z = table[s]
-        for i in range(spec.d):
-            for v in range(spec.V):
-                if v != z[i] and off[s, i, v] > 0:
-                    pair_grad[(s, nbr[s, i, v])] = rg[s, i, v] / off[s, i, v]
 
-    grid = np.asarray(grid)
-    dts = np.diff(grid)
+    dts = np.diff(np.asarray(grid))
     N = skeletons.shape[0]
-    g = np.zeros(P)
+    g = np.zeros(exit_grad.shape[1])
+    moves = []  # a step from state a to state b, coded a * n + b
     for m in range(len(dts)):
-        counts = np.bincount(skeletons[:, m], minlength=n)
-        g -= dts[m] * counts @ exit_grad
         cur, nxt = skeletons[:, m], skeletons[:, m + 1]
+        g -= dts[m] * np.bincount(cur, minlength=n) @ exit_grad
         moved = cur != nxt
-        if np.any(moved):
-            pairs, cnt = np.unique(np.stack([cur[moved], nxt[moved]], axis=1),
-                                   axis=0, return_counts=True)
-            for (a, b), c in zip(pairs, cnt):
-                pg = pair_grad.get((int(a), int(b)))
-                if pg is not None:
-                    g += c * pg
+        moves.append(cur[moved] * n + nxt[moved])
+    pairs, cnt = np.unique(np.concatenate(moves), return_counts=True)
+    a, b = np.divmod(pairs, n)
+    rows, nodes = np.nonzero(table[a] != table[b])
+    vals = table[b[rows], nodes]
+    r = off[a[rows], nodes, vals]
+    ok = r > 0
+    rows, nodes, vals = rows[ok], nodes[ok], vals[ok]
+    g += cnt[rows] @ (rg[a[rows], nodes, vals] / r[ok, None])
     return g / N
 
 
@@ -207,40 +203,50 @@ def _simulate_sleep_batch(model, spec, theta, p0, tau_grids, obs_template, cfg, 
     return items
 
 
+def sleep_steps(psi, adam, theta, model, spec, p0, tau_grids, obs_template,
+                cfg, rng, n_steps):
+    """The sleep loop: n_steps Adam steps on the twist psi at rate
+    cfg.lr_psi, yielding (psi, loss) after each.
+
+    Every cfg.reuse steps it simulates a fresh batch of cfg.batch prior
+    paths under theta, each on the grid of a randomly drawn tau_grids
+    entry. With cfg.mc_loss each step scores every path on one random grid
+    step (Monte Carlo over time); cfg.loss picks the forward-KL or the
+    density-ratio loss. The generator is lazy: it draws nothing from rng
+    after the caller's last step."""
+    hyper = tn.AdamHyper(lr=cfg.lr_psi)
+    q0_support = q0_support_logmask(p0)
+    for step in range(n_steps):
+        if step % cfg.reuse == 0:
+            batch_taus = [tau_grids[int(rng.integers(len(tau_grids)))]
+                          for _ in range(cfg.batch)]
+            items = _simulate_sleep_batch(model, spec, theta, p0, batch_taus,
+                                          obs_template, cfg, rng,
+                                          with_negatives=cfg.loss == "dre")
+        mcs = ([int(rng.integers(len(it.grid) - 1)) for it in items]
+               if cfg.mc_loss else None)
+        if cfg.loss == "dre":
+            loss, grads = tn.dre_loss(psi, spec, items, mc_indices=mcs)
+        else:
+            loss, grads = tn.sleep_loss_forward_kl(psi, model, spec, theta,
+                                                   items, mc_indices=mcs,
+                                                   q0_support=q0_support)
+        psi = psi.replace_arrays(tn.adam_step(psi.arrays(), grads, adam, hyper))
+        yield psi, loss
+
+
 def sleep_phase(psi, psi_adam, theta, model, spec, p0, tau_grids, obs_template,
                 cfg, rng, n_steps, telemetry=None, global_iter=0, truth=None):
-    """n_steps optimizer steps on the twist; fresh prior batches every
-    cfg.reuse steps, one loss term per step (Monte Carlo over time) when
-    cfg.mc_loss is set. mc_loss applies to the sleep phase and pretraining
-    only; the wake phase always uses the exact full-path objective."""
-    hyper = tn.AdamHyper(lr=cfg.lr_psi)
-    items = None
-    step = 0
-    while step < n_steps:
-        batch_taus = [tau_grids[int(rng.integers(len(tau_grids)))] for _ in range(cfg.batch)]
-        items = _simulate_sleep_batch(model, spec, theta, p0, batch_taus,
-                                      obs_template, cfg, rng,
-                                      with_negatives=cfg.loss == "dre")
-        for _ in range(min(cfg.reuse, n_steps - step)):
-            if cfg.mc_loss:
-                mcs = [int(rng.integers(len(it.grid) - 1)) for it in items]
-            else:
-                mcs = None
-            if cfg.loss == "dre":
-                loss, grads = tn.dre_loss(psi, spec, items, mc_indices=mcs)
-            else:
-                loss, grads = tn.sleep_loss_forward_kl(psi, model, spec, theta,
-                                                       items, mc_indices=mcs,
-                                                       q0_support=q0_support_logmask(p0))
-            new = tn.adam_step(psi.arrays(), grads, psi_adam, hyper)
-            psi = psi.replace_arrays(new)
-            step += 1
-            if telemetry is not None:
-                rpe = _rpe(theta, truth) if truth is not None else float("nan")
-                telemetry.add(global_iter, "sleep", step, loss,
-                              float("nan"), float("nan"), theta, rpe)
-        if step >= n_steps:
-            break
+    """n_steps sleep steps on the twist (sleep_steps), one telemetry row
+    each. mc_loss applies to the sleep loop only; the wake phase always
+    uses the exact full-path objective."""
+    rpe = _rpe(theta, truth) if truth is not None else float("nan")
+    for step, (psi, loss) in enumerate(
+            sleep_steps(psi, psi_adam, theta, model, spec, p0, tau_grids,
+                        obs_template, cfg, rng, n_steps), 1):
+        if telemetry is not None:
+            telemetry.add(global_iter, "sleep", step, loss,
+                          float("nan"), float("nan"), theta, rpe)
     return psi
 
 
@@ -356,8 +362,8 @@ def train(model, spec, p0, dataset_obs, theta0: SIRSParams, cfg: TrainConfig,
     skip_counter = {"skipped": 0, "attempted": 0}
 
     if cfg.pretrain_steps > 0:
-        psi = _pretrain(psi, psi_adam, theta_state, model, spec, p0, tau_grids,
-                        obs_template, cfg, rng, telemetry, truth)
+        psi = _pretrain(psi, psi_adam, theta_state.params(), model, spec, p0,
+                        tau_grids, obs_template, cfg, rng, telemetry, truth)
 
     for g in range(1, cfg.global_iters + 1):
         psi = sleep_phase(psi, psi_adam, theta_state.params(), model, spec, p0,
@@ -379,35 +385,22 @@ def train(model, spec, p0, dataset_obs, theta0: SIRSParams, cfg: TrainConfig,
     return theta_state, psi, telemetry
 
 
-def _pretrain(psi, psi_adam, theta_state, model, spec, p0, tau_grids,
-              obs_template, cfg, rng, telemetry, truth):
-    """Sleep-only warm start, early-stopped on a loss plateau."""
+def _pretrain(psi, psi_adam, theta, model, spec, p0, tau_grids, obs_template,
+              cfg, rng, telemetry, truth):
+    """Sleep-only warm start, early-stopped on a loss plateau: at the end
+    of a batch, once 2 * pretrain_window losses exist, it stops if the mean
+    of the last window fell by less than pretrain_rel_tol (relative) below
+    the mean of the window before."""
     window = cfg.pretrain_window
+    rpe = _rpe(theta, truth) if truth is not None else float("nan")
     losses = []
-    hyper = tn.AdamHyper(lr=cfg.lr_psi)
-    theta = theta_state.params()
-    step = 0
-    while step < cfg.pretrain_steps:
-        batch_taus = [tau_grids[int(rng.integers(len(tau_grids)))] for _ in range(cfg.batch)]
-        items = _simulate_sleep_batch(model, spec, theta, p0, batch_taus,
-                                      obs_template, cfg, rng,
-                                      with_negatives=cfg.loss == "dre")
-        for _ in range(min(cfg.reuse, cfg.pretrain_steps - step)):
-            mcs = ([int(rng.integers(len(it.grid) - 1)) for it in items]
-                   if cfg.mc_loss else None)
-            if cfg.loss == "dre":
-                loss, grads = tn.dre_loss(psi, spec, items, mc_indices=mcs)
-            else:
-                loss, grads = tn.sleep_loss_forward_kl(psi, model, spec, theta,
-                                                       items, mc_indices=mcs,
-                                                       q0_support=q0_support_logmask(p0))
-            psi = psi.replace_arrays(tn.adam_step(psi.arrays(), grads, psi_adam, hyper))
-            losses.append(loss)
-            step += 1
-            rpe = _rpe(theta, truth) if truth is not None else float("nan")
-            telemetry.add(0, "pretrain", step, loss, float("nan"), float("nan"),
-                          theta, rpe)
-        if len(losses) >= 2 * window:
+    for step, (psi, loss) in enumerate(
+            sleep_steps(psi, psi_adam, theta, model, spec, p0, tau_grids,
+                        obs_template, cfg, rng, cfg.pretrain_steps), 1):
+        losses.append(loss)
+        telemetry.add(0, "pretrain", step, loss, float("nan"), float("nan"),
+                      theta, rpe)
+        if step % cfg.reuse == 0 and len(losses) >= 2 * window:
             prev = float(np.mean(losses[-2 * window:-window]))
             last = float(np.mean(losses[-window:]))
             denom = max(abs(prev), 1e-9)

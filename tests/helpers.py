@@ -35,7 +35,7 @@ def exact_twist_ess_values(spec, model, theta, obs, dt, times=None):
     vals = []
     for m in times:
         t, t1 = grid[m], grid[m + 1]
-        P = orc.transition_matrix(gen, t1 - t)
+        P = orc.expm_action(gen.Q, t1 - t, np.eye(gen.n))
         tilt = la.log_h[m + 1].copy()
         if m + 1 in pot_idx:
             tilt = tilt + pot_idx[m + 1]

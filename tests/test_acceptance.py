@@ -43,7 +43,7 @@ def test_criterion_1_euler_rate():
     off = model.off_rates_batch(0.0, table, spec, None)
 
     def max_tv(dt):
-        P = orc.transition_matrix(gen, dt)
+        P = orc.expm_action(gen.Q, dt, np.eye(gen.n))
         q = kernel_pmf(off, table, dt, table)
         return float((0.5 * np.abs(q - P).sum(axis=1)).max())
 

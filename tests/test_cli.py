@@ -227,6 +227,14 @@ class TestTrainTwist:
             assert f.readline().strip() == "step,loss"
         assert os.path.exists(tmp_path / "tw" / "loss.svg")
 
+    def test_rejects_checkpoint_every_off_batch_boundary(self, dataset, tmp_path):
+        out = tmp_path / "tw"
+        path = write_cfg(tmp_path, "tw.json",
+                         dict(TWIST_CFG, dataset=dataset, out=str(out),
+                              checkpoint_every=30))
+        assert main(["train-twist", "--config", path]) == 2
+        assert not os.path.exists(out)
+
     def test_dre_loss_variant(self, dataset, tmp_path):
         cfg = dict(TWIST_CFG, dataset=dataset, out=str(tmp_path / "dre"),
                    loss="dre", steps=20)

@@ -189,7 +189,7 @@ def test_euler_tv_error_halves_like_squared_step():
     off = model.off_rates_batch(0.0, table, spec, None)
 
     def max_tv(dt):
-        P = orc.transition_matrix(gen, dt)
+        P = orc.expm_action(gen.Q, dt, np.eye(gen.n))
         return (0.5 * np.abs(kernel_pmf(off, table, dt, table) - P).sum(axis=1)).max()
 
     ratio = max_tv(0.2) / max_tv(0.1)

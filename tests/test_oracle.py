@@ -72,16 +72,20 @@ class TestDenseGenerator:
             assert Q[s, s] == -off.sum()
 
 
+def _P(gen, delta):
+    return orc.expm_action(gen.Q, delta, np.eye(gen.n))
+
+
 class TestTransitionMatrix:
     def test_zero_delta_identity(self):
         spec = chain_spec(1, V=2)
         gen = orc.build_dense_generator(two_state_model(), spec, None)
-        assert np.array_equal(orc.transition_matrix(gen, 0.0), np.eye(2))
+        assert np.array_equal(_P(gen, 0.0), np.eye(2))
 
     def test_two_state_closed_form(self):
         spec = chain_spec(1, V=2)
         gen = orc.build_dense_generator(two_state_model(), spec, None)
-        P = orc.transition_matrix(gen, 1.0)
+        P = _P(gen, 1.0)
         expected = (0.5 / 0.8) * (1.0 - math.exp(-0.8))
         assert P[0, 1] == pytest.approx(expected, abs=1e-10)
         assert P[0, 1] == pytest.approx(0.3441694, abs=5e-7)
@@ -89,28 +93,37 @@ class TestTransitionMatrix:
     def test_row_stochastic(self, pair_spec):
         p = SIRSParams(0.3, 1.0, 0.5, 0.3)
         gen = orc.build_dense_generator(sirs_model(), pair_spec, p)
-        P = orc.transition_matrix(gen, 0.7)
+        P = _P(gen, 0.7)
         assert np.all(P >= 0)
         assert np.abs(P.sum(axis=1) - 1).max() < 1e-9
 
     def test_semigroup_property(self, pair_spec):
         p = SIRSParams(0.3, 1.0, 0.5, 0.3)
         gen = orc.build_dense_generator(sirs_model(), pair_spec, p)
-        lhs = orc.transition_matrix(gen, 0.9)
-        rhs = orc.transition_matrix(gen, 0.4) @ orc.transition_matrix(gen, 0.5)
+        lhs = _P(gen, 0.9)
+        rhs = _P(gen, 0.4) @ _P(gen, 0.5)
         assert np.linalg.norm(lhs - rhs) < 1e-8
 
     def test_against_scipy_expm(self, pair_spec):
         p = SIRSParams(0.4, 0.8, 0.6, 0.2)
         gen = orc.build_dense_generator(sirs_model(), pair_spec, p)
-        assert np.abs(orc.transition_matrix(gen, 1.3) - expm(gen.Q * 1.3)).max() < 1e-10
+        assert np.abs(_P(gen, 1.3) - expm(gen.Q * 1.3)).max() < 1e-10
+
+    def test_vector_and_transposed_actions(self, pair_spec):
+        # one series serves P @ v (backward) and P.T @ v (forward)
+        p = SIRSParams(0.4, 0.8, 0.6, 0.2)
+        gen = orc.build_dense_generator(sirs_model(), pair_spec, p)
+        v = np.random.default_rng(3).uniform(size=9)
+        P = expm(gen.Q * 0.6)
+        assert np.abs(orc.expm_action(gen.Q, 0.6, v) - P @ v).max() < 1e-10
+        assert np.abs(orc.expm_action(gen.Q.T, 0.6, v) - P.T @ v).max() < 1e-10
 
     def test_iteration_cap_is_collapse(self):
         # 1.5e5 expected uniformized jumps outrun the series' iteration cap
         gen = orc.build_dense_generator(two_state_model(1e5, 1e5), chain_spec(1, V=2),
                                         None)
         with pytest.raises(CollapseError, match="failed to converge"):
-            orc.expm_action(gen, 1.5, np.array([1.0, 0.0]))
+            orc.expm_action(gen.Q, 1.5, np.array([1.0, 0.0]))
 
 
 def _obs(spec, T, times, values, p_mask=0.5, delta=0.01):
@@ -151,9 +164,21 @@ class TestLookahead:
             g = np.log(np.array([1.0, 0.0]))
         with pytest.warns(UserWarning):
             la = orc.exact_lookahead(model, spec, None, [(2.0, g)], grid)
-        P = orc.transition_matrix(orc.build_dense_generator(model, spec, None), 1.0)
+        P = _P(orc.build_dense_generator(model, spec, None), 1.0)
         assert la.log_h_at(1.0)[0] == pytest.approx(math.log(P[0, 0]), abs=1e-10)
         assert math.exp(la.log_h_at(1.0)[0]) == pytest.approx(0.6558306, abs=5e-7)
+
+    def test_runaway_series_between_grid_points_is_collapse(self):
+        # exp(-rho) underflows at rho = 1.5e5; the series ends in
+        # CollapseError at its iteration cap instead of looping forever
+        gen = orc.build_dense_generator(two_state_model(1e5, 1e5),
+                                        chain_spec(1, V=2), None)
+        zeros = np.zeros((2, 2))
+        la = orc.LookaheadTable(grid=np.array([0.0, 3.0]), log_h=zeros,
+                                log_h_left=zeros,
+                                is_potential=np.zeros(2, dtype=bool), gen=gen)
+        with pytest.raises(CollapseError, match="failed to converge"):
+            la.log_h_at(1.5)
 
     def test_reset_identity_at_potentials(self, pair_spec):
         p = SIRSParams(0.3, 1.0, 0.5, 0.3)

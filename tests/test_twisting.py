@@ -223,7 +223,7 @@ class TestTwistedKernel:
             twist = ExactTwist(la, pair_spec)
             m = int(np.argmin(np.abs(grid - 0.4)))
             t, t1 = grid[m], grid[m + 1]
-            P = orc.transition_matrix(gen, t1 - t)
+            P = orc.expm_action(gen.Q, t1 - t, np.eye(gen.n))
             q = kernel_pmf(off, table, t1 - t, table,
                            twist.score_table_batch(t, table))
             target = P * np.exp(la.log_h_at(t1))[None, :]

@@ -200,6 +200,24 @@ class TestProjectedTable:
             assert np.abs(grads[k] - ref[k]).max() <= 1e-12 * np.abs(ref[k]).max()
         assert np.abs(dPhi - ref_dPhi).max() <= 1e-12 * np.abs(ref_dPhi).max()
 
+    def test_backward_scatter_keeps_row_order(self):
+        # the flat scatter adds the rows' terms into each cell in row order,
+        # as a loop over rows does, so both agree bit for bit
+        rng, params, Phi, Z, _ = self._case()
+        dout = rng.normal(size=(self.S, self.d, self.V))
+        _, cache = tn.twist_table(params, Phi, Z)
+        grads = tn.zero_grads(params)
+        dPhi = tn.twist_table_backward(params, cache, dout, grads)
+        dpre = (dout[..., None] * params.w3) * tn._dtanh(cache[2])
+        dproj = dpre.sum(axis=0)
+        dexcl = dpre.sum(axis=2)
+        down = dexcl.sum(axis=1, keepdims=True) - dexcl
+        for s in range(self.S):
+            dproj[np.arange(self.d), Z[s]] += down[s]
+        flat = dproj.reshape(-1, self.m)
+        assert np.array_equal(grads["W2"], Phi.reshape(-1, self.m).T @ flat)
+        assert np.array_equal(dPhi, dproj @ params.W2.T)
+
 
 class TestSleepLoss:
     def test_single_step_constant_twist_hand_value(self):

@@ -13,9 +13,9 @@ from ipsmc.smc import FactorizedInitial
 from ipsmc.twisting import ObservationSequence, emission_log_potential
 from ipsmc import wakesleep
 from ipsmc.wakesleep import (ThetaState, TrainConfig, Telemetry,
-                             q0_support_logmask, sleep_phase, train,
-                             wake_grad_dense, wake_loss_and_grad, wake_phase,
-                             _simulate_sleep_batch)
+                             q0_support_logmask, sleep_phase, sleep_steps,
+                             train, wake_grad_dense, wake_loss_and_grad,
+                             wake_phase, _simulate_sleep_batch)
 
 from conftest import chain_spec
 from test_oracle import _obs
@@ -126,6 +126,8 @@ class TestWakeLoss:
             wake_loss_and_grad(theta, model, spec, states, obs, grid)
 
     def test_dense_estimator_matches_per_path(self, pair_spec):
+        # the first five skeletons, and every skeleton of finite wake loss
+        # with a step on which both nodes change
         theta = SIRSParams(0.3, 0.8, 0.5, 0.3)
         model = sirs_model()
         obs = _obs(pair_spec, 1.0, [0.5], [[1, 2]])
@@ -133,13 +135,20 @@ class TestWakeLoss:
         p0 = np.full(9, 1 / 9)
         rng = np.random.default_rng(1)
         sk = orc.sample_posterior_skeleton(model, pair_spec, theta, p0, obs,
-                                           grid, 5, rng)
+                                           grid, 2000, rng)
         table = orc.state_table(pair_spec)
-        for r in range(5):
-            _, grad = wake_loss_and_grad(theta, model, pair_spec, table[sk[r]],
-                                         obs, grid)
+        changed = (table[sk[:, 1:]] != table[sk[:, :-1]]).sum(axis=2)
+        two_node = np.flatnonzero((changed == 2).any(axis=1))
+        n_two_node = 0
+        for r in [0, 1, 2, 3, 4, *two_node]:
+            loss, grad = wake_loss_and_grad(theta, model, pair_spec,
+                                            table[sk[r]], obs, grid)
+            if not np.isfinite(loss):
+                continue
+            n_two_node += r in two_node
             dense = wake_grad_dense(model, pair_spec, theta, sk[r:r + 1], grid)
-            assert np.allclose(-grad, dense, atol=1e-10)
+            assert np.allclose(-grad, dense, atol=1e-10), r
+        assert n_two_node >= 10
 
 
 def test_fisher_identity_small(pair_spec):
@@ -226,6 +235,25 @@ class TestSleepPhase:
                     telemetry=telemetry)
         losses = [r["loss"] for r in telemetry.rows]
         assert np.mean(losses[-20:]) < np.mean(losses[:20])
+
+    def test_steps_draw_nothing_past_the_last_step(self):
+        # stopping after a batch's last step leaves the generator where a
+        # run of exactly that many steps leaves it
+        spec, theta, model, p0, template, tau_grids = _sleep_setup()
+        cfg = TrainConfig(batch=2, dt=0.25, seed=0, reuse=3, pretrain_steps=0)
+        ends = []
+        for n_steps in (3, 9):
+            psi = tn.init_params(3, m=8, seed=0)
+            rng = np.random.default_rng(4)
+            steps = sleep_steps(psi, tn.AdamState.init(psi.arrays()), theta,
+                                model, spec, p0, tau_grids, template, cfg,
+                                rng, n_steps)
+            for _ in range(3):
+                psi, _ = next(steps)
+            ends.append((rng.bit_generator.state, psi.arrays()))
+        assert ends[0][0] == ends[1][0]
+        for k in ends[0][1]:
+            assert np.array_equal(ends[0][1][k], ends[1][1][k])
 
     def test_mc_gradient_expectation_matches_full(self):
         spec, theta, model, p0, template, tau_grids = _sleep_setup()
@@ -348,6 +376,19 @@ class TestTrain:
         phases = [r["phase"] for r in telemetry.rows]
         assert phases[:4] == ["pretrain"] * 4
         assert all(np.isfinite(r["rpe"]) for r in telemetry.rows)
+
+    def test_pretraining_stops_on_plateau_at_batch_end(self):
+        # any change passes a relative tolerance of 1e9, so pretraining stops
+        # at the first batch end with 2 * pretrain_window losses: step 6
+        spec, theta, model, p0, template, tau_grids = _sleep_setup()
+        cfg = TrainConfig(global_iters=1, steps_per_phase=2, batch=2,
+                          particles=4, dt=0.25, seed=0, reuse=3,
+                          pretrain_steps=20, pretrain_window=2,
+                          pretrain_rel_tol=1e9)
+        _, _, telemetry = train(model, spec, p0, [template, template],
+                                SIRSParams(0.2, 0.2, 0.2, 0.2), cfg)
+        phases = [r["phase"] for r in telemetry.rows]
+        assert phases == ["pretrain"] * 6 + ["sleep"] * 2 + ["wake"] * 2
 
     def test_determinism(self):
         spec, theta, model, p0, template, tau_grids = _sleep_setup()
