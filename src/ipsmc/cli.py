@@ -25,7 +25,8 @@ from . import twistnet as tn
 from .bench import (BenchmarkDataset, brier_metric, cross_entropy_metric,
                     generate_dataset, generate_graph, load_dataset,
                     relative_parameter_error, save_dataset)
-from .errors import CollapseError, ConfigError, StateSpaceTooLargeError
+from .errors import (CollapseError, ConfigError, InconsistentObservationsError,
+                     StateSpaceTooLargeError, StepSizeError)
 from .ips import SIRSParams, make_grid, rng_streams, sirs_model, write_path, PathSample
 from . import oracle as orc
 from .smc import SMCConfig, bpf_run, posterior_marginals_from_ensemble, run_smc
@@ -526,12 +527,14 @@ def main(argv=None):
             kwargs["resume"] = args.resume
         fn(cfg, **kwargs)
         return 0
-    except (ConfigError, StateSpaceTooLargeError, ValueError) as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    except CollapseError as e:
+    except (CollapseError, InconsistentObservationsError) as e:
+        # the exact posterior of inconsistent observations has no mass
         print(f"numerical collapse: {e}", file=sys.stderr)
         return 3
+    except (ConfigError, StateSpaceTooLargeError, StepSizeError, ValueError) as e:
+        # an Euler step too coarse for the rates is fixed by a smaller dt
+        print(f"config error: {e}", file=sys.stderr)
+        return 2
     except OSError as e:
         print(f"i/o failure: {e}", file=sys.stderr)
         return 4

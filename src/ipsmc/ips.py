@@ -14,6 +14,11 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 import numpy as np
+# NumPy 2 imports these submodules on first use (np.unique reaches
+# numpy.ma); import them with the package, so that one-off cost is paid at
+# import and not inside the first command that draws or sorts
+import numpy.ma  # noqa: F401
+import numpy.random  # noqa: F401
 
 from .errors import StepSizeError
 
@@ -237,22 +242,52 @@ def sirs_model():
     )
 
 
+def sum_values(x):
+    """Sum over the value axis: the [..., v] slices of x (..., V) added in
+    order. For V < 8 that is bitwise x.sum(axis=-1), whose pairwise
+    summation adds short rows in order, at a fraction of a reduction's
+    cost on (B, d, V) tables."""
+    total = x[..., 0]
+    for v in range(1, x.shape[-1]):
+        total = total + x[..., v]
+    return total
+
+
+def sample_values(probs, u):
+    """Inverse-cdf draw of one value per row of probs (..., V) from the
+    uniforms u, which broadcast against probs[..., 0]: the first v whose
+    running sum of probs exceeds u, and 0 when none does. This is exactly
+    (u[..., None] < np.cumsum(probs, axis=-1)).argmax(axis=-1): the running
+    sums are the same additions, and for nonnegative probs they are
+    nondecreasing, so the first index above u is the count of running sums
+    at or below u. Returns int64."""
+    total = probs[..., 0]
+    k = (total <= u).astype(np.int64)
+    for v in range(1, probs.shape[-1] - 1):
+        total = total + probs[..., v]
+        k += total <= u
+    total = total + probs[..., -1]
+    k[total <= u] = 0
+    return k
+
+
 def euler_step_table(off, Z, dt):
     """Per-coordinate categorical tables delta + dt * off of the product
     kernel for a batch of states Z (B, d) with off-target rates off
     (B, d, V): (B, d, V). dt is one step for the batch or one per state
     (B,). Multi-coordinate flips are possible by construction. Raises
     StepSizeError if any stay probability would be negative."""
-    B, d = Z.shape
-    dt = np.reshape(dt, (-1, 1))
-    stay = 1.0 - dt * off.sum(axis=2)
-    if np.any(stay < 0):
+    B, d, V = off.shape
+    dt = np.asarray(dt, dtype=float).reshape(-1, 1)
+    stay = 1.0 - dt * sum_values(off)
+    if (stay < 0).any():
         raise StepSizeError(
             f"Euler step {float(dt.max())} violates the small-interval bound "
             f"(stay probability {float(stay.min()):.3g}); shrink the step"
         )
-    probs = dt[..., None] * off
-    probs[np.arange(B)[:, None], np.arange(d)[None, :], Z] = stay
+    probs = np.multiply(dt[..., None], off, order="C")
+    # the stay entries, by flat index into the C-ordered table (a view)
+    probs.reshape(-1)[Z.ravel() + np.arange(0, B * d * V, V)] = stay.ravel()
     return probs
 
 
@@ -260,7 +295,7 @@ def euler_simulate_batch(model, spec, theta, Z0, grid, rng):
     """Euler-discretized prior paths for a batch: (B, M+1, d) states on grid.
 
     Coordinates are sampled independently per step via inverse-cdf on the
-    batched kernel table.
+    batched kernel table (sample_values).
     """
     grid = np.asarray(grid, dtype=float)
     Z0 = np.asarray(Z0, dtype=np.int64)
@@ -273,8 +308,7 @@ def euler_simulate_batch(model, spec, theta, Z0, grid, rng):
         dt = grid[m + 1] - grid[m]
         off = model.off_rates_batch(grid[m], Z, spec, theta)
         probs = euler_step_table(off, Z, dt)
-        u = rng.random((B, d, 1))
-        Z = (u < np.cumsum(probs, axis=2)).argmax(axis=2).astype(np.int64)
+        Z = sample_values(probs, rng.random((B, d)))
         out[:, m + 1] = Z
     return out
 

@@ -12,11 +12,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import (CollapseError, InconsistentObservationsError,
                      StateSpaceTooLargeError)
 from .ips import RateModel, make_grid
+from .smc import logsumexp
 
 GENERATOR_BYTES_GUARD = 2**29  # dense float64 generator of at most 8192 states
 
@@ -328,7 +328,8 @@ def sample_posterior_skeleton(model, spec, theta, p0, obs, grid, n_paths, rng):
     The grid skeleton of the posterior is Markov with one-step kernels
     P_dt(z, z') h_{t'}(z') G_{t'}(z')^[t' observed] / h_t(z); sampling those
     kernels forward gives exact joint skeletons. Returns (n_paths, M+1)
-    state indices.
+    state indices in the smallest unsigned integer type that holds them
+    (one byte up to 256 states).
     """
     la = exact_lookahead(model, spec, theta, potential_vectors(spec, obs), grid)
     gen = la.gen
@@ -338,7 +339,7 @@ def sample_posterior_skeleton(model, spec, theta, p0, obs, grid, n_paths, rng):
         log_p0 = np.log(np.asarray(p0, dtype=float))
     w0 = log_p0 + la.log_h[0]
     p_init = np.exp(w0 - logsumexp(w0))
-    out = np.empty((n_paths, len(grid)), dtype=np.int64)
+    out = np.empty((n_paths, len(grid)), dtype=np.min_scalar_type(n - 1))
     out[:, 0] = rng.choice(n, size=n_paths, p=p_init)
     for j in range(len(grid) - 1):
         P = expm_action(gen.Q, grid[j + 1] - grid[j], np.eye(n))
@@ -349,7 +350,7 @@ def sample_posterior_skeleton(model, spec, theta, p0, obs, grid, n_paths, rng):
             logK = np.log(np.maximum(P, 0.0)) + tilt[None, :]
         K = np.exp(logK - logsumexp(logK, axis=1, keepdims=True))
         cur = out[:, j]
-        nxt = np.empty(n_paths, dtype=np.int64)
+        nxt = np.empty(n_paths, dtype=out.dtype)
         for s in np.unique(cur):
             mask = cur == s
             nxt[mask] = rng.choice(n, size=int(mask.sum()), p=K[s])

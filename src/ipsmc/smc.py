@@ -13,10 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import CollapseError
-from .ips import euler_step_table, make_grid
+from .ips import euler_step_table, make_grid, sample_values, sum_values
 from .twisting import ConstantTwist, SCORE_CLIP, emission_log_table
 
 
@@ -55,6 +54,34 @@ class ParticleEnsemble:
         return np.exp(lw)
 
 
+def logsumexp(a, axis=None, keepdims=False):
+    """log(sum(exp(a))) over axis, bitwise equal to SciPy 1.17's
+    scipy.special.logsumexp on real float64 input, without its array-API
+    dispatch. Every entry tied at the maximum is taken out of the sum and
+    counted (m), so the result is log1p(s / m) + log(m) + a_max with s the
+    sum of exp(a - a_max) over the rest (Blanchard, Higham & Higham, IMA J.
+    Numer. Anal. 2021). Where that is not finite (an infinite maximum, or
+    every entry -inf) the result is log(sum(exp(a))). A 1-D reduction
+    returns a NumPy float64 scalar."""
+    a = np.asarray(a, dtype=float)
+    axis = tuple(range(a.ndim)) if axis is None else axis
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = np.max(a, axis=axis, keepdims=True)
+        tied = a == a_max
+        m = np.sum(tied, axis=axis, keepdims=True, dtype=float)
+        s = np.sum(np.exp(np.where(tied, -np.inf, a) - a_max),
+                   axis=axis, keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        out = np.log1p(s) + np.log(m) + a_max
+        finite = np.isfinite(out)
+        if not finite.all():
+            direct = np.log(np.sum(np.exp(a), axis=axis, keepdims=True))
+            out = np.where(finite, out, direct)
+    if not keepdims:
+        out = np.squeeze(out, axis=axis)
+    return out[()] if out.ndim == 0 else out
+
+
 def effective_sample_size(log_weights):
     lw = np.asarray(log_weights, dtype=float)
     finite = np.isfinite(lw)
@@ -91,9 +118,7 @@ class FactorizedInitial:
             self.log_probs = np.log(probs)
 
     def sample(self, rng, S):
-        d, V = self.probs.shape
-        u = rng.random((S, d, 1))
-        return (u < np.cumsum(self.probs, axis=1)[None]).argmax(axis=2).astype(np.int64)
+        return sample_values(self.probs, rng.random((S, len(self.probs))))
 
     def log_pmf_batch(self, Z):
         d = self.probs.shape[0]
@@ -258,15 +283,14 @@ def _propose_step(model, spec, theta, twist, Z, t, dt, rng):
         scores = np.clip(twist.score_table_batch(t, Zl), -SCORE_CLIP, SCORE_CLIP)
         base_off = model.off_rates_batch(t, Zl, spec, theta)
         tw_off = base_off * np.exp(scores)
-        exit_b = base_off.sum(axis=2)
-        exit_t = tw_off.sum(axis=2)
+        exit_b = sum_values(base_off)
+        exit_t = sum_values(tw_off)
         worst = np.maximum(exit_b.max(axis=1), exit_t.max(axis=1))
         h = remaining[live]
         split = worst * h > 0.995
         h[split] = 0.995 / worst[split]
         probs = euler_step_table(tw_off, Zl, h)
-        u = rng.random((n, d, 1))
-        Znext = (u < np.cumsum(probs, axis=2)).argmax(axis=2).astype(np.int64)
+        Znext = sample_values(probs, rng.random((n, d)))
         jumped = Znext != Zl
         b_at = base_off[rows[0], rows[1], Znext]
         t_at = tw_off[rows[0], rows[1], Znext]
@@ -294,10 +318,15 @@ def posterior_marginals_from_ensemble(ens: ParticleEnsemble, V, eps=1e-3):
     if ens.trajectories is None:
         raise ValueError("trajectories were not stored")
     w = ens.normalized_weights()
-    M1, d = ens.trajectories.shape[1:]
-    out = np.zeros((M1, d, V))
-    for v in range(V):
-        out[:, :, v] = np.tensordot(w, ens.trajectories == v, axes=(0, 0))
+    traj = ens.trajectories
+    M1, d = traj.shape[1:]
+    out = np.empty((M1, d, V))
+    # one small (S,) @ (S, d) product per grid step and value: a single
+    # product over all M+1 steps is large enough for OpenBLAS to hand to
+    # its thread pool, whose workers then spin on the other cores
+    for m in range(M1):
+        for v in range(V):
+            out[m, :, v] = w @ (traj[:, m] == v)
     return (1.0 - eps) * out + eps / V
 
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ips import sample_values
 from .twisting import TwistOracle
 
 TANH = np.tanh
@@ -317,8 +318,7 @@ class _Q0Dist:
         self.p = np.exp(self.logp)
 
     def sample(self, rng, S):
-        u = rng.random((S, len(self.p), 1))
-        return (u < np.cumsum(self.p, axis=1)[None]).argmax(axis=2).astype(np.int64)
+        return sample_values(self.p, rng.random((S, len(self.p))))
 
     def log_pmf_batch(self, Z):
         d = self.logp.shape[0]

@@ -128,8 +128,9 @@ def _require_time_homogeneous(model):
 def wake_grad_dense(model, spec, theta, skeletons, grid):
     """The full-path wake gradient of wake_loss_and_grad (mc_index=None),
     vectorized over dense state indices for small systems: skeletons is
-    (N, M+1) of state indices. Returns the mean gradient of the *negative*
-    loss (the score estimate). Time-homogeneous models only.
+    (N, M+1) of state indices of any integer type. Returns the mean
+    gradient of the *negative* loss (the score estimate). Time-homogeneous
+    models only.
 
     A step earns the jump term of every coordinate it changes. A changed
     coordinate of zero rate contributes nothing here, while
@@ -152,7 +153,8 @@ def wake_grad_dense(model, spec, theta, skeletons, grid):
         cur, nxt = skeletons[:, m], skeletons[:, m + 1]
         g -= dts[m] * np.bincount(cur, minlength=n) @ exit_grad
         moved = cur != nxt
-        moves.append(cur[moved] * n + nxt[moved])
+        # int64 codes: skeletons may be one byte, and a * n + b wraps there
+        moves.append(cur[moved].astype(np.int64) * n + nxt[moved])
     pairs, cnt = np.unique(np.concatenate(moves), return_counts=True)
     a, b = np.divmod(pairs, n)
     rows, nodes = np.nonzero(table[a] != table[b])

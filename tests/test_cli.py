@@ -190,6 +190,29 @@ class TestOracle:
         assert main(["oracle", "--config", path]) == 3
         assert not os.path.exists(out)
 
+    def test_inconsistent_observations_exit_code(self, tmp_path, capsys):
+        # exact, unmasked snapshots and no R -> S rate (gamma 0): a node
+        # observed in R and then in S leaves the exact posterior no mass,
+        # already at time 0
+        params = dict(TINY_GEN["params"], gamma=0.0)
+        gen = dict(TINY_GEN, params=params, delta=0.0, p_mask=0.0,
+                   n_train=1, n_test=0, out=str(tmp_path / "dsrs"))
+        assert main(["generate", "--config",
+                     write_cfg(tmp_path, "genrs.json", gen)]) == 0
+        obs_file = tmp_path / "dsrs" / "obs" / "train" / "0.obs"
+        lines = obs_file.read_text().splitlines()
+        for k, value in ((1, 2), (2, 0)):
+            t, _, *rest = lines[k].split(",")
+            lines[k] = ",".join([t, str(value), *rest])
+        obs_file.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "orcrs"
+        path = write_cfg(tmp_path, "orcrs.json",
+                         {"dataset": str(tmp_path / "dsrs"), "out": str(out)})
+        with pytest.warns(UserWarning, match="non-positive potential"):
+            assert main(["oracle", "--config", path]) == 3
+        assert "posterior mass vanished at grid time 0.0" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
 
 TWIST_CFG = {"steps": 40, "batch": 4, "dt": 0.2, "m": 8, "reuse": 20,
              "seed": 11}
@@ -217,6 +240,17 @@ class TestTrainTwist:
         a, _, _ = tn.load_checkpoint(str(tmp_path / "full" / "twist.npz"))
         b, _, _ = tn.load_checkpoint(str(tmp_path / "resumed" / "twist.npz"))
         assert tn.params_hash(a) == tn.params_hash(b)
+
+    def test_coarse_step_is_config_error(self, tmp_path):
+        # steps of up to 5 on a horizon of 20 break the Euler small-interval
+        # bound (StepSizeError); the fix is a smaller dt, so exit 2
+        gen = dict(TINY_GEN, T=20.0, out=str(tmp_path / "dslong"))
+        assert main(["generate", "--config",
+                     write_cfg(tmp_path, "genlong.json", gen)]) == 0
+        cfg = dict(TWIST_CFG, dataset=str(tmp_path / "dslong"), dt=5.0,
+                   out=str(tmp_path / "coarse"))
+        assert main(["train-twist", "--config",
+                     write_cfg(tmp_path, "coarse.json", cfg)]) == 2
 
     def test_telemetry_schema(self, dataset, tmp_path):
         cfg = dict(TWIST_CFG, dataset=dataset, out=str(tmp_path / "tw"))

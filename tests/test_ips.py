@@ -11,7 +11,8 @@ from ipsmc.errors import StepSizeError
 from ipsmc.ips import (PathSample, RateModel, SIRSParams, StateSpaceSpec,
                        euler_simulate_batch, euler_step_table,
                        gillespie_simulate, make_grid, path_log_density,
-                       read_path, sirs_model, sirs_off_rates_batch, write_path)
+                       read_path, sample_values, sirs_model,
+                       sirs_off_rates_batch, sum_values, write_path)
 from ipsmc import oracle as orc
 
 from conftest import chain_spec, make_flip_model
@@ -178,6 +179,47 @@ class TestEulerKernel:
         table = orc.state_table(chain_spec(d, V=V))
         total = kernel_pmf(off, z, dt, table).sum()
         assert abs(total - 1.0) < 1e-10
+
+
+class TestValueAxisKernels:
+    """sum_values and sample_values against the NumPy reductions they
+    replace, bit for bit."""
+
+    @pytest.mark.parametrize("V", range(2, 8))
+    def test_sum_values_bitwise(self, V):
+        rng = np.random.default_rng(V)
+        for shape in ((250, 32), (1, 32), (4,)):
+            x = rng.random(shape + (V,)) * 10.0 ** rng.uniform(-8, 8, shape + (V,))
+            assert np.array_equal(sum_values(x), x.sum(axis=-1))
+
+    @pytest.mark.parametrize("V", [2, 3, 5, 300])
+    def test_sample_values_matches_cumsum_argmax(self, V):
+        rng = np.random.default_rng(V)
+        probs = rng.random((40, 6, V)) ** 4
+        probs /= probs.sum(axis=-1, keepdims=True)
+        probs[0, :, 1:] = 0.0                     # point mass on value 0
+        probs[1, :, :-1] = 0.0                    # point mass on the last value
+        u = rng.random((40, 6))
+        # uniforms at and above the last running sum, which rounding can
+        # leave below one: "none above u" draws value 0
+        last = np.cumsum(probs, axis=-1)[..., -1]
+        u[2] = last[2]
+        u[3] = np.nextafter(np.maximum(last[3], u[3]), 2.0)
+        probs[4] *= 0.5
+        ref = (u[..., None] < np.cumsum(probs, axis=-1)).argmax(axis=-1)
+        got = sample_values(probs, u)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, ref)
+        assert np.all(ref[3] == 0)
+
+    def test_sample_values_broadcasts_shared_table(self):
+        # one (d, V) table for every particle, as the initial laws draw
+        rng = np.random.default_rng(3)
+        probs = rng.random((6, 3))
+        probs /= probs.sum(axis=1, keepdims=True)
+        u = rng.random((50, 6))
+        ref = (u[..., None] < np.cumsum(probs, axis=1)[None]).argmax(axis=2)
+        assert np.array_equal(sample_values(probs, u), ref)
 
 
 def test_euler_tv_error_halves_like_squared_step():

@@ -9,7 +9,7 @@ from ipsmc.errors import CollapseError
 from ipsmc.ips import RateModel, SIRSParams, make_grid, sirs_model
 from ipsmc import oracle as orc
 from ipsmc.smc import (DenseInitial, FactorizedInitial, SMCConfig, bpf_run,
-                       doob_initial, effective_sample_size,
+                       doob_initial, effective_sample_size, logsumexp,
                        posterior_marginals_from_ensemble, sample_path_index,
                        run_smc, systematic_resample, _propose_step)
 from ipsmc.twisting import ConstantTwist, ExactTwist, ObservationSequence
@@ -18,6 +18,62 @@ from conftest import chain_spec, make_flip_model
 from helpers import history_rewrite_paths
 from test_oracle import _obs, _empty_obs, two_state_model
 from test_twisting import FixedScores
+
+
+def _logsumexp_cases(rng, n_cases):
+    """1-D float64 inputs with ties at the maximum, -inf entries, an all
+    -inf row and +inf entries mixed in."""
+    for c in range(n_cases):
+        a = rng.normal(scale=10.0 ** rng.uniform(-3, 3), size=rng.integers(1, 40))
+        kind = c % 6
+        if kind == 1:
+            a[rng.integers(len(a), size=rng.integers(1, 4))] = a.max()
+        elif kind == 2:
+            a[rng.random(len(a)) < 0.4] = -np.inf
+        elif kind == 3:
+            a[:] = -np.inf
+        elif kind == 4:
+            a[rng.integers(len(a))] = np.inf
+        elif kind == 5:
+            a = np.round(a)
+        yield a
+
+
+class TestLogsumexp:
+    """The NumPy port against scipy.special.logsumexp, bit for bit."""
+
+    def test_one_dimensional_bitwise(self):
+        from scipy.special import logsumexp as scipy_logsumexp
+
+        rng = np.random.default_rng(0)
+        for a in _logsumexp_cases(rng, 3000):
+            ours = logsumexp(a)
+            ref = scipy_logsumexp(a)
+            assert type(ours) is np.float64
+            assert np.array_equal(ours, ref, equal_nan=True), a
+
+    def test_scalar_input(self):
+        from scipy.special import logsumexp as scipy_logsumexp
+
+        for x in (0.0, -3.5, -np.inf, np.inf):
+            assert type(logsumexp(x)) is np.float64
+            assert np.array_equal(logsumexp(x), scipy_logsumexp(x))
+
+    def test_rows_with_keepdims_bitwise(self):
+        from scipy.special import logsumexp as scipy_logsumexp
+
+        rng = np.random.default_rng(1)
+        for n in (1, 2, 9, 27, 81):
+            A = rng.normal(scale=20.0, size=(n, n))
+            A[rng.random((n, n)) < 0.3] = -np.inf
+            A[0] = -np.inf
+            A[-1, :2] = A[-1].max()
+            for keepdims in (True, False):
+                ours = logsumexp(A, axis=1, keepdims=keepdims)
+                ref = scipy_logsumexp(A, axis=1, keepdims=keepdims)
+                assert ours.shape == ref.shape
+                assert np.array_equal(ours, ref)
+            assert np.array_equal(logsumexp(A), scipy_logsumexp(A))
 
 
 class TestESS:
@@ -354,6 +410,25 @@ class TestMarginalSmoothing:
                                log_weights=np.zeros(2), trajectories=traj)
         marg = posterior_marginals_from_ensemble(ens, V=2, eps=1e-3)
         assert marg[0, 0, 0] == pytest.approx(0.5)
+
+
+    def test_matches_tensordot_reference(self):
+        # the parent's single product over every grid step, as reference;
+        # the per-step products may round differently in the last bit
+        from ipsmc.smc import ParticleEnsemble
+
+        rng = np.random.default_rng(5)
+        for S, M1, d in ((250, 12, 32), (7, 5, 3), (25, 3, 5)):
+            traj = rng.integers(0, 3, size=(S, M1, d))
+            ens = ParticleEnsemble(grid=np.arange(M1, dtype=float),
+                                   states=traj[:, -1],
+                                   log_weights=rng.normal(size=S) * 3,
+                                   trajectories=traj)
+            w = ens.normalized_weights()
+            ref = np.stack([np.tensordot(w, traj == v, axes=(0, 0))
+                            for v in range(3)], axis=2)
+            marg = posterior_marginals_from_ensemble(ens, V=3, eps=0.0)
+            assert np.allclose(marg, ref, rtol=1e-14, atol=0)
 
 
 class TestAdaptiveSubstepping:

@@ -182,6 +182,23 @@ def test_fisher_identity_small(pair_spec):
     assert np.all(np.abs(g - fd) / np.abs(fd) < 0.05)
 
 
+def test_dense_gradient_of_one_byte_skeletons():
+    # 27 states fit in one byte, but the move codes a * 27 + b do not
+    spec = _ring_spec(3)
+    theta = SIRSParams(0.3, 0.8, 0.5, 0.3)
+    model = sirs_model()
+    obs = _obs(spec, 1.0, [0.5], [[1, 2, 0]])
+    grid = make_grid(1.0, 0.05, obs.times)
+    sk = orc.sample_posterior_skeleton(model, spec, theta, np.full(27, 1 / 27),
+                                       obs, grid, 500, np.random.default_rng(2))
+    assert sk.dtype == np.uint8
+    wide = sk.astype(np.int64)
+    moved = wide[:, 1:] != wide[:, :-1]
+    assert (wide[:, :-1] * 27 + wide[:, 1:])[moved].max() > 255
+    assert np.array_equal(wake_grad_dense(model, spec, theta, sk, grid),
+                          wake_grad_dense(model, spec, theta, wide, grid))
+
+
 class TestThetaState:
     def test_positivity_is_structural(self):
         state = ThetaState.init(SIRSParams(0.2, 0.2, 0.2, 0.2))
