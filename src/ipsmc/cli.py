@@ -248,6 +248,7 @@ def cmd_train_twist(cfg: TrainTwistConfig, threads=1, emit_svg=False, resume=Non
     rng = np.random.default_rng(cfg.seed)
     if resume is not None:
         psi, adam, header = tn.load_checkpoint(resume)
+        _check_resume(header, psi, cfg)
         rng.bit_generator.state = json.loads(header["rng_state"])
         start = int(header["step"])
     else:
@@ -275,6 +276,22 @@ def cmd_train_twist(cfg: TrainTwistConfig, threads=1, emit_svg=False, resume=Non
     _write_manifest(cfg.out, meta, "train-twist")
 
 
+def _check_resume(header, psi, cfg: TrainTwistConfig):
+    """Reject a checkpoint that train-twist did not write, or one written
+    under another loss, width or seed. Batch, dt, lr and reuse are not
+    recorded in the checkpoint and go unchecked."""
+    missing = [k for k in ("step", "rng_state") if k not in header]
+    if missing:
+        raise ConfigError(f"resume checkpoint lacks {missing}; only "
+                          f"train-twist checkpoints can be resumed")
+    for name, saved, want in (("loss", header.get("loss"), cfg.loss),
+                              ("m", psi.m, cfg.m),
+                              ("seed", header.get("seed"), cfg.seed)):
+        if saved != want:
+            raise ConfigError(f"resume checkpoint has {name} {saved!r}, "
+                              f"config has {want!r}")
+
+
 def _save_twist(path, psi, adam, rng, step, cfg, meta):
     tn.save_checkpoint(path, psi, adam,
                        meta={"step": step, "loss": cfg.loss,
@@ -296,10 +313,13 @@ def cmd_train(cfg: TrainRunConfig, threads=1, emit_svg=False):
                         cfg.theta_init)
     meta = _meta(dataclasses.asdict(cfg), cfg.seed)
     os.makedirs(cfg.out, exist_ok=True)
+    # the relative error divides by every true rate; with a zero rate it
+    # is undefined and reported as NaN
+    truth = ds.params if np.all(ds.params.as_array() > 0) else None
     pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
     try:
         theta_state, psi, telemetry = train(model, ds.spec, ds.p0(), ds.train_obs,
-                                            theta0, wcfg, truth=ds.params,
+                                            theta0, wcfg, truth=truth,
                                             checkpoint_dir=cfg.out, pool=pool)
     finally:
         if pool:
@@ -312,12 +332,13 @@ def cmd_train(cfg: TrainRunConfig, threads=1, emit_svg=False):
     with open(os.path.join(cfg.out, "theta.json"), "w") as f:
         json.dump({"alpha0": final.alpha0, "alpha1": final.alpha1,
                    "beta": final.beta, "gamma": final.gamma,
-                   "rpe": relative_parameter_error(final.as_array(),
-                                                   ds.params.as_array()),
+                   "rpe": (relative_parameter_error(final.as_array(),
+                                                    truth.as_array())
+                           if truth is not None else float("nan")),
                    **meta}, f, sort_keys=True)
     tn.save_checkpoint(os.path.join(cfg.out, "twist.npz"), psi,
                        meta={"loss": cfg.loss, **meta})
-    if emit_svg:
+    if emit_svg and truth is not None:
         wake = [(r["step"] + (r["global_iter"] - 1) * cfg.N, r["rpe"])
                 for r in telemetry.rows if r["phase"] == "wake"]
         if wake:

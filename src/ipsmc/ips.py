@@ -56,13 +56,6 @@ class StateSpaceSpec:
         object.__setattr__(self, "adjacency", adj.astype(np.int8))
         object.__setattr__(self, "node_features", feats)
 
-    @property
-    def feature_dim(self):
-        return self.node_features.shape[1]
-
-    def neighbors(self, i):
-        return np.flatnonzero(self.adjacency[i])
-
     @functools.cached_property
     def edge_weights(self):
         """Logistic feature inner products, masked by adjacency: (d, d).

@@ -42,9 +42,9 @@ def state_table(spec):
 
 
 def state_index(spec, z):
-    z = np.asarray(z)
-    powers = spec.V ** np.arange(spec.d)
-    return int(np.dot(z, powers))
+    """Row of state_table holding a state (d,), or one per state of a
+    stack (..., d)."""
+    return np.asarray(z) @ (spec.V ** np.arange(spec.d))
 
 
 @dataclass(frozen=True)
@@ -132,12 +132,13 @@ class LookaheadTable:
     """Conditional expectation of future potentials on a time grid, stored
     in log space. Right-continuous: log_h[j] is the value at grid[j] with
     the potential at grid[j] (if any) already absorbed; log_h_left[j] is
-    the left limit, differing only at potential times."""
+    the left limit, differing only at potential times, where it is
+    log_h[j] + potentials[j]."""
 
     grid: np.ndarray
     log_h: np.ndarray        # (M+1, n)
     log_h_left: np.ndarray   # (M+1, n)
-    is_potential: np.ndarray  # (M+1,) bool
+    potentials: dict         # grid index -> (n,) log potential
     gen: DenseGenerator
 
     def _linear_cache(self):
@@ -183,11 +184,10 @@ class LookaheadTable:
             raise ValueError("exact twisting is cached for homogeneous base rates")
         nbr = neighbor_index_table(spec)
         base_off = base_model.off_rates_batch(0.0, state_table(spec), spec, theta)
-        powers = spec.V ** np.arange(spec.d)
 
         def batch_off_rate_fn(t, Z, spec_, theta_):
             lh = self.log_h_at(t)
-            s = Z @ powers
+            s = state_index(spec, Z)
             return base_off[s] * np.exp(lh[nbr[s]] - lh[s][:, None, None])
 
         worst = 0.0
@@ -231,7 +231,6 @@ def exact_lookahead(model, spec, theta, potentials, grid) -> LookaheadTable:
     n = gen.n
     M = len(grid) - 1
     pot = {}
-    is_pot = np.zeros(M + 1, dtype=bool)
     for tau, vec in potentials:
         j = int(np.argmin(np.abs(grid - tau)))
         if abs(grid[j] - tau) > 1e-9:
@@ -240,16 +239,15 @@ def exact_lookahead(model, spec, theta, potentials, grid) -> LookaheadTable:
             raise InconsistentObservationsError("potential vanishes everywhere")
         if np.any(~np.isfinite(vec)):
             warnings.warn("non-positive potential at some states; propagating -inf")
-        is_pot[j] = True
         pot[j] = vec
     log_h = np.zeros((M + 1, n))
     log_h_left = np.zeros((M + 1, n))
-    log_h_left[M] = pot[M] if is_pot[M] else 0.0
+    log_h_left[M] = pot[M] if M in pot else 0.0
     for j in range(M - 1, -1, -1):
         log_h[j] = _log_expm_action(gen.Q, grid[j + 1] - grid[j], log_h_left[j + 1])
-        log_h_left[j] = log_h[j] + pot[j] if is_pot[j] else log_h[j]
+        log_h_left[j] = log_h[j] + pot[j] if j in pot else log_h[j]
     return LookaheadTable(grid=grid, log_h=log_h, log_h_left=log_h_left,
-                          is_potential=is_pot, gen=gen)
+                          potentials=pot, gen=gen)
 
 
 def exact_posterior_marginals(model, spec, theta, p0, obs, grid):
@@ -268,9 +266,8 @@ def exact_posterior_marginals(model, spec, theta, p0, obs, grid):
     for j in range(len(grid)):
         if j > 0:
             log_alpha = _log_expm_action(gen.Q.T, grid[j] - grid[j - 1], log_alpha)
-            if la.is_potential[j]:
-                k = _potential_at(la, j)
-                log_alpha = log_alpha + k
+            if j in la.potentials:
+                log_alpha = log_alpha + la.potentials[j]
         log_post = log_alpha + la.log_h[j]
         norm = logsumexp(log_post)
         if not np.isfinite(norm):
@@ -281,10 +278,6 @@ def exact_posterior_marginals(model, spec, theta, p0, obs, grid):
         if j == 0:
             log_z = float(norm)
     return out, log_z
-
-
-def _potential_at(la, j):
-    return la.log_h_left[j] - la.log_h[j]
 
 
 def exact_log_marginal_likelihood(model, spec, theta, p0, obs, grid=None):
@@ -343,11 +336,8 @@ def sample_posterior_skeleton(model, spec, theta, p0, obs, grid, n_paths, rng):
     out[:, 0] = rng.choice(n, size=n_paths, p=p_init)
     for j in range(len(grid) - 1):
         P = expm_action(gen.Q, grid[j + 1] - grid[j], np.eye(n))
-        tilt = la.log_h[j + 1].copy()
-        if la.is_potential[j + 1]:
-            tilt = tilt + _potential_at(la, j + 1)
         with np.errstate(divide="ignore"):
-            logK = np.log(np.maximum(P, 0.0)) + tilt[None, :]
+            logK = np.log(np.maximum(P, 0.0)) + la.log_h_left[j + 1][None, :]
         K = np.exp(logK - logsumexp(logK, axis=1, keepdims=True))
         cur = out[:, j]
         nxt = np.empty(n_paths, dtype=out.dtype)
@@ -357,10 +347,3 @@ def sample_posterior_skeleton(model, spec, theta, p0, obs, grid, n_paths, rng):
         out[:, j + 1] = nxt
     return out
 
-
-def export_marginals_csv(f, grid, marginals):
-    """CSV rows (time, state index, probability)."""
-    f.write("time,state,probability\n")
-    for j, t in enumerate(grid):
-        for s, p in enumerate(marginals[j]):
-            f.write(f"{float(t)!r},{s},{float(p)!r}\n")

@@ -129,10 +129,10 @@ class DenseInitial:
     """Explicit distribution over the enumerated state space (tiny systems)."""
 
     def __init__(self, spec, probs):
-        from .oracle import state_table
+        from .oracle import state_index, state_table
 
+        self._index = lambda Z: state_index(spec, Z)
         self.table = state_table(spec)
-        self.powers = spec.V ** np.arange(spec.d)
         probs = np.asarray(probs, dtype=float)
         self.probs = probs / probs.sum()
         with np.errstate(divide="ignore"):
@@ -143,7 +143,7 @@ class DenseInitial:
         return self.table[idx]
 
     def log_pmf_batch(self, Z):
-        return self.log_probs[Z @ self.powers]
+        return self.log_probs[self._index(Z)]
 
 
 def doob_initial(spec, p0_vec, lookahead):

@@ -118,12 +118,12 @@ class ExactTwist(TwistOracle):
     """Twist backed by an exact look-ahead table on the dense state space."""
 
     def __init__(self, table, spec):
-        from .oracle import neighbor_index_table
+        from .oracle import neighbor_index_table, state_index
 
         self._table = table
         self._spec = spec
+        self._index = lambda Z: state_index(spec, Z)
         self._nbr = neighbor_index_table(spec)
-        self._powers = spec.V ** np.arange(spec.d)
         self._cache = {}
 
     def _log_h_vec(self, t):
@@ -133,11 +133,11 @@ class ExactTwist(TwistOracle):
         return self._cache[key]
 
     def log_h_batch(self, t, Z):
-        return self._log_h_vec(t)[Z @ self._powers]
+        return self._log_h_vec(t)[self._index(Z)]
 
     def score_table_batch(self, t, Z):
         lh = self._log_h_vec(t)
-        idx = Z @ self._powers
+        idx = self._index(Z)
         out = lh[self._nbr[idx]] - lh[idx, None, None]
         out[np.arange(len(Z))[:, None], np.arange(self._spec.d)[None, :], Z] = 0.0
         return out

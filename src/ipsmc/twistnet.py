@@ -11,13 +11,12 @@ pass plus d*V cheap aggregator passes on shifted sums.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ips import sample_values
+from .ips import sample_values, sigmoid
 from .twisting import TwistOracle
 
 TANH = np.tanh
@@ -55,11 +54,6 @@ class TwistNetParams:
 
     def copy(self):
         return self.replace_arrays({k: v.copy() for k, v in self.arrays().items()})
-
-    def check_finite(self):
-        for k, v in self.arrays().items():
-            if not np.all(np.isfinite(v)):
-                raise ValueError(f"non-finite parameter block {k}")
 
 
 def init_params(V, m=64, seed=0):
@@ -102,9 +96,7 @@ class TwistContext:
         self.T = float(obs.horizon)
         self.K = obs.K
         self._seg_cache = {}
-        xi = spec.node_features
-        inner = xi @ xi.T if xi.shape[1] else np.zeros((spec.d, spec.d))
-        w = spec.adjacency * (0.5 * (1.0 + np.tanh(0.5 * inner)))
+        w = spec.edge_weights
         deg = spec.adjacency.sum(axis=1).astype(float)
         avg_deg = max(1.0, deg.mean())
         self._graph = np.stack([
@@ -307,11 +299,12 @@ def _logsumexp_rows(x):
 
 class _Q0Dist:
     """Initial proposal: per-node softmax of the q0 head, confined to the
-    support of the prior initial law so importance weights stay finite."""
+    support of the prior initial law so importance weights stay finite.
+    F holds the time-zero features the logits were read from."""
 
     def __init__(self, params, ctx, support_logmask=None):
         self.params, self.ctx = params, ctx
-        logits, _ = q0_logits(params, ctx)
+        logits, self.F = q0_logits(params, ctx)
         if support_logmask is not None:
             logits = logits + support_logmask
         self.logp = logits - _logsumexp_rows(logits)
@@ -363,16 +356,14 @@ def _sleep_item(params, model, spec, theta, item, ms, grads, wscale, q0_support)
     loss = 0.0
 
     # initial-distribution term
-    logits, F0 = q0_logits(params, ctx)
-    if q0_support is not None:
-        logits = logits + q0_support
-    ls = logits - _logsumexp_rows(logits)
+    q0 = _Q0Dist(params, ctx, q0_support)
     z0 = states[0]
-    loss += -float(ls[np.arange(len(z0)), z0].sum())
-    dlogits = np.exp(ls)
+    loss += -float(q0.logp[np.arange(len(z0)), z0].sum())
+    dlogits = q0.p
     dlogits[np.arange(len(z0)), z0] -= 1.0
     dlogits *= wscale
-    grads["Wq"] += np.tensordot(F0.reshape(-1, F0.shape[-1]), dlogits.reshape(-1), axes=(0, 0))
+    grads["Wq"] += np.tensordot(q0.F.reshape(-1, q0.F.shape[-1]), dlogits.reshape(-1),
+                                axes=(0, 0))
     grads["bq"] += dlogits.sum()
 
     idx = ms if ms is not None else range(M)
@@ -382,8 +373,7 @@ def _sleep_item(params, model, spec, theta, item, ms, grads, wscale, q0_support)
     for m in idx:
         t, dt = grid[m], grid[m + 1] - grid[m]
         z, z_next = states[m], states[m + 1]
-        F = ctx.features(t)
-        Phi = TANH(F @ params.W1 + params.b1)
+        Phi, F = encode_context(params, ctx, t)
         H, cache = twist_table(params, Phi, z[None])
         H = H[0]
         base = H[rows, z]
@@ -427,10 +417,6 @@ def dre_loss(params, spec, items, mc_indices=None):
     return total / B, grads
 
 
-def _sigmoid(x):
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
-
-
 def _dre_item(params, spec, item, ms, grads, wscale):
     grid = item.grid
     M = len(grid) - 1
@@ -441,15 +427,14 @@ def _dre_item(params, spec, item, ms, grads, wscale):
     rows = np.arange(d)
     for m in idx:
         t = grid[m]
-        F = item.ctx.features(t)
-        Phi = TANH(F @ params.W1 + params.b1)
+        Phi, F = encode_context(params, item.ctx, t)
         zp, zn = item.states_pos[m], item.states_neg[m]
         tp = Phi[rows, zp].sum(axis=0)
         tn = Phi[rows, zn].sum(axis=0)
         out, cache = rho_forward(params, np.stack([tp, tn]))
         lp, ln = float(out[0]), float(out[1])
         loss += scale * (_softplus(-lp) + _softplus(ln))
-        dout = np.array([-_sigmoid(-lp), _sigmoid(ln)]) * scale * wscale
+        dout = np.array([-sigmoid(-lp), sigmoid(ln)]) * scale * wscale
         dX = rho_backward(params, cache, dout, grads)
         dPhi = np.zeros_like(Phi)
         np.add.at(dPhi, (rows, zp), dX[0])
@@ -571,10 +556,3 @@ def load_checkpoint(path):
                             if k.startswith("adam_v_")})
     return params, adam, header
 
-
-def params_hash(params):
-    h = hashlib.sha256()
-    for k in sorted(params.arrays()):
-        h.update(k.encode())
-        h.update(np.ascontiguousarray(params.arrays()[k]).tobytes())
-    return h.hexdigest()[:16]

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bench import relative_parameter_error
 from .errors import CollapseError
 from .ips import SIRSParams, euler_simulate_batch, make_grid
 from .smc import SMCConfig, run_smc, sample_path_index
@@ -69,42 +70,36 @@ class ThetaState:
         self.lagged = self.params()
 
 
-def wake_loss_and_grad(theta: SIRSParams, model, spec, states, obs, grid,
-                       mc_index=None):
+def wake_loss_and_grad(theta: SIRSParams, model, spec, states, obs, grid):
     """Discretized complete-data objective of one grid path (M+1, d) and
     its observations; gradient in the natural (rate) parameterization.
 
     Per step the path pays the held state's exit rate times the step
     length and earns the log intensity of every realized coordinate
     change; emission and initial terms carry no rate parameters here but
-    are included in the value. By default the rate terms are the exact sum
-    over all M steps, evaluated in one batch. With mc_index=m only step m
-    is kept, scaled by M: an unbiased one-step estimate of that sum.
+    are included in the value. The rate terms are the exact sum over all M
+    steps, evaluated in one batch.
 
     All steps share one rate evaluation, so the model must be time
     homogeneous; any other model raises ValueError. A realized jump of zero
     rate makes the path impossible under theta: the loss is then +inf and
     the returned gradient is zero, as the objective has no finite slope.
     """
-    _require_time_homogeneous(model)
+    if not model.time_homogeneous:
+        raise ValueError("the wake objective evaluates every grid step at "
+                         "one time and needs a time-homogeneous model")
     grid = np.asarray(grid)
     states = np.asarray(states)
-    M = len(grid) - 1
 
     # each snapshot scores the state at the grid point nearest its time
     snaps = states[np.argmin(np.abs(grid[:, None] - obs.times), axis=0)]
     tables = emission_log_table(obs, np.arange(obs.K))  # (K, d, V)
     loss = -float(np.take_along_axis(tables, snaps[..., None], axis=2).sum())
 
-    scale = 1.0
-    if mc_index is not None:
-        grid = grid[mc_index:mc_index + 2]
-        states = states[mc_index:mc_index + 2]
-        scale = float(M)
     dts = np.diff(grid)
     held, nxt = states[:-1], states[1:]
-    off = model.off_rates_batch(grid[0], held, spec, theta)  # (m, d, V)
-    rg = model.rate_grad_fn(grid[0], held, spec, theta)      # (m, d, V, P)
+    off = model.off_rates_batch(grid[0], held, spec, theta)  # (M, d, V)
+    rg = model.rate_grad_fn(grid[0], held, spec, theta)      # (M, d, V, P)
     steps, nodes = np.nonzero(nxt != held)
     vals = nxt[steps, nodes]
     r = off[steps, nodes, vals]
@@ -113,57 +108,10 @@ def wake_loss_and_grad(theta: SIRSParams, model, spec, states, obs, grid,
     # time-weighted sums over steps, one matrix-vector product each
     exit_rate = dts @ off.reshape(len(dts), -1)
     exit_grad = (dts @ rg.reshape(len(dts), -1)).reshape(-1, rg.shape[-1])
-    loss += scale * (float(exit_rate.sum()) - float(np.log(r).sum()))
-    grad = scale * (exit_grad.sum(axis=0)
-                    - (rg[steps, nodes, vals] / r[:, None]).sum(axis=0))
+    loss += float(exit_rate.sum()) - float(np.log(r).sum())
+    grad = (exit_grad.sum(axis=0)
+            - (rg[steps, nodes, vals] / r[:, None]).sum(axis=0))
     return loss, grad
-
-
-def _require_time_homogeneous(model):
-    if not model.time_homogeneous:
-        raise ValueError("the wake objective evaluates every grid step at "
-                         "one time and needs a time-homogeneous model")
-
-
-def wake_grad_dense(model, spec, theta, skeletons, grid):
-    """The full-path wake gradient of wake_loss_and_grad (mc_index=None),
-    vectorized over dense state indices for small systems: skeletons is
-    (N, M+1) of state indices of any integer type. Returns the mean
-    gradient of the *negative* loss (the score estimate). Time-homogeneous
-    models only.
-
-    A step earns the jump term of every coordinate it changes. A changed
-    coordinate of zero rate contributes nothing here, while
-    wake_loss_and_grad gives that path a loss of +inf.
-    """
-    from .oracle import state_table
-
-    _require_time_homogeneous(model)
-    table = state_table(spec)
-    n = len(table)
-    off = model.off_rates_batch(0.0, table, spec, theta)  # (n, d, V)
-    rg = model.rate_grad_fn(0.0, table, spec, theta)      # (n, d, V, P)
-    exit_grad = rg.sum(axis=(1, 2))
-
-    dts = np.diff(np.asarray(grid))
-    N = skeletons.shape[0]
-    g = np.zeros(exit_grad.shape[1])
-    moves = []  # a step from state a to state b, coded a * n + b
-    for m in range(len(dts)):
-        cur, nxt = skeletons[:, m], skeletons[:, m + 1]
-        g -= dts[m] * np.bincount(cur, minlength=n) @ exit_grad
-        moved = cur != nxt
-        # int64 codes: skeletons may be one byte, and a * n + b wraps there
-        moves.append(cur[moved].astype(np.int64) * n + nxt[moved])
-    pairs, cnt = np.unique(np.concatenate(moves), return_counts=True)
-    a, b = np.divmod(pairs, n)
-    rows, nodes = np.nonzero(table[a] != table[b])
-    vals = table[b[rows], nodes]
-    r = off[a[rows], nodes, vals]
-    ok = r > 0
-    rows, nodes, vals = rows[ok], nodes[ok], vals[ok]
-    g += cnt[rows] @ (rg[a[rows], nodes, vals] / r[ok, None])
-    return g / N
 
 
 @dataclass
@@ -242,7 +190,8 @@ def sleep_phase(psi, psi_adam, theta, model, spec, p0, tau_grids, obs_template,
     """n_steps sleep steps on the twist (sleep_steps), one telemetry row
     each. mc_loss applies to the sleep loop only; the wake phase always
     uses the exact full-path objective."""
-    rpe = _rpe(theta, truth) if truth is not None else float("nan")
+    rpe = (relative_parameter_error(theta.as_array(), truth.as_array())
+           if truth is not None else float("nan"))
     for step, (psi, loss) in enumerate(
             sleep_steps(psi, psi_adam, theta, model, spec, p0, tau_grids,
                         obs_template, cfg, rng, n_steps), 1):
@@ -257,11 +206,6 @@ def q0_support_logmask(p0):
     occur at time zero, -inf elsewhere."""
     mask = np.where(p0.probs > 0, 0.0, -np.inf)
     return mask
-
-
-def _rpe(theta: SIRSParams, truth: SIRSParams):
-    a, b = theta.as_array(), truth.as_array()
-    return float(np.sum(np.abs(a - b) / np.abs(b)))
 
 
 def wake_phase(theta_state: ThetaState, psi, model, spec, p0, dataset_obs,
@@ -316,7 +260,8 @@ def wake_phase(theta_state: ThetaState, psi, model, spec, p0, dataset_obs,
             step += 1
             if telemetry is not None:
                 cur = theta_state.params()
-                rpe = _rpe(cur, truth) if truth is not None else float("nan")
+                rpe = (relative_parameter_error(cur.as_array(), truth.as_array())
+                       if truth is not None else float("nan"))
                 telemetry.add(global_iter, "wake", step, float(np.mean(losses)),
                               mean_ess, min_ess, cur, rpe)
     return theta_state
@@ -394,7 +339,8 @@ def _pretrain(psi, psi_adam, theta, model, spec, p0, tau_grids, obs_template,
     of the last window fell by less than pretrain_rel_tol (relative) below
     the mean of the window before."""
     window = cfg.pretrain_window
-    rpe = _rpe(theta, truth) if truth is not None else float("nan")
+    rpe = (relative_parameter_error(theta.as_array(), truth.as_array())
+           if truth is not None else float("nan"))
     losses = []
     for step, (psi, loss) in enumerate(
             sleep_steps(psi, psi_adam, theta, model, spec, p0, tau_grids,

@@ -5,7 +5,9 @@ import numpy as np
 from ipsmc.ips import euler_step_table, make_grid
 from ipsmc import oracle as orc
 from ipsmc import smc
-from ipsmc.twisting import SCORE_CLIP, ExactTwist, incremental_ess
+from ipsmc.twisting import (SCORE_CLIP, ExactTwist, ObservationSequence,
+                            incremental_ess)
+from ipsmc.wakesleep import wake_loss_and_grad
 
 
 def kernel_pmf(off, Z, dt, table, scores=None):
@@ -29,16 +31,13 @@ def exact_twist_ess_values(spec, model, theta, obs, dt, times=None):
     twist = ExactTwist(la, spec)
     gen = la.gen
     table = orc.state_table(spec)
-    pot_idx = {int(np.argmin(np.abs(grid - t))): np.asarray(v) for t, v in pots}
     if times is None:
         times = range(len(grid) - 1)
     vals = []
     for m in times:
         t, t1 = grid[m], grid[m + 1]
         P = orc.expm_action(gen.Q, t1 - t, np.eye(gen.n))
-        tilt = la.log_h[m + 1].copy()
-        if m + 1 in pot_idx:
-            tilt = tilt + pot_idx[m + 1]
+        tilt = la.log_h_left[m + 1]
         q = kernel_pmf(model.off_rates_batch(t, table, spec, theta), table,
                        t1 - t, table, twist.score_table_batch(t, table))
         for s in range(len(table)):
@@ -79,3 +78,32 @@ def history_rewrite_paths(model, spec, theta, twist, q0, p0, obs, cfg, grid):
         lh = lh_next
         traj[:, m + 1] = Z
     return traj
+
+
+def skeleton_score(model, spec, theta, skeletons, grid):
+    """Mean wake score (minus the wake_loss_and_grad gradient) of grid
+    paths given as state indices, skeletons (N, M+1) of any integer type.
+
+    The objective is a sum of one-step terms, so the mean is a
+    count-weighted sum over the distinct (step length, from-state,
+    to-state) triples of the gradient on a two-point path. Moves are coded
+    a * n + b in int64, as one-byte codes wrap once n >= 17. A step of zero
+    rate (infinite loss) adds nothing."""
+    table = orc.state_table(spec)
+    n = len(table)
+    dts, cls = np.unique(np.diff(grid), return_inverse=True)
+    counts = np.zeros((len(dts), n * n), dtype=np.int64)
+    for m in range(skeletons.shape[1] - 1):
+        codes = skeletons[:, m].astype(np.int64) * n + skeletons[:, m + 1]
+        counts[cls[m]] += np.bincount(codes, minlength=n * n)
+    no_obs = ObservationSequence(horizon=float(grid[-1]), times=np.zeros(0),
+                                 values=np.zeros((0, spec.d), dtype=np.int64),
+                                 V=spec.V, p_mask=0.0, label_noise=0.0)
+    score = 0.0
+    for c, code in zip(*np.nonzero(counts)):
+        a, b = divmod(int(code), n)
+        loss, grad = wake_loss_and_grad(theta, model, spec, table[[a, b]],
+                                        no_obs, np.array([0.0, dts[c]]))
+        if np.isfinite(loss):
+            score = score - counts[c, code] * grad
+    return score / len(skeletons)

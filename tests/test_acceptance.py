@@ -20,10 +20,9 @@ from ipsmc.cli import main as cli_main
 from ipsmc.smc import (DenseInitial, SMCConfig, bpf_run, doob_initial,
                        run_smc)
 from ipsmc.twisting import ExactTwist, ObservationSequence
-from ipsmc.wakesleep import wake_grad_dense
 
 from conftest import chain_spec, make_flip_model
-from helpers import exact_twist_ess_values, kernel_pmf
+from helpers import exact_twist_ess_values, kernel_pmf, skeleton_score
 from test_oracle import _obs
 
 
@@ -57,6 +56,7 @@ def test_criterion_1_euler_rate():
 # ---------------------------------------------------------------------------
 # 2. conditioned-process simulation matches exact smoothing marginals
 
+@pytest.mark.slow
 def test_criterion_2_doob_consistency(pair_spec):
     theta = SIRSParams(0.3, 1.0, 0.5, 0.3)
     model = sirs_model()
@@ -150,6 +150,7 @@ def test_criterion_4_log_normalizer():
 # ---------------------------------------------------------------------------
 # 5. posterior score identity
 
+@pytest.mark.slow
 def test_criterion_5_fisher_identity(pair_spec):
     theta = SIRSParams(0.25, 0.4, 0.35, 1.2)
     model = sirs_model()
@@ -176,7 +177,7 @@ def test_criterion_5_fisher_identity(pair_spec):
     sk = orc.sample_posterior_skeleton(model, pair_spec, theta, p0_vec, obs,
                                        grid, 100_000,
                                        np.random.default_rng(0))
-    g = wake_grad_dense(model, pair_spec, theta, sk, grid)
+    g = skeleton_score(model, pair_spec, theta, sk, grid)
     rel = np.abs(g - fd) / np.abs(fd)
     ok = bool(np.all(rel < 0.02))
     _report(5, "posterior score vs marginal-likelihood gradient", ok,
@@ -307,6 +308,7 @@ def _run_cli(tmp_path, name, command, cfg):
     assert cli_main([command, "--config", path]) == 0
 
 
+@pytest.mark.slow
 def test_criterion_8_parameter_recovery(bench_dataset, tmp_path):
     out = str(tmp_path / "train_run")
     _run_cli(tmp_path, "train", "train", {
@@ -325,6 +327,7 @@ def test_criterion_8_parameter_recovery(bench_dataset, tmp_path):
             f"{theta['beta']:.3f}, {theta['gamma']:.4f})")
 
 
+@pytest.mark.slow
 def test_criterion_9_method_ordering(bench_dataset, tmp_path):
     twist_out = str(tmp_path / "twist_kl")
     _run_cli(tmp_path, "twist", "train-twist", {

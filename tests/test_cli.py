@@ -1,7 +1,9 @@
 import filecmp
 import json
+import math
 import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -119,6 +121,14 @@ class TestOracle:
         with open(tmp_path / "orc" / "marginals.csv") as f:
             assert f.readline().startswith("# config_hash=")
             assert f.readline().strip() == "time,state,probability"
+            rows = [line.split(",") for line in f]
+        # one row per grid time and state of the 27-state system, each
+        # time's probabilities summing to one
+        times = sorted({float(r[0]) for r in rows})
+        assert len(rows) == 27 * len(times)
+        for t in times:
+            total = sum(float(r[2]) for r in rows if float(r[0]) == t)
+            assert total == pytest.approx(1.0, abs=1e-12)
         with open(tmp_path / "orc" / "logz.csv") as f:
             f.readline()
             f.readline()
@@ -190,6 +200,25 @@ class TestOracle:
         assert main(["oracle", "--config", path]) == 3
         assert not os.path.exists(out)
 
+    def test_noiseless_data_from_the_model(self, tmp_path):
+        # exact, unmasked snapshots of the model's own paths with gamma 0:
+        # the look-ahead vanishes on both sides of a snapshot at many
+        # states, which must leave the posterior finite
+        gen = dict(TINY_GEN, params=dict(TINY_GEN["params"], gamma=0.0),
+                   delta=0.0, p_mask=0.0, feature_dim=2, n_train=2, n_test=1,
+                   out=str(tmp_path / "ds"))
+        assert main(["generate", "--config",
+                     write_cfg(tmp_path, "gen.json", gen)]) == 0
+        out = tmp_path / "orc"
+        path = write_cfg(tmp_path, "orc.json",
+                         {"dataset": str(tmp_path / "ds"), "out": str(out)})
+        with pytest.warns(UserWarning, match="non-positive potential"):
+            assert main(["oracle", "--config", path]) == 0
+        with open(out / "logz.csv") as f:
+            f.readline()
+            f.readline()
+            assert np.isfinite(float(f.readline()))
+
     def test_inconsistent_observations_exit_code(self, tmp_path, capsys):
         # exact, unmasked snapshots and no R -> S rate (gamma 0): a node
         # observed in R and then in S leaves the exact posterior no mass,
@@ -239,7 +268,30 @@ class TestTrainTwist:
 
         a, _, _ = tn.load_checkpoint(str(tmp_path / "full" / "twist.npz"))
         b, _, _ = tn.load_checkpoint(str(tmp_path / "resumed" / "twist.npz"))
-        assert tn.params_hash(a) == tn.params_hash(b)
+        for k, arr in a.arrays().items():
+            assert np.array_equal(arr, b.arrays()[k]), k
+
+    def test_resume_rejects_mismatched_checkpoint(self, dataset, tmp_path):
+        # a checkpoint of another loss, width or seed, or one train wrote
+        # (no step or generator state), ends in exit 2 before any step
+        first = dict(TWIST_CFG, dataset=dataset, out=str(tmp_path / "first"),
+                     steps=20)
+        assert main(["train-twist", "--config",
+                     write_cfg(tmp_path, "first.json", first)]) == 0
+        twist = str(tmp_path / "first" / "twist.npz")
+        train_cfg = {"dataset": dataset, "out": str(tmp_path / "tr"), "G": 0,
+                     "N": 0, "B": 2, "S": 2, "dt": 0.2, "reuse": 4,
+                     "pretrain_steps": 4, "m": 8, "seed": 11}
+        assert main(["train", "--config",
+                     write_cfg(tmp_path, "tr.json", train_cfg)]) == 0
+        cases = [({"loss": "dre"}, twist), ({"m": 16}, twist),
+                 ({"seed": 12}, twist), ({}, str(tmp_path / "tr" / "twist.npz"))]
+        for k, (change, ckpt) in enumerate(cases):
+            out = tmp_path / f"resumed{k}"
+            cfg = dict(TWIST_CFG, dataset=dataset, out=str(out), **change)
+            path = write_cfg(tmp_path, f"resumed{k}.json", cfg)
+            assert main(["train-twist", "--config", path, "--resume", ckpt]) == 2
+            assert not os.path.exists(out / "telemetry.csv")
 
     def test_coarse_step_is_config_error(self, tmp_path):
         # steps of up to 5 on a horizon of 20 break the Euler small-interval
@@ -308,6 +360,28 @@ class TestTrain:
         with open(tmp_path / "tr" / "theta.json") as f:
             theta = json.load(f)
         assert all(theta[k] > 0 for k in ("alpha0", "alpha1", "beta", "gamma"))
+
+    def test_zero_true_rate_reports_nan_error(self, tmp_path):
+        # the relative error is undefined with a true gamma of 0: the run
+        # completes and reports rpe as NaN
+        gen = dict(TINY_GEN, params=dict(TINY_GEN["params"], gamma=0.0),
+                   out=str(tmp_path / "ds"))
+        assert main(["generate", "--config",
+                     write_cfg(tmp_path, "gen.json", gen)]) == 0
+        cfg = {"dataset": str(tmp_path / "ds"), "out": str(tmp_path / "tr"),
+               "G": 1, "N": 2, "B": 2, "S": 4, "dt": 0.2, "reuse": 2,
+               "pretrain_steps": 2, "m": 8, "seed": 4}
+        path = write_cfg(tmp_path, "tr.json", cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["train", "--config", path, "--svg"]) == 0
+        with open(tmp_path / "tr" / "theta.json") as f:
+            theta = json.load(f)
+        assert math.isnan(theta["rpe"])
+        with open(tmp_path / "tr" / "telemetry.csv") as f:
+            f.readline()
+            f.readline()
+            assert all(line.strip().endswith(",nan") for line in f)
 
     def test_wake_collapse_exit_codes(self, dataset, tmp_path, monkeypatch):
         # a wake batch with no surviving tSMC run, and a skip rate above

@@ -147,7 +147,7 @@ class TestLookahead:
         assert np.abs(la.log_h).max() < 1e-12
         assert np.abs(la.log_h_left).max() < 1e-12
 
-    def test_single_potential_at_horizon(self):
+    def test_single_horizon_potential(self):
         spec = chain_spec(1, V=2)
         model = two_state_model()
         grid = make_grid(1.0, 0.25)
@@ -175,8 +175,7 @@ class TestLookahead:
                                         chain_spec(1, V=2), None)
         zeros = np.zeros((2, 2))
         la = orc.LookaheadTable(grid=np.array([0.0, 3.0]), log_h=zeros,
-                                log_h_left=zeros,
-                                is_potential=np.zeros(2, dtype=bool), gen=gen)
+                                log_h_left=zeros, potentials={}, gen=gen)
         with pytest.raises(CollapseError, match="failed to converge"):
             la.log_h_at(1.5)
 
@@ -236,6 +235,21 @@ class TestPosterior:
                                                     p0, obs, grid)
         target = orc.state_index(pair_spec, [2, 1])
         assert marg[-1][target] == pytest.approx(1.0)
+
+    def test_noiseless_interior_snapshot_pins_state(self, pair_spec):
+        # with gamma 0 no node leaves I or R, so every state but (S, S)
+        # has a zero look-ahead before and after the snapshot at 0.5 as
+        # well as a zero potential there
+        p = SIRSParams(0.3, 1.0, 0.5, 0.0)
+        obs = _obs(pair_spec, 1.0, [0.5, 1.0], [[0, 0], [0, 0]], p_mask=0.0,
+                   delta=0.0)
+        grid = make_grid(1.0, 0.25, obs.times)
+        with pytest.warns(UserWarning):
+            marg, _ = orc.exact_posterior_marginals(sirs_model(), pair_spec, p,
+                                                    np.full(9, 1 / 9), obs, grid)
+        target = orc.state_index(pair_spec, [0, 0])
+        assert marg[2][target] == 1.0
+        assert marg[-1][target] == 1.0
 
     def test_matches_independent_forward_backward(self, pair_spec):
         # brute-force lattice with scipy expm, no uniformization, no logs
@@ -318,6 +332,7 @@ class TestLogMarginalLikelihood:
         assert abs(vals[0] - vals[1]) < 1e-9
         assert abs(vals[1] - vals[2]) < 1e-9
 
+    @pytest.mark.slow
     def test_against_naive_monte_carlo(self):
         # importance estimate with prior simulation, no dense machinery
         spec = chain_spec(2, V=2)
@@ -359,6 +374,7 @@ class TestPosteriorSampling:
             band = 3 * np.sqrt(marg[j] * (1 - marg[j]) / n) + 1e-3
             assert np.all(np.abs(emp - marg[j]) <= band)
 
+    @pytest.mark.slow
     def test_doob_twisted_gillespie_matches_posterior(self, pair_spec):
         # conditioned-process rates reproduce the smoothing marginals
         p = SIRSParams(0.3, 1.0, 0.5, 0.3)
@@ -394,13 +410,3 @@ def test_nodewise_marginals_collapse(pair_spec):
     assert node[0, 2] == pytest.approx(0.75)
     assert node[0, 0] == pytest.approx(0.25)
     assert node[1, 1] == pytest.approx(1.0)
-
-
-def test_export_marginals_csv(tmp_path, pair_spec):
-    import io
-
-    buf = io.StringIO()
-    orc.export_marginals_csv(buf, np.array([0.0, 0.5]), np.full((2, 9), 1 / 9))
-    lines = buf.getvalue().strip().split("\n")
-    assert lines[0] == "time,state,probability"
-    assert len(lines) == 1 + 18

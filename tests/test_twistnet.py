@@ -466,7 +466,8 @@ class TestCheckpoint:
         assert adam2.step == 7
         assert adam2.m["W1"][0, 0] == 0.25
         assert header["note"] == 1
-        assert tn.params_hash(params) == tn.params_hash(back)
+        for k, a in params.arrays().items():
+            assert np.array_equal(a, back.arrays()[k]), k
 
 
 class TestLearnedTwistWrapper:
@@ -513,6 +514,7 @@ class TestLearnedTwistWrapper:
             assert abs(s1 + s2) < 1e-10
 
 
+@pytest.mark.slow
 def test_learned_score_sign_matches_oracle_near_endpoint():
     # single site, two values, noiseless endpoint snapshot: after sleep
     # training the score toward the reported value from the disagreeing

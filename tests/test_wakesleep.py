@@ -14,10 +14,11 @@ from ipsmc.twisting import ObservationSequence, emission_log_potential
 from ipsmc import wakesleep
 from ipsmc.wakesleep import (ThetaState, TrainConfig, Telemetry,
                              q0_support_logmask, sleep_phase, sleep_steps,
-                             train, wake_grad_dense, wake_loss_and_grad,
-                             wake_phase, _simulate_sleep_batch)
+                             train, wake_loss_and_grad, wake_phase,
+                             _simulate_sleep_batch)
 
 from conftest import chain_spec
+from helpers import skeleton_score
 from test_oracle import _obs
 
 
@@ -78,19 +79,16 @@ class TestWakeLoss:
                                        obs, grid)[0]) / (2 * eps)
             assert grad[j] == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
-    def test_mc_time_average_recovers_full_gradient(self):
+    def test_two_point_gradients_sum_to_full_gradient(self):
+        # the rate terms are a sum over grid steps, so the gradients of the
+        # M two-point paths add up to the gradient of the whole path
         spec, theta, model, obs, grid, states = self._setup()
-        full_loss, full_grad = wake_loss_and_grad(theta, model, spec, states,
-                                                  obs, grid)
+        _, full_grad = wake_loss_and_grad(theta, model, spec, states, obs, grid)
         M = len(grid) - 1
-        losses, grads = [], []
-        for m in range(M):
-            lo, gr = wake_loss_and_grad(theta, model, spec, states, obs, grid,
-                                        mc_index=m)
-            losses.append(lo)
-            grads.append(gr)
-        assert np.mean(losses) == pytest.approx(full_loss, abs=1e-10)
-        assert np.allclose(np.mean(grads, axis=0), full_grad, atol=1e-10)
+        total = sum(wake_loss_and_grad(theta, model, spec, states[m:m + 2],
+                                       obs, grid[m:m + 2])[1]
+                    for m in range(M))
+        assert np.allclose(total, full_grad, atol=1e-10)
 
     def test_snapshot_terms_read_nearest_grid_state(self):
         # changing only the observations changes the value by the snapshot
@@ -113,11 +111,10 @@ class TestWakeLoss:
         obs = _obs(pair_spec, 1.0, [0.5], [[3, 3]])
         grid = make_grid(1.0, 0.25, obs.times)
         states = np.array([[0, 0], [0, 0], [2, 0], [2, 0], [2, 0]])
-        for mc in (None, 1):
-            loss, grad = wake_loss_and_grad(theta, sirs_model(), pair_spec,
-                                            states, obs, grid, mc_index=mc)
-            assert loss == np.inf
-            assert np.array_equal(grad, np.zeros(4))
+        loss, grad = wake_loss_and_grad(theta, sirs_model(), pair_spec,
+                                        states, obs, grid)
+        assert loss == np.inf
+        assert np.array_equal(grad, np.zeros(4))
 
     def test_rejects_time_inhomogeneous_model(self):
         spec, theta, model, obs, grid, states = self._setup()
@@ -126,8 +123,9 @@ class TestWakeLoss:
             wake_loss_and_grad(theta, model, spec, states, obs, grid)
 
     def test_dense_estimator_matches_per_path(self, pair_spec):
-        # the first five skeletons, and every skeleton of finite wake loss
-        # with a step on which both nodes change
+        # the skeleton score of one skeleton is minus the gradient of its
+        # decoded path: the first five skeletons, and every skeleton of
+        # finite wake loss with a step on which both nodes change
         theta = SIRSParams(0.3, 0.8, 0.5, 0.3)
         model = sirs_model()
         obs = _obs(pair_spec, 1.0, [0.5], [[1, 2]])
@@ -146,7 +144,7 @@ class TestWakeLoss:
             if not np.isfinite(loss):
                 continue
             n_two_node += r in two_node
-            dense = wake_grad_dense(model, pair_spec, theta, sk[r:r + 1], grid)
+            dense = skeleton_score(model, pair_spec, theta, sk[r:r + 1], grid)
             assert np.allclose(-grad, dense, atol=1e-10), r
         assert n_two_node >= 10
 
@@ -178,7 +176,7 @@ def test_fisher_identity_small(pair_spec):
     grid = make_grid(2.0, 0.005, obs.times)
     sk = orc.sample_posterior_skeleton(model, pair_spec, theta, p0, obs, grid,
                                        20_000, np.random.default_rng(0))
-    g = wake_grad_dense(model, pair_spec, theta, sk, grid)
+    g = skeleton_score(model, pair_spec, theta, sk, grid)
     assert np.all(np.abs(g - fd) / np.abs(fd) < 0.05)
 
 
@@ -195,8 +193,8 @@ def test_dense_gradient_of_one_byte_skeletons():
     wide = sk.astype(np.int64)
     moved = wide[:, 1:] != wide[:, :-1]
     assert (wide[:, :-1] * 27 + wide[:, 1:])[moved].max() > 255
-    assert np.array_equal(wake_grad_dense(model, spec, theta, sk, grid),
-                          wake_grad_dense(model, spec, theta, wide, grid))
+    assert np.array_equal(skeleton_score(model, spec, theta, sk, grid),
+                          skeleton_score(model, spec, theta, wide, grid))
 
 
 class TestThetaState:
@@ -345,6 +343,7 @@ class TestWakePhase:
                        skip_counter=counter)
         assert counter == {"skipped": 2, "attempted": 2}
 
+    @pytest.mark.slow
     def test_stationary_at_truth_with_trained_twist(self):
         # parameters starting at the truth should end a wake phase close to
         # it; residual motion is stochastic-gradient noise plus the finite
