@@ -218,8 +218,8 @@ def cmd_oracle(cfg: OracleConfig, threads=1, emit_svg=False):
     marg, logz = orc.exact_posterior_marginals(model, ds.spec, ds.params, p0, obs, grid)
     meta = _meta(dataclasses.asdict(cfg), cfg.seed)
     os.makedirs(cfg.out, exist_ok=True)
-    rows = [(float(t), s, float(p)) for j, t in enumerate(grid)
-            for s, p in enumerate(marg[j])]
+    rows = ((float(t), s, float(p)) for j, t in enumerate(grid)
+            for s, p in enumerate(marg[j]))
     _write_rows(os.path.join(cfg.out, "marginals.csv"),
                 ["time", "state", "probability"], rows, meta)
     _write_rows(os.path.join(cfg.out, "logz.csv"), ["logz"], [(float(logz),)], meta)
@@ -276,17 +276,21 @@ def cmd_train_twist(cfg: TrainTwistConfig, threads=1, emit_svg=False, resume=Non
     _write_manifest(cfg.out, meta, "train-twist")
 
 
+# config keys a train-twist checkpoint records for --resume to check
+_RESUME_KEYS = ("batch", "dt", "lr", "reuse", "mc_loss")
+
+
 def _check_resume(header, psi, cfg: TrainTwistConfig):
     """Reject a checkpoint that train-twist did not write, or one written
-    under another loss, width or seed. Batch, dt, lr and reuse are not
-    recorded in the checkpoint and go unchecked."""
+    under another loss, width, seed, batch, dt, lr, reuse or mc_loss."""
     missing = [k for k in ("step", "rng_state") if k not in header]
     if missing:
         raise ConfigError(f"resume checkpoint lacks {missing}; only "
                           f"train-twist checkpoints can be resumed")
-    for name, saved, want in (("loss", header.get("loss"), cfg.loss),
-                              ("m", psi.m, cfg.m),
-                              ("seed", header.get("seed"), cfg.seed)):
+    checks = [("loss", header.get("loss"), cfg.loss), ("m", psi.m, cfg.m),
+              ("seed", header.get("seed"), cfg.seed)]
+    checks += [(k, header.get(k), getattr(cfg, k)) for k in _RESUME_KEYS]
+    for name, saved, want in checks:
         if saved != want:
             raise ConfigError(f"resume checkpoint has {name} {saved!r}, "
                               f"config has {want!r}")
@@ -297,7 +301,8 @@ def _save_twist(path, psi, adam, rng, step, cfg, meta):
                        meta={"step": step, "loss": cfg.loss,
                              "rng_state": json.dumps(rng.bit_generator.state),
                              "config_hash": meta["config_hash"],
-                             "seed": meta["seed"], "version": meta["version"]})
+                             "seed": meta["seed"], "version": meta["version"],
+                             **{k: getattr(cfg, k) for k in _RESUME_KEYS}})
 
 
 def cmd_train(cfg: TrainRunConfig, threads=1, emit_svg=False):

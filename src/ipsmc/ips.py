@@ -288,19 +288,24 @@ def euler_simulate_batch(model, spec, theta, Z0, grid, rng):
     """Euler-discretized prior paths for a batch: (B, M+1, d) states on grid.
 
     Coordinates are sampled independently per step via inverse-cdf on the
-    batched kernel table (sample_values).
+    batched kernel table (sample_values). grid is shared, (M+1,), or one
+    per path, (B, M+1), padded by repeating T: a zero-length step keeps its
+    state. Rates are read at the first path's time (grid.flat[m]), so
+    per-path grids need a time-homogeneous model.
     """
     grid = np.asarray(grid, dtype=float)
     Z0 = np.asarray(Z0, dtype=np.int64)
     B, d = Z0.shape
-    M = len(grid) - 1
+    if grid.ndim == 2 and not model.time_homogeneous:
+        raise ValueError("per-path grids need a time-homogeneous model")
+    steps = np.diff(grid, axis=-1)
+    M = grid.shape[-1] - 1
     out = np.empty((B, M + 1, d), dtype=np.int64)
     out[:, 0] = Z0
     Z = Z0.copy()
     for m in range(M):
-        dt = grid[m + 1] - grid[m]
-        off = model.off_rates_batch(grid[m], Z, spec, theta)
-        probs = euler_step_table(off, Z, dt)
+        off = model.off_rates_batch(grid.flat[m], Z, spec, theta)
+        probs = euler_step_table(off, Z, steps[..., m])
         Z = sample_values(probs, rng.random((B, d)))
         out[:, m + 1] = Z
     return out

@@ -23,8 +23,9 @@ TANH = np.tanh
 
 
 def _dtanh(y):
-    # derivative expressed through the activation value
-    return 1.0 - y * y
+    # derivative expressed through the activation value, in one buffer
+    out = y * y
+    return np.subtract(1.0, out, out=out)
 
 
 def feature_dim(V):
@@ -107,6 +108,7 @@ class TwistContext:
         self._adj = spec.adjacency.astype(float)
         self._w = w
         self._deg = np.maximum(deg, 1.0)
+        self.initial_features = self.features(0.0)  # read by the initial head
 
     def start_index(self, t):
         """Index of the first observation later than t."""
@@ -119,39 +121,34 @@ class TwistContext:
         if start in self._seg_cache:
             return self._seg_cache[start]
         d, V = self.spec.d, self.spec.V
-        vals = self.obs.values[start:]
-        times = self.obs.times[start:]
-        next_val = np.full(d, V, dtype=np.int64)
-        next_time = np.full(d, np.inf)
-        count = np.zeros(d)
-        for i in range(d):
-            unmasked = np.flatnonzero(vals[:, i] != V)
-            count[i] = len(unmasked)
-            if len(unmasked):
-                next_val[i] = vals[unmasked[0], i]
-                next_time[i] = times[unmasked[0]]
-        nbr_frac = np.zeros((d, V))
-        nbr_wfrac = np.zeros((d, V))
-        for u in range(V):
-            hits = (next_val == u).astype(float)
-            nbr_frac[:, u] = (self._adj @ hits) / self._deg
-            nbr_wfrac[:, u] = self._w @ hits
-        next_event = times[0] if len(times) else np.inf
+        # a sentinel snapshot after the last one: unmasked, of value V, at
+        # time inf; it is the next unmasked snapshot of a node with none
+        vals = np.vstack([self.obs.values[start:], np.full((1, d), V)])
+        times = np.append(self.obs.times[start:], np.inf)
+        hit = vals != V
+        hit[-1] = True
+        first = np.argmax(hit, axis=0)
+        next_val = vals[first, np.arange(d)]
+        next_time = times[first]
+        count = hit[:-1].sum(axis=0).astype(float)
+        hits = (next_val[:, None] == np.arange(V)).astype(float)
+        nbr_frac = (self._adj @ hits) / self._deg[:, None]
+        # one product per value, the edge-weighted sums in their fixed order
+        nbr_wfrac = np.stack([self._w @ h for h in hits.T], axis=1)
+        next_event = times[0]
         seg = (next_val, next_time, count, nbr_frac, nbr_wfrac, next_event)
         self._seg_cache[start] = seg
         return seg
 
     def features(self, t):
         """(d, V, nf) feature tensor at time t."""
-        d, V = self.spec.d, self.spec.V
-        T = self.T
-        start = self.start_index(t)
+        d, V, T = self.spec.d, self.spec.V, self.T
         (next_val, next_time, count, nbr_frac, nbr_wfrac,
-         next_event) = self._segment(start)
+         next_event) = self._segment(self.start_index(t))
         nf = feature_dim(V)
-        node = np.zeros((d, nf - V - 1))
-        tt = np.where(np.isfinite(next_time), next_time - t, T - t) / T
-        node[:, 0] = tt
+        out = np.zeros((d, V, nf))
+        node = out[:, 0, : nf - V - 1]  # per-node columns, copied to every value
+        node[:, 0] = np.where(np.isfinite(next_time), next_time - t, T - t) / T
         node[np.arange(d), 1 + next_val] = 1.0
         node[:, V + 2] = count / max(self.K, 1)
         node[:, V + 3:2 * V + 3] = nbr_frac
@@ -161,8 +158,7 @@ class TwistContext:
         node[:, 3 * V + 3] = t / T
         node[:, 3 * V + 4] = ((next_event - t) if np.isfinite(next_event) else (T - t)) / T
         node[:, 3 * V + 5:3 * V + 8] = self._graph
-        out = np.zeros((d, V, nf))
-        out[:, :, : nf - V - 1] = node[:, None, :]
+        out[:, 1:, : nf - V - 1] = node[:, None, :]
         out[:, np.arange(V), nf - V - 1 + np.arange(V)] = 1.0
         out[:, :, nf - 1] = (np.arange(V)[None, :] == next_val[:, None]).astype(float)
         return out
@@ -200,34 +196,56 @@ def rho_backward(params, cache, dout, grads):
 
 
 def encoder_backward(params, F, Phi, dPhi, grads):
-    dpre = dPhi * _dtanh(Phi)
-    flatF = F.reshape(-1, F.shape[-1])
-    flatd = dpre.reshape(-1, dpre.shape[-1])
-    grads["W1"] += flatF.T @ flatd
-    grads["b1"] += flatd.sum(axis=0)
+    """Encoder gradients of per-row embeddings Phi (S, d, V, m) of F."""
+    dpre = _dtanh(Phi)
+    dpre *= dPhi
+    grads["W1"] += _stacked_gram(F, dpre)
+    grads["b1"] += dpre.reshape(-1, dpre.shape[-1]).sum(axis=0)
+
+
+def _own(Phi, Z):
+    """(S, d, m) embeddings of the values each state of Z (S, d) holds, read
+    from one shared (d, V, m) Phi or from one (S, d, V, m) Phi per row."""
+    nodes = np.arange(Z.shape[1])
+    if Phi.ndim == 3:
+        return Phi[nodes, Z]
+    return Phi[np.arange(len(Z))[:, None], nodes, Z]
+
+
+def _stacked(X, W):
+    """X @ W over the last axis of an (S, ..., k) array, as S stacked
+    products, each too small for BLAS to split over spinning threads."""
+    return np.matmul(X.reshape(len(X), -1, X.shape[-1]), W).reshape(
+        X.shape[:-1] + W.shape[1:])
+
+
+def _stacked_gram(A, B):
+    """(p, q) sum over s of A[s].T @ B[s] for (S, ..., p) and (S, ..., q)
+    arrays, as S stacked products (see _stacked)."""
+    S = len(A)
+    return np.matmul(A.reshape(S, -1, A.shape[-1]).transpose(0, 2, 1),
+                     B.reshape(S, -1, B.shape[-1])).sum(axis=0)
 
 
 def twist_log_values(params, Phi, Z):
     """(S,) log twists: rho of the pooled embedding of each state of Z (S, d)."""
-    totals = Phi[np.arange(Z.shape[1])[None, :], Z].sum(axis=1)
-    out, _ = rho_forward(params, totals)
+    out, _ = rho_forward(params, _own(Phi, Z).sum(axis=1))
     return out
 
 
 def twist_table(params, Phi, Z):
     """(S, d, V) tables of log twist values after single swaps of each
     state of Z (S, d); entry [s, i, Z[s, i]] is the log twist of Z[s]
-    itself (recomputed per row). The pooled sum excluding node i is
-    accumulated in a fixed prefix/suffix order, so row i is bitwise equal
+    itself (recomputed per row), from the sampler's shared (d, V, m) Phi or
+    the losses' per-row (S, d, V, m) Phi. The pooled sum excluding node i
+    is accumulated in a fixed prefix/suffix order, so row i is bitwise equal
     for states that agree off node i.
 
     The first aggregator layer is linear, so it is applied to the (S, d, m)
-    excluded sums and the (d, V, m) embeddings apart; only their sum, the
-    hidden layer, has the full (S, d, V, m) shape. The cache holds
+    excluded sums and the embeddings apart; only their sum, the hidden
+    layer, has the full (S, d, V, m) shape. The cache holds
     (Phi, Z, hidden) for twist_table_backward."""
-    d = Z.shape[1]
-    m = Phi.shape[-1]
-    own = Phi[np.arange(d)[None, :], Z]  # (S, d, m)
+    own = _own(Phi, Z)  # (S, d, m)
     excl = np.zeros_like(own)
     np.cumsum(own[:, :-1], axis=1, out=excl[:, 1:])
     # suffix sums in place: own[:, i] becomes the sum over j >= i
@@ -236,78 +254,74 @@ def twist_table(params, Phi, Z):
     # The projection reuses own's buffer: with few large temporaries per
     # call the allocator keeps its pages instead of returning them to the
     # kernel and faulting them in again at the next step. The products stay
-    # stacked, one BLAS call per (d, m) or (V, m) matrix, each too small for
-    # BLAS to split over threads that would spin on a second core.
+    # stacked (see _stacked).
     proj = np.matmul(excl, params.W2, out=own)
     del excl
-    hidden = proj[:, :, None, :] + (Phi @ params.W2 + params.b2)
+    rows = Phi if Phi.ndim == 4 else Phi[None]  # a shared Phi is one row
+    hidden = _stacked(rows, params.W2)
+    hidden += params.b2
+    # per-row sums stay in the product's buffer; a shared row broadcasts
+    hidden = np.add(hidden, proj[:, :, None, :],
+                    out=hidden if len(rows) == len(Z) else None)
     TANH(hidden, out=hidden)
-    out = (hidden.reshape(-1, m) @ params.w3).reshape(hidden.shape[:3]) + params.b3
-    return out, (Phi, Z, hidden)
+    return _stacked(hidden, params.w3) + params.b3, (Phi, Z, hidden)
 
 
 def twist_table_backward(params, cache, dout, grads):
-    """Accumulate the aggregator gradients of twist_table for the table
-    cotangent dout (S, d, V) into grads; returns the (d, V, m) gradient of
-    Phi, through both the swapped-in embedding and the excluded sums.
-
-    excl[s, i] sums own[s, j] = Phi[j, Z[s, j]] over j != i, so the
-    cotangent of excl @ W2 is added into that of Phi @ W2 at (j, Z[s, j])
-    first; the gradients of W2 and Phi are then one product each with
-    that (d, V, m) cotangent."""
+    """Accumulate the aggregator gradients of twist_table, run on per-row
+    Phi (S, d, V, m), for the table cotangent dout (S, d, V) into grads;
+    returns the gradient of Phi through the swapped-in embedding and the
+    excluded sums. excl[s, i] sums own[s, j] = Phi[s, j, Z[s, j]] over
+    j != i, so the cotangent of excl @ W2 is added into that of Phi @ W2
+    once per (s, j) cell. The cache's hidden layer is overwritten."""
     Phi, Z, hidden = cache
-    _, d, V, m = hidden.shape
-    flat_out = dout.reshape(-1)
-    grads["w3"] += flat_out @ hidden.reshape(-1, m)
-    grads["b3"] += flat_out.sum()
-    dpre = (dout[..., None] * params.w3) * _dtanh(hidden)
-    dproj = dpre.sum(axis=0)                  # (d, V, m), of Phi @ W2 + b2
-    grads["b2"] += dproj.reshape(-1, m).sum(axis=0)
-    dexcl = dpre.sum(axis=2)                  # (S, d, m), of excl @ W2
-    down = dexcl.sum(axis=1, keepdims=True) - dexcl
-    # one scatter over flat (row, node, unit) indices: each (node, value)
-    # cell gains its rows' terms in row order
-    flat = ((np.arange(d) * V + Z)[..., None] * m + np.arange(m)).reshape(-1)
-    np.add.at(dproj.reshape(-1), flat, down.reshape(-1))
-    grads["W2"] += Phi.reshape(-1, m).T @ dproj.reshape(-1, m)
-    return dproj @ params.W2.T
+    S, d, V, m = hidden.shape
+    grads["w3"] += _stacked_gram(dout[..., None], hidden)[0]
+    grads["b3"] += dout.sum()
+    dpre = np.multiply(hidden, hidden, out=hidden)  # of Phi @ W2 + b2
+    np.subtract(1.0, dpre, out=dpre)
+    dpre *= params.w3
+    dpre *= dout[..., None]
+    grads["b2"] += dpre.reshape(-1, m).sum(axis=0)
+    dexcl = dpre.sum(axis=2)                               # of excl @ W2
+    dpre[np.arange(S)[:, None], np.arange(d), Z] += dexcl.sum(axis=1, keepdims=True) - dexcl
+    grads["W2"] += _stacked_gram(Phi, dpre)
+    return _stacked(dpre, params.W2.T)
+
+
+def _score(H, Z):
+    """(S, d, V) log score ratios of the tables H; exactly zero at
+    [s, i, Z[s, i]]."""
+    at = np.arange(len(Z))[:, None], np.arange(Z.shape[1])[None, :], Z
+    score = H - H[at][:, :, None]
+    score[at] = 0.0
+    return score
 
 
 def twist_score_table(params, Phi, Z):
     """(S, d, V) log score ratios; exactly zero at [s, i, Z[s, i]]."""
-    H, _ = twist_table(params, Phi, Z)
-    S, d = Z.shape
-    rows = np.arange(S)[:, None], np.arange(d)[None, :]
-    score = H - H[rows[0], rows[1], Z][:, :, None]
-    score[rows[0], rows[1], Z] = 0.0
-    return score
+    return _score(twist_table(params, Phi, Z)[0], Z)
 
 
 # ---------------------------------------------------------------------------
 # initial-distribution head
 
-def q0_logits(params, ctx):
-    """(d, V) logits from the time-zero context features."""
-    F = ctx.features(0.0)
-    return F @ params.Wq + params.bq, F
-
-
-def _logsumexp_rows(x):
-    m = x.max(axis=1, keepdims=True)
-    return m + np.log(np.exp(x - m).sum(axis=1, keepdims=True))
+def q0_logp(params, F0, support_logmask=None):
+    """(..., d, V) per-node log-probabilities of the q0 head on time-zero
+    features F0 (..., d, V, nf), confined to support_logmask's support."""
+    logits = F0 @ params.Wq + params.bq
+    if support_logmask is not None:
+        logits = logits + support_logmask
+    m = logits.max(axis=-1, keepdims=True)
+    return logits - (m + np.log(np.exp(logits - m).sum(axis=-1, keepdims=True)))
 
 
 class _Q0Dist:
     """Initial proposal: per-node softmax of the q0 head, confined to the
-    support of the prior initial law so importance weights stay finite.
-    F holds the time-zero features the logits were read from."""
+    support of the prior initial law so importance weights stay finite."""
 
     def __init__(self, params, ctx, support_logmask=None):
-        self.params, self.ctx = params, ctx
-        logits, self.F = q0_logits(params, ctx)
-        if support_logmask is not None:
-            logits = logits + support_logmask
-        self.logp = logits - _logsumexp_rows(logits)
+        self.logp = q0_logp(params, ctx.initial_features, support_logmask)
         self.p = np.exp(self.logp)
 
     def sample(self, rng, S):
@@ -330,6 +344,42 @@ class SleepItem:
     ctx: TwistContext
 
 
+# bytes of one (rows, d, V, m) array: the losses run their rows in chunks
+# of this size, so a loss over every grid step stays bounded in memory
+CHUNK_BYTES = 1 << 18
+
+
+def _rows(items, mc_indices, extra, *fields):
+    """The rows of a loss batch: each item's first len(grid) - 1 + extra
+    grid points, or its mc_indices point scaled by that count (an unbiased
+    single-term estimate). Returns the row weights, which carry the batch
+    mean, the rows' contexts, and per (name, shift) field the rows
+    getattr(item, name)[point + shift], stacked."""
+    picks = []
+    for b, item in enumerate(items):
+        n = len(item.grid) - 1 + extra
+        j = np.arange(n) if mc_indices is None else np.array([mc_indices[b]])
+        picks.append((item, j, (1 if mc_indices is None else n) / len(items)))
+    w = np.concatenate([np.full(len(j), s) for _, j, s in picks])
+    ctxs = [item.ctx for item, j, _ in picks for _ in j]
+    return w, ctxs, [np.concatenate([getattr(item, name)[j + shift]
+                                     for item, j, _ in picks])
+                     for name, shift in fields]
+
+
+def _encoded_chunks(params, ctxs, t):
+    """Yield (rows, F, Phi) over slices of the rows: each row's (d, V, nf)
+    context features at its time t and its (d, V, m) embeddings."""
+    spec = ctxs[0].spec
+    size = max(1, CHUNK_BYTES // (8 * spec.d * spec.V * params.m))
+    for a in range(0, len(t), size):
+        rows = slice(a, a + size)
+        F = np.stack([ctx.features(s) for ctx, s in zip(ctxs[rows], t[rows])])
+        pre = _stacked(F, params.W1)
+        pre += params.b1
+        yield rows, F, TANH(pre, out=pre)
+
+
 def sleep_loss_forward_kl(params, model, spec, theta, items, mc_indices=None,
                           q0_support=None):
     """Discretized forward-KL twist objective on prior paths.
@@ -339,60 +389,41 @@ def sleep_loss_forward_kl(params, model, spec, theta, items, mc_indices=None,
     realized coordinate change. mc_indices picks one step per item and
     scales it by the step count, an unbiased single-term estimate.
     Returns (loss, grads) with the gradient exact for the returned loss.
+    The (item, step) rows run as one batched pass, all rates read at the
+    first row's time.
     """
+    if not model.time_homogeneous:
+        raise ValueError("the sleep loss needs a time-homogeneous model")
     grads = zero_grads(params)
-    B = len(items)
-    total = 0.0
-    for b, item in enumerate(items):
-        ms = None if mc_indices is None else [mc_indices[b]]
-        total += _sleep_item(params, model, spec, theta, item, ms, grads, 1.0 / B,
-                             q0_support)
-    return total / B, grads
+    B, nodes = len(items), np.arange(spec.d)
+    # initial-distribution term, on each context's time-zero features
+    F0 = np.stack([item.ctx.initial_features for item in items])
+    logp = q0_logp(params, F0, q0_support)
+    at_z0 = np.arange(B)[:, None], nodes, np.stack([it.states[0] for it in items])
+    total = -float(logp[at_z0].sum()) / B
+    dlogits = np.exp(logp)
+    dlogits[at_z0] -= 1.0
+    grads["Wq"] += F0.reshape(-1, F0.shape[-1]).T @ dlogits.reshape(-1) / B
+    grads["bq"] += dlogits.sum() / B
 
-
-def _sleep_item(params, model, spec, theta, item, ms, grads, wscale, q0_support):
-    grid, states, ctx = item.grid, item.states, item.ctx
-    M = len(grid) - 1
-    loss = 0.0
-
-    # initial-distribution term
-    q0 = _Q0Dist(params, ctx, q0_support)
-    z0 = states[0]
-    loss += -float(q0.logp[np.arange(len(z0)), z0].sum())
-    dlogits = q0.p
-    dlogits[np.arange(len(z0)), z0] -= 1.0
-    dlogits *= wscale
-    grads["Wq"] += np.tensordot(q0.F.reshape(-1, q0.F.shape[-1]), dlogits.reshape(-1),
-                                axes=(0, 0))
-    grads["bq"] += dlogits.sum()
-
-    idx = ms if ms is not None else range(M)
-    scale = float(M) if ms is not None else 1.0
-    d = states.shape[1]
-    rows = np.arange(d)
-    for m in idx:
-        t, dt = grid[m], grid[m + 1] - grid[m]
-        z, z_next = states[m], states[m + 1]
-        Phi, F = encode_context(params, ctx, t)
-        H, cache = twist_table(params, Phi, z[None])
-        H = H[0]
-        base = H[rows, z]
-        score = H - base[:, None]
-        score[rows, z] = 0.0
-        b_off = model.off_rates_batch(t, z[None, :], spec, theta)[0]
-        tilted = b_off * np.exp(score)
-        jumped = z_next != z
-        loss_m = dt * float(tilted.sum()) - float(score[rows, z_next][jumped].sum())
-        loss += scale * loss_m
-
-        g = dt * tilted  # d loss_m / d score
-        g[rows[jumped], z_next[jumped]] -= 1.0
-        dH = g.copy()
-        dH[rows, z] -= g.sum(axis=1)
-        dH *= scale * wscale
-        dPhi = twist_table_backward(params, cache, dH[None], grads)
-        encoder_backward(params, F, Phi, dPhi, grads)
-    return loss
+    w, ctxs, (z, z_next, t, t_next) = _rows(
+        items, mc_indices, 0, ("states", 0), ("states", 1), ("grid", 0), ("grid", 1))
+    for rows, F, Phi in _encoded_chunks(params, ctxs, t):
+        zc, zn, wc, dt = z[rows], z_next[rows], w[rows], t_next[rows] - t[rows]
+        at = np.arange(len(zc))[:, None], nodes
+        H, cache = twist_table(params, Phi, zc)
+        score = _score(H, zc)
+        tilted = model.off_rates_batch(t[0], zc, spec, theta) * np.exp(score)
+        # a held coordinate scores zero at its own value
+        total += float(wc @ (dt * tilted.sum(axis=(1, 2))
+                             - score[at + (zn,)].sum(axis=1)))
+        g = dt[:, None, None] * tilted  # d loss / d score
+        g[at + (zn,)] -= zn != zc
+        g[at + (zc,)] -= g.sum(axis=2)  # through the held state's entry
+        g *= wc[:, None, None]
+        encoder_backward(params, F, Phi,
+                         twist_table_backward(params, cache, g, grads), grads)
+    return total, grads
 
 
 @dataclass
@@ -407,40 +438,28 @@ class DREItem:
 
 def dre_loss(params, spec, items, mc_indices=None):
     """Density-ratio twist objective: logistic discrimination of coupled
-    from decoupled states through the log twist value."""
+    from decoupled states through the log twist value, at every grid
+    point of each item or at its mc_indices point scaled by the point
+    count; the (item, point) rows run as one batched pass."""
     grads = zero_grads(params)
-    B = len(items)
+    w, ctxs, (zp, zn, t) = _rows(items, mc_indices, 1, ("states_pos", 0),
+                                 ("states_neg", 0), ("grid", 0))
     total = 0.0
-    for b, item in enumerate(items):
-        ms = None if mc_indices is None else [mc_indices[b]]
-        total += _dre_item(params, spec, item, ms, grads, 1.0 / B)
-    return total / B, grads
-
-
-def _dre_item(params, spec, item, ms, grads, wscale):
-    grid = item.grid
-    M = len(grid) - 1
-    idx = ms if ms is not None else range(M + 1)
-    scale = float(M + 1) if ms is not None else 1.0
-    loss = 0.0
-    d = item.states_pos.shape[1]
-    rows = np.arange(d)
-    for m in idx:
-        t = grid[m]
-        Phi, F = encode_context(params, item.ctx, t)
-        zp, zn = item.states_pos[m], item.states_neg[m]
-        tp = Phi[rows, zp].sum(axis=0)
-        tn = Phi[rows, zn].sum(axis=0)
-        out, cache = rho_forward(params, np.stack([tp, tn]))
-        lp, ln = float(out[0]), float(out[1])
-        loss += scale * (_softplus(-lp) + _softplus(ln))
-        dout = np.array([-sigmoid(-lp), sigmoid(ln)]) * scale * wscale
+    for rows, F, Phi in _encoded_chunks(params, ctxs, t):
+        pos, neg, wc = zp[rows], zn[rows], w[rows]
+        X = np.stack([_own(Phi, pos).sum(axis=1), _own(Phi, neg).sum(axis=1)], axis=1)
+        out, cache = rho_forward(params, X)
+        lp, ln = out[:, 0], out[:, 1]
+        total += float(wc @ (_softplus(-lp) + _softplus(ln)))
+        dout = np.stack([-sigmoid(-lp), sigmoid(ln)], axis=1) * wc[:, None]
         dX = rho_backward(params, cache, dout, grads)
         dPhi = np.zeros_like(Phi)
-        np.add.at(dPhi, (rows, zp), dX[0])
-        np.add.at(dPhi, (rows, zn), dX[1])
+        at = np.arange(len(pos))[:, None], np.arange(spec.d)
+        # two adds: a node whose two values agree gains both terms
+        dPhi[at + (pos,)] += dX[:, None, 0]
+        dPhi[at + (neg,)] += dX[:, None, 1]
         encoder_backward(params, F, Phi, dPhi, grads)
-    return loss
+    return total, grads
 
 
 def _softplus(x):

@@ -130,24 +130,31 @@ class Telemetry:
 def _simulate_sleep_batch(model, spec, theta, p0, tau_grids, obs_template, cfg, rng,
                           with_negatives=False):
     """Prior paths on each item's grid with synthetic observations at the
-    item's snapshot times."""
+    item's snapshot times. The paths, and the decoupled negatives on their
+    item's grid, step in lockstep on grids padded with repeats of the
+    horizon: rng draws every initial state, every step, then the snapshots."""
+    T = obs_template.horizon
+    grids = [make_grid(T, cfg.dt, taus) for taus in tau_grids]
+    runs = grids * (2 if with_negatives else 1)
+    padded = np.full((len(runs), max(map(len, grids))), T)
+    for k, g in enumerate(runs):
+        padded[k, :len(g)] = g
+    paths = euler_simulate_batch(model, spec, theta, p0.sample(rng, len(runs)),
+                                 padded, rng)
     items = []
-    for taus in tau_grids:
-        grid = make_grid(obs_template.horizon, cfg.dt, taus)
-        z0 = p0.sample(rng, 1)
-        states = euler_simulate_batch(model, spec, theta, z0, grid, rng)[0]
+    for b, (taus, grid) in enumerate(zip(tau_grids, grids)):
+        states = paths[b, :len(grid)]
         tau_idx = [int(np.argmin(np.abs(grid - tau))) for tau in taus]
         values = np.stack([sample_emission(obs_template, states[j], rng)
                            for j in tau_idx]) if len(tau_idx) else np.zeros((0, spec.d), dtype=np.int64)
-        obs = ObservationSequence(horizon=obs_template.horizon, times=np.asarray(taus),
+        obs = ObservationSequence(horizon=T, times=np.asarray(taus),
                                   values=values, V=spec.V,
                                   p_mask=obs_template.p_mask,
                                   label_noise=obs_template.label_noise)
         ctx = tn.TwistContext(spec, obs)
         if with_negatives:
-            zn0 = p0.sample(rng, 1)
-            neg = euler_simulate_batch(model, spec, theta, zn0, grid, rng)[0]
-            items.append(tn.DREItem(grid=grid, states_pos=states, states_neg=neg, ctx=ctx))
+            items.append(tn.DREItem(grid=grid, states_pos=states, ctx=ctx,
+                                    states_neg=paths[len(grids) + b, :len(grid)]))
         else:
             items.append(tn.SleepItem(grid=grid, states=states, ctx=ctx))
     return items
@@ -186,18 +193,32 @@ def sleep_steps(psi, adam, theta, model, spec, p0, tau_grids, obs_template,
 
 
 def sleep_phase(psi, psi_adam, theta, model, spec, p0, tau_grids, obs_template,
-                cfg, rng, n_steps, telemetry=None, global_iter=0, truth=None):
+                cfg, rng, n_steps, telemetry=None, global_iter=0, truth=None,
+                phase="sleep"):
     """n_steps sleep steps on the twist (sleep_steps), one telemetry row
     each. mc_loss applies to the sleep loop only; the wake phase always
-    uses the exact full-path objective."""
+    uses the exact full-path objective.
+
+    The "pretrain" phase, the sleep-only warm start, stops early on a loss
+    plateau: at the end of a batch, once 2 * pretrain_window losses exist,
+    it stops if the mean of the last window fell by less than
+    pretrain_rel_tol (relative) below the mean of the window before."""
     rpe = (relative_parameter_error(theta.as_array(), truth.as_array())
            if truth is not None else float("nan"))
+    window, losses = cfg.pretrain_window, []
     for step, (psi, loss) in enumerate(
             sleep_steps(psi, psi_adam, theta, model, spec, p0, tau_grids,
                         obs_template, cfg, rng, n_steps), 1):
+        losses.append(loss)
         if telemetry is not None:
-            telemetry.add(global_iter, "sleep", step, loss,
+            telemetry.add(global_iter, phase, step, loss,
                           float("nan"), float("nan"), theta, rpe)
+        if (phase == "pretrain" and step % cfg.reuse == 0
+                and len(losses) >= 2 * window):
+            prev = float(np.mean(losses[-2 * window:-window]))
+            last = float(np.mean(losses[-window:]))
+            if (prev - last) / max(abs(prev), 1e-9) < cfg.pretrain_rel_tol:
+                break
     return psi
 
 
@@ -309,8 +330,9 @@ def train(model, spec, p0, dataset_obs, theta0: SIRSParams, cfg: TrainConfig,
     skip_counter = {"skipped": 0, "attempted": 0}
 
     if cfg.pretrain_steps > 0:
-        psi = _pretrain(psi, psi_adam, theta_state.params(), model, spec, p0,
-                        tau_grids, obs_template, cfg, rng, telemetry, truth)
+        psi = sleep_phase(psi, psi_adam, theta_state.params(), model, spec, p0,
+                          tau_grids, obs_template, cfg, rng, cfg.pretrain_steps,
+                          telemetry, 0, truth, phase="pretrain")
 
     for g in range(1, cfg.global_iters + 1):
         psi = sleep_phase(psi, psi_adam, theta_state.params(), model, spec, p0,
@@ -330,28 +352,3 @@ def train(model, spec, p0, dataset_obs, theta0: SIRSParams, cfg: TrainConfig,
         if rate > 0.10:
             raise CollapseError(f"wake-phase collapse skip rate {rate:.1%} exceeds 10%")
     return theta_state, psi, telemetry
-
-
-def _pretrain(psi, psi_adam, theta, model, spec, p0, tau_grids, obs_template,
-              cfg, rng, telemetry, truth):
-    """Sleep-only warm start, early-stopped on a loss plateau: at the end
-    of a batch, once 2 * pretrain_window losses exist, it stops if the mean
-    of the last window fell by less than pretrain_rel_tol (relative) below
-    the mean of the window before."""
-    window = cfg.pretrain_window
-    rpe = (relative_parameter_error(theta.as_array(), truth.as_array())
-           if truth is not None else float("nan"))
-    losses = []
-    for step, (psi, loss) in enumerate(
-            sleep_steps(psi, psi_adam, theta, model, spec, p0, tau_grids,
-                        obs_template, cfg, rng, cfg.pretrain_steps), 1):
-        losses.append(loss)
-        telemetry.add(0, "pretrain", step, loss, float("nan"), float("nan"),
-                      theta, rpe)
-        if step % cfg.reuse == 0 and len(losses) >= 2 * window:
-            prev = float(np.mean(losses[-2 * window:-window]))
-            last = float(np.mean(losses[-window:]))
-            denom = max(abs(prev), 1e-9)
-            if (prev - last) / denom < cfg.pretrain_rel_tol:
-                break
-    return psi

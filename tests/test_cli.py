@@ -272,8 +272,9 @@ class TestTrainTwist:
             assert np.array_equal(arr, b.arrays()[k]), k
 
     def test_resume_rejects_mismatched_checkpoint(self, dataset, tmp_path):
-        # a checkpoint of another loss, width or seed, or one train wrote
-        # (no step or generator state), ends in exit 2 before any step
+        # a checkpoint of another loss, width, seed, batch, dt, lr, reuse
+        # or mc_loss, or one train wrote (no step or generator state), ends
+        # in exit 2 before any step
         first = dict(TWIST_CFG, dataset=dataset, out=str(tmp_path / "first"),
                      steps=20)
         assert main(["train-twist", "--config",
@@ -285,7 +286,10 @@ class TestTrainTwist:
         assert main(["train", "--config",
                      write_cfg(tmp_path, "tr.json", train_cfg)]) == 0
         cases = [({"loss": "dre"}, twist), ({"m": 16}, twist),
-                 ({"seed": 12}, twist), ({}, str(tmp_path / "tr" / "twist.npz"))]
+                 ({"seed": 12}, twist), ({"batch": 5}, twist),
+                 ({"dt": 0.1}, twist), ({"lr": 0.002}, twist),
+                 ({"reuse": 10}, twist), ({"mc_loss": False}, twist),
+                 ({}, str(tmp_path / "tr" / "twist.npz"))]
         for k, (change, ckpt) in enumerate(cases):
             out = tmp_path / f"resumed{k}"
             cfg = dict(TWIST_CFG, dataset=dataset, out=str(out), **change)

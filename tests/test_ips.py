@@ -222,6 +222,55 @@ class TestValueAxisKernels:
         assert np.array_equal(sample_values(probs, u), ref)
 
 
+
+class TestLockstepSimulation:
+    """euler_simulate_batch on one (B, M+1) grid per path."""
+
+    def test_equal_rows_match_shared_grid_bitwise(self):
+        spec = chain_spec(5, V=3)
+        p = SIRSParams(0.3, 1.0, 0.5, 0.3)
+        grid = make_grid(2.0, 0.1, [0.55, 1.3])
+        Z0 = np.random.default_rng(0).integers(0, 3, size=(6, 5))
+        shared = euler_simulate_batch(sirs_model(), spec, p, Z0, grid,
+                                      np.random.default_rng(4))
+        rows = euler_simulate_batch(sirs_model(), spec, p, Z0,
+                                    np.tile(grid, (6, 1)),
+                                    np.random.default_rng(4))
+        assert np.array_equal(shared, rows)
+
+    def test_padded_path_keeps_its_last_state(self):
+        # fast flips: a path stepping past its own end would move at once
+        spec = chain_spec(4, V=2)
+        model = make_flip_model(3.0, 3.0)
+        short = np.linspace(0.0, 1.0, 11)
+        long_ = np.linspace(0.0, 1.0, 31)
+        grids = np.stack([np.concatenate([short, np.full(20, 1.0)]), long_])
+        out = euler_simulate_batch(model, spec, None, np.zeros((2, 4), dtype=int),
+                                   grids, np.random.default_rng(1))
+        assert out.shape == (2, 31, 4)
+        assert np.all(out[0, 10:] == out[0, 10])
+        assert np.any(out[1, 10:] != out[1, 10])
+
+    def test_one_row_past_the_euler_bound_raises(self):
+        # a 0.1 step is fine at exit rate 3; the second path's 0.5 step is not
+        spec = chain_spec(1, V=2)
+        model = make_flip_model(3.0, 3.0)
+        grids = np.array([[0.0, 0.1, 0.2], [0.0, 0.1, 0.6]])
+        with pytest.raises(StepSizeError, match="Euler step 0.5"):
+            euler_simulate_batch(model, spec, None, np.zeros((2, 1), dtype=int),
+                                 grids, np.random.default_rng(0))
+        euler_simulate_batch(model, spec, None, np.zeros((2, 1), dtype=int),
+                             grids[:, :2], np.random.default_rng(0))
+
+    def test_rows_need_a_time_homogeneous_model(self):
+        spec = chain_spec(1, V=2)
+        model = RateModel(batch_off_rate_fn=make_flip_model().batch_off_rate_fn,
+                          time_homogeneous=False)
+        with pytest.raises(ValueError, match="time-homogeneous"):
+            euler_simulate_batch(model, spec, None, np.zeros((2, 1), dtype=int),
+                                 np.zeros((2, 3)), np.random.default_rng(0))
+
+
 def test_euler_tv_error_halves_like_squared_step():
     # second-order kernel accuracy: TV against exp(Q dt) shrinks ~4x per halving
     spec = chain_spec(3, V=2)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 
@@ -160,18 +161,22 @@ class TestTableAlgebra:
 
 class TestProjectedTable:
     """twist_table and twist_table_backward against the aggregator run on
-    the materialized (S, d, V, m) shifted sums."""
+    the materialized (S, d, V, m) shifted sums, for the shared (d, V, m)
+    embedding of the sampler and the per-row (S, d, V, m) embeddings of
+    the sleep losses."""
 
     S, d, V, m = 25, 32, 3, 64
 
-    def _case(self):
+    def _case(self, per_row=False):
         rng = np.random.default_rng(8)
         params = _rand_params(self.V, self.m, 8)
-        Phi = rng.normal(size=(self.d, self.V, self.m)) * 0.3
+        shape = ((self.S,) if per_row else ()) + (self.d, self.V, self.m)
+        Phi = rng.normal(size=shape) * 0.3
         Z = rng.integers(0, self.V, size=(self.S, self.d))
-        own = Phi[np.arange(self.d)[None, :], Z]
+        rows = np.broadcast_to(Phi, (self.S, self.d, self.V, self.m))
+        own = rows[np.arange(self.S)[:, None], np.arange(self.d), Z]
         excl = own.sum(axis=1, keepdims=True) - own
-        A = excl[:, :, None, :] + Phi[None]
+        A = excl[:, :, None, :] + rows
         return rng, params, Phi, Z, A
 
     def test_forward_matches_materialized_sums(self):
@@ -181,8 +186,14 @@ class TestProjectedTable:
         assert H.shape == (self.S, self.d, self.V)
         assert np.abs(H - ref).max() <= 1e-12
 
+    def test_per_row_forward_matches_materialized_sums(self):
+        _, params, Phi, Z, A = self._case(per_row=True)
+        H, _ = tn.twist_table(params, Phi, Z)
+        ref, _ = tn.rho_forward(params, A)
+        assert np.abs(H - ref).max() <= 1e-12
+
     def test_backward_matches_materialized_sums(self):
-        rng, params, Phi, Z, A = self._case()
+        rng, params, Phi, Z, A = self._case(per_row=True)
         dout = rng.normal(size=(self.S, self.d, self.V))
         _, cache = tn.twist_table(params, Phi, Z)
         grads = tn.zero_grads(params)
@@ -190,33 +201,31 @@ class TestProjectedTable:
         _, ref_cache = tn.rho_forward(params, A)
         ref = tn.zero_grads(params)
         dA = tn.rho_backward(params, ref_cache, dout, ref)
-        # A[s, i, v] = Phi[i, v] + sum over j != i of Phi[j, Z[s, j]]
-        ref_dPhi = dA.sum(axis=0)
+        # A[s, i, v] = Phi[s, i, v] + sum over j != i of Phi[s, j, Z[s, j]]
+        ref_dPhi = dA.copy()
         dexcl = dA.sum(axis=2)
         down = dexcl.sum(axis=1, keepdims=True) - dexcl
         for s in range(self.S):
-            ref_dPhi[np.arange(self.d), Z[s]] += down[s]
+            ref_dPhi[s, np.arange(self.d), Z[s]] += down[s]
         for k in ref:
             assert np.abs(grads[k] - ref[k]).max() <= 1e-12 * np.abs(ref[k]).max()
         assert np.abs(dPhi - ref_dPhi).max() <= 1e-12 * np.abs(ref_dPhi).max()
 
-    def test_backward_scatter_keeps_row_order(self):
-        # the flat scatter adds the rows' terms into each cell in row order,
-        # as a loop over rows does, so both agree bit for bit
-        rng, params, Phi, Z, _ = self._case()
+    def test_backward_adds_each_cell_once(self):
+        # each (row, node) cell of a per-row Phi takes one excluded-sum
+        # term, so the indexed add agrees bit for bit with a loop over rows
+        rng, params, Phi, Z, _ = self._case(per_row=True)
         dout = rng.normal(size=(self.S, self.d, self.V))
         _, cache = tn.twist_table(params, Phi, Z)
+        dpre = tn._dtanh(cache[2]) * params.w3 * dout[..., None]
         grads = tn.zero_grads(params)
         dPhi = tn.twist_table_backward(params, cache, dout, grads)
-        dpre = (dout[..., None] * params.w3) * tn._dtanh(cache[2])
-        dproj = dpre.sum(axis=0)
         dexcl = dpre.sum(axis=2)
         down = dexcl.sum(axis=1, keepdims=True) - dexcl
         for s in range(self.S):
-            dproj[np.arange(self.d), Z[s]] += down[s]
-        flat = dproj.reshape(-1, self.m)
-        assert np.array_equal(grads["W2"], Phi.reshape(-1, self.m).T @ flat)
-        assert np.array_equal(dPhi, dproj @ params.W2.T)
+            dpre[s, np.arange(self.d), Z[s]] += down[s]
+        assert np.array_equal(grads["W2"], tn._stacked_gram(Phi, dpre))
+        assert np.array_equal(dPhi, tn._stacked(dpre, params.W2.T))
 
 
 class TestSleepLoss:
@@ -332,6 +341,73 @@ class TestDRELoss:
                             lambda q: tn.dre_loss(q, spec, [item])[0], tol=1e-5)
 
 
+class TestBatchedLosses:
+    """A batch runs its (item, step) rows as one pass; its loss and every
+    gradient block must equal the mean over one-item calls."""
+
+    def _items(self, loss):
+        spec = chain_spec(4, V=3)
+        p = SIRSParams(0.3, 1.0, 0.5, 0.3)
+        model = sirs_model()
+        rng = np.random.default_rng(12)
+        items = []
+        # three grids of different lengths: snapshots off and on the base grid
+        for times in ([0.35, 0.9], [0.5], [0.15, 0.6, 0.95]):
+            vals = rng.integers(0, 4, size=(len(times), 4))
+            obs = ObservationSequence(horizon=1.0, times=np.array(times),
+                                      values=vals, V=3, p_mask=0.5,
+                                      label_noise=0.001)
+            grid = make_grid(1.0, 0.1, obs.times)
+            Z0 = rng.integers(0, 3, size=(2, 4))
+            paths = euler_simulate_batch(model, spec, p, Z0, grid, rng)
+            ctx = tn.TwistContext(spec, obs)
+            if loss == "kl":
+                items.append(tn.SleepItem(grid=grid, states=paths[0], ctx=ctx))
+            else:
+                items.append(tn.DREItem(grid=grid, states_pos=paths[0],
+                                        states_neg=paths[1], ctx=ctx))
+        params = _rand_params(3, 8, 21)
+
+        def call(batch, mcs):
+            if loss == "kl":
+                return tn.sleep_loss_forward_kl(params, model, spec, p, batch,
+                                                mc_indices=mcs,
+                                                q0_support=np.zeros((4, 3)))
+            return tn.dre_loss(params, spec, batch, mc_indices=mcs)
+
+        return items, call
+
+    @pytest.mark.parametrize("loss", ["kl", "dre"])
+    @pytest.mark.parametrize("mc", [False, True])
+    def test_batch_is_mean_of_single_items(self, loss, mc, monkeypatch):
+        items, call = self._items(loss)
+        mcs = [3, 0, 7] if mc else None
+        singles = [call([it], None if mcs is None else [m])
+                   for it, m in zip(items, mcs or [None] * 3)]
+        if not mc:
+            # two rows per chunk: the full loss's rows span many chunks
+            per_row = 8 * 4 * 3 * 8
+            monkeypatch.setattr(tn, "CHUNK_BYTES", 2 * per_row)
+            assert sum(len(it.grid) for it in items) > 2
+        loss_b, grads_b = call(items, mcs)
+        assert loss_b == pytest.approx(np.mean([s[0] for s in singles]),
+                                       rel=1e-12)
+        refs = {k: np.mean([s[1][k] for s in singles], axis=0) for k in grads_b}
+        # the kl loss's b3 gradient is structurally zero (scores are
+        # differences), so the absolute floor follows the largest block
+        scale = max(np.abs(r).max() for r in refs.values())
+        for k, g in grads_b.items():
+            assert np.allclose(g, refs[k], rtol=1e-12, atol=1e-12 * scale), k
+
+    def test_rejects_time_inhomogeneous_model(self):
+        items, _ = self._items("kl")
+        model = dataclasses.replace(sirs_model(), time_homogeneous=False)
+        with pytest.raises(ValueError, match="time-homogeneous"):
+            tn.sleep_loss_forward_kl(_rand_params(3, 8, 21), model,
+                                     chain_spec(4, V=3),
+                                     SIRSParams(0.3, 1.0, 0.5, 0.3), items)
+
+
 def _assert_grads_match(params, grads, loss_fn, tol, eps=1e-6):
     for k, a in params.arrays().items():
         fd = np.zeros_like(a)
@@ -416,8 +492,8 @@ class TestQ0:
         test_obs = ObservationSequence(horizon=2.0, times=template.times,
                                        values=np.full((2, d), 1), V=3,
                                        p_mask=0.5, label_noise=0.001)
-        logits, _ = tn.q0_logits(params, tn.TwistContext(spec, test_obs))
-        agree = (logits.argmax(axis=1) == atom).mean()
+        logp = tn.q0_logp(params, tn.TwistContext(spec, test_obs).initial_features)
+        agree = (logp.argmax(axis=1) == atom).mean()
         assert agree >= 0.95
 
 
