@@ -4,12 +4,14 @@
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
         --what "what the change does" --seed 5 --out BENCH_9.json
 
-For each workload, each pair runs ``python3 perfbench/run.py --workload W
---seed S --seconds N --trace 0`` once in each checkout, from that checkout's
-root, one run at a time; the side that runs first alternates (the parent
-first in odd-numbered pairs). ``--traced W`` adds one ``--trace 1`` pass of
-workload W per side, for the per-layer numbers. The script only runs
-perfbench/; it edits nothing in either checkout.
+For each workload (infer, learn and exact), each of 10 pairs runs
+``python3 perfbench/run.py --workload W --seed S --seconds N --trace 0``
+once in each checkout, from that checkout's root, one run at a time; the
+side that runs first alternates (the parent first in odd-numbered pairs).
+``--traced W`` adds one ``--trace 1`` pass of workload W per side, for the
+per-layer numbers. The parent's commit id is read with git from its
+checkout. The script only runs perfbench/; it edits nothing in either
+checkout.
 
 The file holds every run's result line and, per workload and end-to-end
 metric, each side's median and quartiles and the number of pairs the change
@@ -28,17 +30,23 @@ import sys
 
 import numpy as np
 
+PAIRS = 10
+WORKLOADS = ("infer", "learn", "exact")
+# seconds one benchmark run may take; a run at the length BENCHMARK.json
+# sets takes under a minute on a 2-core machine
+TIMEOUT_S = 600
 
-def run_benchmark(checkout, workload, seed, seconds, trace, timeout):
+
+def run_benchmark(checkout, workload, seed, seconds, trace):
     """One perfbench/run.py call; returns its JSON result line, or None
     when the run failed to produce one."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     try:
         proc = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE,
-                              text=True, timeout=timeout)
+                              text=True, timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
-        print(f"{checkout}: {workload} ran over {timeout} s", file=sys.stderr)
+        print(f"{checkout}: {workload} ran over {TIMEOUT_S} s", file=sys.stderr)
         return None
     lines = proc.stdout.strip().splitlines()
     try:
@@ -110,34 +118,25 @@ def main(argv=None):
     ap.add_argument("--change", required=True, help="checkout of the change")
     ap.add_argument("--out", required=True, help="BENCH file to write")
     ap.add_argument("--what", required=True, help="one line on the change")
-    ap.add_argument("--parent-commit", default=None,
-                    help="parent commit id, when --parent is not a git checkout")
     ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--workloads", nargs="+", default=["infer", "learn", "exact"])
     ap.add_argument("--traced", nargs="*", default=[],
                     help="workloads to run once per side with --trace 1")
-    ap.add_argument("--timeout", type=float, default=1800.0,
-                    help="seconds one benchmark run may take")
     args = ap.parse_args(argv)
-    if args.pairs < 1:
-        ap.error("--pairs must be >= 1")
 
     with open(os.path.join(args.change, "BENCHMARK.json")) as f:
         bench = json.load(f)
     metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
     seconds = bench.get("run_seconds", 12)
-    parent_commit = args.parent_commit or subprocess.run(
-        ["git", "rev-parse", "HEAD"], cwd=args.parent, stdout=subprocess.PIPE,
-        text=True).stdout.strip() or "unknown"
+    parent_commit = subprocess.check_output(["git", "rev-parse", "HEAD"],
+                                            cwd=args.parent, text=True).strip()
     sides = {"parent": args.parent, "change": args.change}
 
     runs = []
-    for workload in args.workloads:
-        for pair in range(1, args.pairs + 1):
+    for workload in WORKLOADS:
+        for pair in range(1, PAIRS + 1):
             order = ["parent", "change"] if pair % 2 else ["change", "parent"]
             results = {side: run_benchmark(sides[side], workload, args.seed,
-                                           seconds, 0, args.timeout)
+                                           seconds, 0)
                        for side in order}
             runs.append({
                 "workload": workload, "pair": pair, "first": order[0],
@@ -152,11 +151,11 @@ def main(argv=None):
     doc = {
         "what": args.what,
         "parent_commit": parent_commit,
-        "command": (f"python3 perfbench/run.py --workload {{{','.join(args.workloads)}}} "
+        "command": (f"python3 perfbench/run.py --workload {{{','.join(WORKLOADS)}}} "
                     f"--seed {args.seed} --seconds {seconds} --trace 0"),
         "seed": args.seed,
         "machine": machine(),
-        "protocol": (f"{args.pairs} pairs per workload, each side run from its own "
+        "protocol": (f"{PAIRS} pairs per workload, each side run from its own "
                      f"checkout, one run at a time; the side that runs first "
                      f"alternates (parent first in odd-numbered pairs). Each value "
                      f"is one run's result line: round_s and peak_rss_mib are "
@@ -168,8 +167,7 @@ def main(argv=None):
         traced = []
         for workload in args.traced:
             for side in ("parent", "change"):
-                res = run_benchmark(sides[side], workload, args.seed, seconds, 1,
-                                    args.timeout)
+                res = run_benchmark(sides[side], workload, args.seed, seconds, 1)
                 traced.append({"workload": workload, "side": side,
                                "correct": bool(res and res["correct"]),
                                "metrics": values(res, res["metrics"]) if res else None})

@@ -277,7 +277,7 @@ def cmd_train_twist(cfg: TrainTwistConfig, threads=1, emit_svg=False, resume=Non
 
 
 # config keys a train-twist checkpoint records for --resume to check
-_RESUME_KEYS = ("batch", "dt", "lr", "reuse", "mc_loss")
+_RESUME_KEYS = ("loss", "seed", "batch", "dt", "lr", "reuse", "mc_loss")
 
 
 def _check_resume(header, psi, cfg: TrainTwistConfig):
@@ -287,10 +287,8 @@ def _check_resume(header, psi, cfg: TrainTwistConfig):
     if missing:
         raise ConfigError(f"resume checkpoint lacks {missing}; only "
                           f"train-twist checkpoints can be resumed")
-    checks = [("loss", header.get("loss"), cfg.loss), ("m", psi.m, cfg.m),
-              ("seed", header.get("seed"), cfg.seed)]
-    checks += [(k, header.get(k), getattr(cfg, k)) for k in _RESUME_KEYS]
-    for name, saved, want in checks:
+    checks = [(k, header.get(k), getattr(cfg, k)) for k in _RESUME_KEYS]
+    for name, saved, want in checks + [("m", psi.m, cfg.m)]:
         if saved != want:
             raise ConfigError(f"resume checkpoint has {name} {saved!r}, "
                               f"config has {want!r}")
@@ -298,10 +296,10 @@ def _check_resume(header, psi, cfg: TrainTwistConfig):
 
 def _save_twist(path, psi, adam, rng, step, cfg, meta):
     tn.save_checkpoint(path, psi, adam,
-                       meta={"step": step, "loss": cfg.loss,
+                       meta={"step": step,
                              "rng_state": json.dumps(rng.bit_generator.state),
                              "config_hash": meta["config_hash"],
-                             "seed": meta["seed"], "version": meta["version"],
+                             "version": meta["version"],
                              **{k: getattr(cfg, k) for k in _RESUME_KEYS}})
 
 

@@ -16,15 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ips import sample_values, sigmoid
+from .ips import sigmoid
+from .smc import FactorizedInitial
 from .twisting import TwistOracle
 
 TANH = np.tanh
 
 
-def _dtanh(y):
+def _dtanh(y, out=None):
     # derivative expressed through the activation value, in one buffer
-    out = y * y
+    out = np.multiply(y, y, out=out)
     return np.subtract(1.0, out, out=out)
 
 
@@ -97,17 +98,12 @@ class TwistContext:
         self.T = float(obs.horizon)
         self.K = obs.K
         self._seg_cache = {}
-        w = spec.edge_weights
+        w = self._w = spec.edge_weights
         deg = spec.adjacency.sum(axis=1).astype(float)
-        avg_deg = max(1.0, deg.mean())
-        self._graph = np.stack([
-            w.sum(axis=1),
-            w.sum(axis=1) / np.maximum(deg, 1.0),
-            deg / avg_deg,
-        ], axis=1)  # (d, 3)
-        self._adj = spec.adjacency.astype(float)
-        self._w = w
         self._deg = np.maximum(deg, 1.0)
+        self._adj = spec.adjacency.astype(float)
+        self._graph = np.stack([w.sum(axis=1), w.sum(axis=1) / self._deg,
+                                deg / max(1.0, deg.mean())], axis=1)  # (d, 3)
         self.initial_features = self.features(0.0)  # read by the initial head
 
     def start_index(self, t):
@@ -118,9 +114,12 @@ class TwistContext:
         return self.start_index(t) < self.K
 
     def _segment(self, start):
+        """The features while the first start snapshots have passed, with
+        the three time columns left at zero, plus each node's next snapshot
+        time and the next snapshot time of any node (T when there is none)."""
         if start in self._seg_cache:
             return self._seg_cache[start]
-        d, V = self.spec.d, self.spec.V
+        d, V, T = self.spec.d, self.spec.V, self.T
         # a sentinel snapshot after the last one: unmasked, of value V, at
         # time inf; it is the next unmasked snapshot of a node with none
         vals = np.vstack([self.obs.values[start:], np.full((1, d), V)])
@@ -129,45 +128,64 @@ class TwistContext:
         hit[-1] = True
         first = np.argmax(hit, axis=0)
         next_val = vals[first, np.arange(d)]
-        next_time = times[first]
-        count = hit[:-1].sum(axis=0).astype(float)
         hits = (next_val[:, None] == np.arange(V)).astype(float)
-        nbr_frac = (self._adj @ hits) / self._deg[:, None]
-        # one product per value, the edge-weighted sums in their fixed order
-        nbr_wfrac = np.stack([self._w @ h for h in hits.T], axis=1)
-        next_event = times[0]
-        seg = (next_val, next_time, count, nbr_frac, nbr_wfrac, next_event)
+        nf = feature_dim(V)
+        out = np.zeros((d, V, nf))
+        node = out[:, 0, : nf - V - 1]  # per-node columns, copied to every value
+        node[np.arange(d), 1 + next_val] = 1.0
+        node[:, V + 2] = hit[:-1].sum(axis=0) / max(self.K, 1)
+        node[:, V + 3:2 * V + 3] = (self._adj @ hits) / self._deg[:, None]
+        # edge-weighted variant: how strongly my neighborhood pulls toward
+        # each value, in the same units as the interaction rates; one
+        # product per value, the edge-weighted sums in their fixed order
+        node[:, 2 * V + 3:3 * V + 3] = np.stack([self._w @ h for h in hits.T], axis=1)
+        node[:, 3 * V + 5:3 * V + 8] = self._graph
+        out[:, 1:, : nf - V - 1] = node[:, None, :]
+        out[:, np.arange(V), nf - V - 1 + np.arange(V)] = 1.0
+        out[:, :, nf - 1] = hits
+        seg = (out, np.where(first < len(times) - 1, times[first], T),
+               times[0] if start < self.K else T)
         self._seg_cache[start] = seg
         return seg
 
     def features(self, t):
         """(d, V, nf) feature tensor at time t."""
-        d, V, T = self.spec.d, self.spec.V, self.T
-        (next_val, next_time, count, nbr_frac, nbr_wfrac,
-         next_event) = self._segment(self.start_index(t))
-        nf = feature_dim(V)
-        out = np.zeros((d, V, nf))
-        node = out[:, 0, : nf - V - 1]  # per-node columns, copied to every value
-        node[:, 0] = np.where(np.isfinite(next_time), next_time - t, T - t) / T
-        node[np.arange(d), 1 + next_val] = 1.0
-        node[:, V + 2] = count / max(self.K, 1)
-        node[:, V + 3:2 * V + 3] = nbr_frac
-        # edge-weighted variant: how strongly my neighborhood pulls toward
-        # each value, in the same units as the interaction rates
-        node[:, 2 * V + 3:3 * V + 3] = nbr_wfrac
-        node[:, 3 * V + 3] = t / T
-        node[:, 3 * V + 4] = ((next_event - t) if np.isfinite(next_event) else (T - t)) / T
-        node[:, 3 * V + 5:3 * V + 8] = self._graph
-        out[:, 1:, : nf - V - 1] = node[:, None, :]
-        out[:, np.arange(V), nf - V - 1 + np.arange(V)] = 1.0
-        out[:, :, nf - 1] = (np.arange(V)[None, :] == next_val[:, None]).astype(float)
+        V, T = self.spec.V, self.T
+        seg, next_time, next_event = self._segment(self.start_index(t))
+        out = seg.copy()
+        out[:, :, 0] = ((next_time - t) / T)[:, None]
+        out[:, :, 3 * V + 3] = t / T
+        out[:, :, 3 * V + 4] = (next_event - t) / T
         return out
+
+
+def _stacked(X, W):
+    """X @ W over the last axis of an (S, ..., k) array, as S stacked
+    products, each too small for BLAS to split over spinning threads."""
+    return np.matmul(X.reshape(len(X), -1, X.shape[-1]), W).reshape(
+        X.shape[:-1] + W.shape[1:])
+
+
+def _stacked_gram(A, B):
+    """(p, q) sum over s of A[s].T @ B[s] for (S, ..., p) and (S, ..., q)
+    arrays, as S stacked products (see _stacked)."""
+    S = len(A)
+    return np.matmul(A.reshape(S, -1, A.shape[-1]).transpose(0, 2, 1),
+                     B.reshape(S, -1, B.shape[-1])).sum(axis=0)
+
+
+def encode(params, F):
+    """Embeddings Phi (S, d, V, m) of the stacked features F (S, d, V, nf),
+    as S stacked products (see _stacked)."""
+    pre = _stacked(F, params.W1)
+    pre += params.b1
+    return TANH(pre, out=pre)
 
 
 def encode_context(params, ctx: TwistContext, t):
     """State-independent embeddings Phi (d, V, m) at time t."""
     F = ctx.features(t)
-    return TANH(F @ params.W1 + params.b1), F
+    return encode(params, F[None])[0], F
 
 
 # ---------------------------------------------------------------------------
@@ -206,25 +224,8 @@ def encoder_backward(params, F, Phi, dPhi, grads):
 def _own(Phi, Z):
     """(S, d, m) embeddings of the values each state of Z (S, d) holds, read
     from one shared (d, V, m) Phi or from one (S, d, V, m) Phi per row."""
-    nodes = np.arange(Z.shape[1])
-    if Phi.ndim == 3:
-        return Phi[nodes, Z]
-    return Phi[np.arange(len(Z))[:, None], nodes, Z]
-
-
-def _stacked(X, W):
-    """X @ W over the last axis of an (S, ..., k) array, as S stacked
-    products, each too small for BLAS to split over spinning threads."""
-    return np.matmul(X.reshape(len(X), -1, X.shape[-1]), W).reshape(
-        X.shape[:-1] + W.shape[1:])
-
-
-def _stacked_gram(A, B):
-    """(p, q) sum over s of A[s].T @ B[s] for (S, ..., p) and (S, ..., q)
-    arrays, as S stacked products (see _stacked)."""
-    S = len(A)
-    return np.matmul(A.reshape(S, -1, A.shape[-1]).transpose(0, 2, 1),
-                     B.reshape(S, -1, B.shape[-1])).sum(axis=0)
+    rows = (np.arange(len(Z))[:, None],) if Phi.ndim == 4 else ()
+    return Phi[rows + (np.arange(Z.shape[1]), Z)]
 
 
 def twist_log_values(params, Phi, Z):
@@ -278,8 +279,7 @@ def twist_table_backward(params, cache, dout, grads):
     S, d, V, m = hidden.shape
     grads["w3"] += _stacked_gram(dout[..., None], hidden)[0]
     grads["b3"] += dout.sum()
-    dpre = np.multiply(hidden, hidden, out=hidden)  # of Phi @ W2 + b2
-    np.subtract(1.0, dpre, out=dpre)
+    dpre = _dtanh(hidden, out=hidden)  # of Phi @ W2 + b2
     dpre *= params.w3
     dpre *= dout[..., None]
     grads["b2"] += dpre.reshape(-1, m).sum(axis=0)
@@ -316,20 +316,13 @@ def q0_logp(params, F0, support_logmask=None):
     return logits - (m + np.log(np.exp(logits - m).sum(axis=-1, keepdims=True)))
 
 
-class _Q0Dist:
+class _Q0Dist(FactorizedInitial):
     """Initial proposal: per-node softmax of the q0 head, confined to the
     support of the prior initial law so importance weights stay finite."""
 
     def __init__(self, params, ctx, support_logmask=None):
-        self.logp = q0_logp(params, ctx.initial_features, support_logmask)
-        self.p = np.exp(self.logp)
-
-    def sample(self, rng, S):
-        return sample_values(self.p, rng.random((S, len(self.p))))
-
-    def log_pmf_batch(self, Z):
-        d = self.logp.shape[0]
-        return self.logp[np.arange(d)[None, :], Z].sum(axis=1)
+        self.log_probs = q0_logp(params, ctx.initial_features, support_logmask)
+        self.probs = np.exp(self.log_probs)
 
 
 # ---------------------------------------------------------------------------
@@ -355,15 +348,14 @@ def _rows(items, mc_indices, extra, *fields):
     single-term estimate). Returns the row weights, which carry the batch
     mean, the rows' contexts, and per (name, shift) field the rows
     getattr(item, name)[point + shift], stacked."""
-    picks = []
-    for b, item in enumerate(items):
-        n = len(item.grid) - 1 + extra
-        j = np.arange(n) if mc_indices is None else np.array([mc_indices[b]])
-        picks.append((item, j, (1 if mc_indices is None else n) / len(items)))
-    w = np.concatenate([np.full(len(j), s) for _, j, s in picks])
-    ctxs = [item.ctx for item, j, _ in picks for _ in j]
+    n = [len(item.grid) - 1 + extra for item in items]
+    js = ([np.arange(k) for k in n] if mc_indices is None
+          else [np.array([j]) for j in mc_indices])
+    w = np.concatenate([np.full(len(j), (1 if mc_indices is None else k) / len(items))
+                        for j, k in zip(js, n)])
+    ctxs = [item.ctx for item, j in zip(items, js) for _ in j]
     return w, ctxs, [np.concatenate([getattr(item, name)[j + shift]
-                                     for item, j, _ in picks])
+                                     for item, j in zip(items, js)])
                      for name, shift in fields]
 
 
@@ -375,9 +367,7 @@ def _encoded_chunks(params, ctxs, t):
     for a in range(0, len(t), size):
         rows = slice(a, a + size)
         F = np.stack([ctx.features(s) for ctx, s in zip(ctxs[rows], t[rows])])
-        pre = _stacked(F, params.W1)
-        pre += params.b1
-        yield rows, F, TANH(pre, out=pre)
+        yield rows, F, encode(params, F)
 
 
 def sleep_loss_forward_kl(params, model, spec, theta, items, mc_indices=None,
@@ -450,7 +440,7 @@ def dre_loss(params, spec, items, mc_indices=None):
         X = np.stack([_own(Phi, pos).sum(axis=1), _own(Phi, neg).sum(axis=1)], axis=1)
         out, cache = rho_forward(params, X)
         lp, ln = out[:, 0], out[:, 1]
-        total += float(wc @ (_softplus(-lp) + _softplus(ln)))
+        total += float(wc @ (np.logaddexp(0.0, -lp) + np.logaddexp(0.0, ln)))
         dout = np.stack([-sigmoid(-lp), sigmoid(ln)], axis=1) * wc[:, None]
         dX = rho_backward(params, cache, dout, grads)
         dPhi = np.zeros_like(Phi)
@@ -460,10 +450,6 @@ def dre_loss(params, spec, items, mc_indices=None):
         dPhi[at + (neg,)] += dX[:, None, 1]
         encoder_backward(params, F, Phi, dPhi, grads)
     return total, grads
-
-
-def _softplus(x):
-    return np.logaddexp(0.0, x)
 
 
 # ---------------------------------------------------------------------------

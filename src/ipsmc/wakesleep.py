@@ -139,8 +139,10 @@ def _simulate_sleep_batch(model, spec, theta, p0, tau_grids, obs_template, cfg, 
     padded = np.full((len(runs), max(map(len, grids))), T)
     for k, g in enumerate(runs):
         padded[k, :len(g)] = g
+    # equal grids run on one shared grid, which any model accepts
     paths = euler_simulate_batch(model, spec, theta, p0.sample(rng, len(runs)),
-                                 padded, rng)
+                                 padded[0] if (padded == padded[0]).all() else padded,
+                                 rng)
     items = []
     for b, (taus, grid) in enumerate(zip(tau_grids, grids)):
         states = paths[b, :len(grid)]
@@ -194,18 +196,19 @@ def sleep_steps(psi, adam, theta, model, spec, p0, tau_grids, obs_template,
 
 def sleep_phase(psi, psi_adam, theta, model, spec, p0, tau_grids, obs_template,
                 cfg, rng, n_steps, telemetry=None, global_iter=0, truth=None,
-                phase="sleep"):
+                phase="sleep", plateau=None):
     """n_steps sleep steps on the twist (sleep_steps), one telemetry row
-    each. mc_loss applies to the sleep loop only; the wake phase always
-    uses the exact full-path objective.
+    each, labelled phase. mc_loss applies to the sleep loop only; the wake
+    phase always uses the exact full-path objective.
 
-    The "pretrain" phase, the sleep-only warm start, stops early on a loss
-    plateau: at the end of a batch, once 2 * pretrain_window losses exist,
-    it stops if the mean of the last window fell by less than
-    pretrain_rel_tol (relative) below the mean of the window before."""
+    plateau=(window, rel_tol) stops early on a loss plateau, as the
+    sleep-only warm start does: at the end of a batch, once 2 * window
+    losses exist, it stops if the mean of the last window fell by less
+    than rel_tol (relative) below the mean of the window before."""
     rpe = (relative_parameter_error(theta.as_array(), truth.as_array())
            if truth is not None else float("nan"))
-    window, losses = cfg.pretrain_window, []
+    window, rel_tol = plateau or (0, 0.0)
+    losses = []
     for step, (psi, loss) in enumerate(
             sleep_steps(psi, psi_adam, theta, model, spec, p0, tau_grids,
                         obs_template, cfg, rng, n_steps), 1):
@@ -213,11 +216,10 @@ def sleep_phase(psi, psi_adam, theta, model, spec, p0, tau_grids, obs_template,
         if telemetry is not None:
             telemetry.add(global_iter, phase, step, loss,
                           float("nan"), float("nan"), theta, rpe)
-        if (phase == "pretrain" and step % cfg.reuse == 0
-                and len(losses) >= 2 * window):
+        if plateau and step % cfg.reuse == 0 and len(losses) >= 2 * window:
             prev = float(np.mean(losses[-2 * window:-window]))
             last = float(np.mean(losses[-window:]))
-            if (prev - last) / max(abs(prev), 1e-9) < cfg.pretrain_rel_tol:
+            if (prev - last) / max(abs(prev), 1e-9) < rel_tol:
                 break
     return psi
 
@@ -332,7 +334,8 @@ def train(model, spec, p0, dataset_obs, theta0: SIRSParams, cfg: TrainConfig,
     if cfg.pretrain_steps > 0:
         psi = sleep_phase(psi, psi_adam, theta_state.params(), model, spec, p0,
                           tau_grids, obs_template, cfg, rng, cfg.pretrain_steps,
-                          telemetry, 0, truth, phase="pretrain")
+                          telemetry, 0, truth, phase="pretrain",
+                          plateau=(cfg.pretrain_window, cfg.pretrain_rel_tol))
 
     for g in range(1, cfg.global_iters + 1):
         psi = sleep_phase(psi, psi_adam, theta_state.params(), model, spec, p0,

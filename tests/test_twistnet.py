@@ -436,7 +436,7 @@ class TestQ0:
         params = tn.init_params(3, m=8, seed=0)
         ctx = tn.TwistContext(spec, _obs3(d=3))
         dist = tn._Q0Dist(params, ctx)
-        assert np.allclose(dist.p, 1 / 3)
+        assert np.allclose(dist.probs, 1 / 3)
 
     def test_support_mask_restricts(self):
         spec = chain_spec(2, V=3)
@@ -447,7 +447,7 @@ class TestQ0:
         ctx = tn.TwistContext(spec, obs)
         mask = np.array([[0.0, 0.0, -np.inf], [0.0, 0.0, -np.inf]])
         dist = tn._Q0Dist(params, ctx, support_logmask=mask)
-        assert np.all(dist.p[:, 2] == 0.0)
+        assert np.all(dist.probs[:, 2] == 0.0)
         Z = dist.sample(np.random.default_rng(0), 200)
         assert Z.max() <= 1
         assert np.all(np.isfinite(dist.log_pmf_batch(Z)))

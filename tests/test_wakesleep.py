@@ -270,6 +270,26 @@ class TestSleepPhase:
         for k in ends[0][1]:
             assert np.array_equal(ends[0][1][k], ends[1][1][k])
 
+    def test_equal_grids_simulate_on_one_shared_grid(self):
+        # a batch whose items share one grid runs on that grid, bitwise as
+        # a shared-grid call, and so also under a time-inhomogeneous model;
+        # unequal grids run in lockstep, which needs a homogeneous model
+        spec, theta, model, p0, template, tau_grids = _sleep_setup()
+        cfg = TrainConfig(batch=3, dt=0.25, seed=3, pretrain_steps=0)
+        items = _simulate_sleep_batch(model, spec, theta, p0, [tau_grids[0]] * 3,
+                                      template, cfg, np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        paths = euler_simulate_batch(model, spec, theta, p0.sample(rng, 3),
+                                     items[0].grid, rng)
+        for b, item in enumerate(items):
+            assert np.array_equal(item.states, paths[b])
+        inhomogeneous = dataclasses.replace(model, time_homogeneous=False)
+        _simulate_sleep_batch(inhomogeneous, spec, theta, p0, [tau_grids[0]] * 2,
+                              template, cfg, np.random.default_rng(5))
+        with pytest.raises(ValueError, match="time-homogeneous"):
+            _simulate_sleep_batch(inhomogeneous, spec, theta, p0, tau_grids,
+                                  template, cfg, np.random.default_rng(5))
+
     def test_mc_gradient_expectation_matches_full(self):
         spec, theta, model, p0, template, tau_grids = _sleep_setup()
         cfg = TrainConfig(batch=3, dt=0.25, seed=3, pretrain_steps=0)
