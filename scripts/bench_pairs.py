@@ -17,16 +17,25 @@ The file holds every run's result line and, per workload and end-to-end
 metric, each side's median and quartiles and the number of pairs the change
 won (ties count for neither side). Which direction is better, and the run
 length, are read from the change's BENCHMARK.json.
+
+Its ``outputs`` block compares what the two trees compute: each checkout
+runs the set-up and round stages of every workload once, through
+perfbench/workloads.py's ``workload_stages`` and ``run_stage``, into a
+temporary directory, and the block lists the sha256 of every file the
+stages wrote and whether the two sides match.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
+import shutil
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 
@@ -55,6 +64,66 @@ def run_benchmark(checkout, workload, seed, seconds, trace):
         print(f"{checkout}: {workload} printed no result line "
               f"(exit {proc.returncode})", file=sys.stderr)
         return None
+
+
+# run from a checkout's root with (workload, seed, work directory): runs
+# every stage of the workload once and prints each stage's label and
+# output directory
+STAGES_SCRIPT = """
+import json, os, sys
+os.makedirs(sys.argv[3])
+sys.path.insert(0, "perfbench")
+from workloads import run_stage, workload_stages
+setup, once, rounds = workload_stages(sys.argv[1], int(sys.argv[2]), sys.argv[3])
+for stage in setup + once:
+    run_stage(stage, "setup")
+for stage in rounds:
+    run_stage(stage)
+print(json.dumps([[s.label, s.out] for s in setup + once + rounds]))
+"""
+
+
+def stage_digests(checkout, workload, seed, work):
+    """{label/relative path: sha256} of every file the workload's stages
+    write when run once from checkout into the empty directory work, or an
+    error string. Output headers hash the stage configs, paths included, so
+    both sides must run in the same work directory."""
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", STAGES_SCRIPT, workload, str(seed), work],
+            cwd=checkout, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return f"ran over {TIMEOUT_S} s"
+    if proc.returncode != 0:
+        lines = proc.stderr.strip().splitlines()
+        return lines[-1] if lines else f"exit {proc.returncode}"
+    digests = {}
+    for label, out in json.loads(proc.stdout.strip().splitlines()[-1]):
+        for dirpath, dirnames, filenames in os.walk(out):
+            dirnames.sort()
+            for fn in sorted(filenames):
+                full = os.path.join(dirpath, fn)
+                with open(full, "rb") as f:
+                    digest = hashlib.sha256(f.read()).hexdigest()
+                digests[f"{label}/{os.path.relpath(full, out)}"] = digest
+    return digests
+
+
+def output_digests(sides, seed):
+    """Per workload: each side's file digests and whether they match."""
+    out = {}
+    for workload in WORKLOADS:
+        rec = {}
+        with tempfile.TemporaryDirectory() as tmp:
+            work = os.path.join(tmp, "work")
+            for side, path in sides.items():
+                shutil.rmtree(work, ignore_errors=True)
+                rec[side] = stage_digests(path, workload, seed, work)
+        rec["identical"] = (isinstance(rec["parent"], dict)
+                            and rec["parent"] == rec["change"])
+        out[workload] = rec
+    return out
 
 
 def values(result, names):
@@ -162,6 +231,11 @@ def main(argv=None):
                      f"medians over that run's rounds, setup_s its set-up time."),
         "runs": runs,
         "summary": summarize(runs, metrics),
+    }
+    doc["outputs"] = {
+        "command": ("python3 -c <STAGES_SCRIPT> {workload} "
+                    f"{args.seed} <temporary directory>, from each checkout's root"),
+        "workloads": output_digests(sides, args.seed),
     }
     if args.traced:
         traced = []

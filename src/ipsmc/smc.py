@@ -82,22 +82,25 @@ def logsumexp(a, axis=None, keepdims=False):
     return out[()] if out.ndim == 0 else out
 
 
-def effective_sample_size(log_weights):
+def effective_sample_size(log_weights, log_total=None):
+    """1 / sum of squared normalized weights; log_total, when given, is
+    logsumexp(log_weights), computed once by the caller."""
     lw = np.asarray(log_weights, dtype=float)
     finite = np.isfinite(lw)
     if not np.any(finite):
         raise CollapseError("all particle weights are -inf")
-    lwn = lw - logsumexp(lw)
+    lwn = lw - (logsumexp(lw) if log_total is None else log_total)
     return float(np.exp(-logsumexp(2.0 * lwn)))
 
 
-def systematic_resample(log_weights, rng, n_out=None):
+def systematic_resample(log_weights, rng, n_out=None, log_total=None):
     """Ancestor indices with one shared uniform shift; offspring counts are
-    floor or ceil of n_out * normalized weight, indices come out sorted."""
+    floor or ceil of n_out * normalized weight, indices come out sorted.
+    log_total, when given, is logsumexp(log_weights)."""
     lw = np.asarray(log_weights, dtype=float)
     if not np.any(np.isfinite(lw)):
         raise CollapseError("cannot resample collapsed weights")
-    w = np.exp(lw - logsumexp(lw))
+    w = np.exp(lw - (logsumexp(lw) if log_total is None else log_total))
     if n_out is None:
         n_out = len(w)
     positions = (rng.random() + np.arange(n_out)) / n_out
@@ -205,11 +208,14 @@ def run_smc(model, spec, theta, twist, q0, p0, obs, cfg, grid=None):
     for m in range(M):
         t, t1 = grid[m], grid[m + 1]
         dt = t1 - t
-        ess = effective_sample_size(logw)
+        # one log-sum-exp per step, shared by the ESS, the normalizer
+        # increment and the resampling weights
+        log_total = logsumexp(logw)
+        ess = effective_sample_size(logw, log_total)
         ess_history.append((float(t), ess))
         if ess < cfg.ess_threshold * S:
-            log_z += float(logsumexp(logw)) - log_S
-            anc = systematic_resample(logw, rng)
+            log_z += float(log_total) - log_S
+            anc = systematic_resample(logw, rng, log_total=log_total)
             Z = Z[anc]
             lh = lh[anc]
             logw = np.zeros(S)
@@ -270,6 +276,10 @@ def _propose_step(model, spec, theta, twist, Z, t, dt, rng):
     so the twist ratios still telescope across the step, and the substep
     schedule is a deterministic function of the visited states, so the
     realized proposal pmf is exactly what is accumulated.
+
+    An all-zero score table (a constant twist, or a learned one past its
+    last snapshot) tilts nothing: the proposal is the prior kernel, every
+    ratio term is log(x) - log(x) = 0.0, and none of them is computed.
     """
     S, d = Z.shape
     Z = Z.copy()
@@ -279,26 +289,31 @@ def _propose_step(model, spec, theta, twist, Z, t, dt, rng):
     while len(live):
         Zl = Z[live]
         n = len(live)
-        rows = np.arange(n)[:, None], np.arange(d)[None, :]
-        scores = np.clip(twist.score_table_batch(t, Zl), -SCORE_CLIP, SCORE_CLIP)
+        scores = twist.score_table_batch(t, Zl)
         base_off = model.off_rates_batch(t, Zl, spec, theta)
-        tw_off = base_off * np.exp(scores)
         exit_b = sum_values(base_off)
-        exit_t = sum_values(tw_off)
-        worst = np.maximum(exit_b.max(axis=1), exit_t.max(axis=1))
+        tilted = scores.any()
+        if tilted:
+            tw_off = base_off * np.exp(np.clip(scores, -SCORE_CLIP, SCORE_CLIP))
+            exit_t = sum_values(tw_off)
+            worst = np.maximum(exit_b.max(axis=1), exit_t.max(axis=1))
+        else:
+            tw_off, worst = base_off, exit_b.max(axis=1)
         h = remaining[live]
         split = worst * h > 0.995
         h[split] = 0.995 / worst[split]
         probs = euler_step_table(tw_off, Zl, h)
         Znext = sample_values(probs, rng.random((n, d)))
-        jumped = Znext != Zl
-        b_at = base_off[rows[0], rows[1], Znext]
-        t_at = tw_off[rows[0], rows[1], Znext]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            jump_term = np.log(b_at) - np.log(t_at)
-        stay_term = (np.log1p(-h[:, None] * exit_b)
-                     - np.log1p(-h[:, None] * exit_t))
-        log_ratio[live] += np.where(jumped, jump_term, stay_term).sum(axis=1)
+        if tilted:
+            jumped = Znext != Zl
+            rows = np.arange(n)[:, None], np.arange(d)[None, :]
+            b_at = base_off[rows[0], rows[1], Znext]
+            t_at = tw_off[rows[0], rows[1], Znext]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                jump_term = np.log(b_at) - np.log(t_at)
+            stay_term = (np.log1p(-h[:, None] * exit_b)
+                         - np.log1p(-h[:, None] * exit_t))
+            log_ratio[live] += np.where(jumped, jump_term, stay_term).sum(axis=1)
         Z[live] = Znext
         remaining[live] -= h
         live = live[remaining[live] > 1e-15]

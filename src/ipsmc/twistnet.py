@@ -12,6 +12,7 @@ pass plus d*V cheap aggregator passes on shifted sums.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -234,7 +235,27 @@ def twist_log_values(params, Phi, Z):
     return out
 
 
-def twist_table(params, Phi, Z):
+class TableWorkspace:
+    """Reused buffers of twist_table, one per caller: each named buffer
+    grows to the largest size asked for and is handed out as a view.
+
+    Fresh (S, d, V, m) temporaries of 0.4-1.2 MB per call are returned to
+    the kernel when freed and faulted in again at the next call. Buffers
+    are not shared between callers, so concurrent SMC runs each hold their
+    own."""
+
+    def __init__(self):
+        self._bufs = {}
+
+    def get(self, name, shape):
+        size = math.prod(shape)
+        buf = self._bufs.get(name)
+        if buf is None or len(buf) < size:
+            buf = self._bufs[name] = np.empty(size)
+        return buf[:size].reshape(shape)
+
+
+def twist_table(params, Phi, Z, ws=None):
     """(S, d, V) tables of log twist values after single swaps of each
     state of Z (S, d); entry [s, i, Z[s, i]] is the log twist of Z[s]
     itself (recomputed per row), from the sampler's shared (d, V, m) Phi or
@@ -244,28 +265,49 @@ def twist_table(params, Phi, Z):
 
     The first aggregator layer is linear, so it is applied to the (S, d, m)
     excluded sums and the embeddings apart; only their sum, the hidden
-    layer, has the full (S, d, V, m) shape. The cache holds
+    layer, has the full (S, d, V, m) shape. The table, the hidden layer and
+    every other large temporary live in the workspace ws (a fresh one when
+    None), so they stay valid until its next use. The cache holds
     (Phi, Z, hidden) for twist_table_backward."""
-    own = _own(Phi, Z)  # (S, d, m)
-    excl = np.zeros_like(own)
-    np.cumsum(own[:, :-1], axis=1, out=excl[:, 1:])
-    # suffix sums in place: own[:, i] becomes the sum over j >= i
-    np.cumsum(own[:, ::-1], axis=1, out=own[:, ::-1])
-    excl[:, :-1] += own[:, 1:]
-    # The projection reuses own's buffer: with few large temporaries per
-    # call the allocator keeps its pages instead of returning them to the
-    # kernel and faulting them in again at the next step. The products stay
-    # stacked (see _stacked).
-    proj = np.matmul(excl, params.W2, out=own)
-    del excl
-    rows = Phi if Phi.ndim == 4 else Phi[None]  # a shared Phi is one row
-    hidden = _stacked(rows, params.W2)
-    hidden += params.b2
-    # per-row sums stay in the product's buffer; a shared row broadcasts
-    hidden = np.add(hidden, proj[:, :, None, :],
-                    out=hidden if len(rows) == len(Z) else None)
+    ws = TableWorkspace() if ws is None else ws
+    S, d = Z.shape
+    V, m = Phi.shape[-2:]
+    # the embeddings each state holds, node-major and in both node orders:
+    # run[k, 0] is node k's (S, m) row and run[k, 1] node d-1-k's, so that
+    # one pass of contiguous adds leaves in run[k] the prefix sum over nodes
+    # 0..k and the suffix sum over nodes d-1-k..d-1
+    at = np.arange(d)[:, None] * V + Z.T
+    if Phi.ndim == 4:
+        at += np.arange(S) * (d * V)
+    run = np.take(Phi.reshape(-1, m), np.stack([at, at[::-1]], axis=1), axis=0,
+                  out=ws.get("run", (d, 2, S, m)), mode="clip")
+    for k in range(1, d):
+        run[k] += run[k - 1]
+    # excl[i] = (sum over j < i) + (sum over j > i)
+    excl = ws.get("excl", (d, S, m))
+    excl[0] = 0.0
+    if d > 1:
+        excl[0] += run[d - 2, 1]
+    excl[1:] = run[:d - 1, 0]
+    excl[1:d - 1] += run[:d - 2, 1][::-1]
+    # the products stay row-major and stacked per row (see _stacked)
+    proj = np.matmul(excl.transpose(1, 0, 2), params.W2,
+                     out=ws.get("proj", (S, d, m)))
+    hidden = ws.get("hidden", (S, d, V, m))
+    if Phi.ndim == 4:
+        np.matmul(Phi.reshape(S, d * V, m), params.W2,
+                  out=hidden.reshape(S, d * V, m))
+        hidden += params.b2
+        hidden += proj[:, :, None, :]
+    else:  # a shared Phi is one row, broadcast over the states
+        shared = _stacked(Phi[None], params.W2)
+        shared += params.b2
+        np.add(shared, proj[:, :, None, :], out=hidden)
     TANH(hidden, out=hidden)
-    return _stacked(hidden, params.w3) + params.b3, (Phi, Z, hidden)
+    table = ws.get("table", (S, d, V))
+    np.matmul(hidden.reshape(S, d * V, m), params.w3, out=table.reshape(S, d * V))
+    table += params.b3
+    return table, (Phi, Z, hidden)
 
 
 def twist_table_backward(params, cache, dout, grads):
@@ -298,9 +340,10 @@ def _score(H, Z):
     return score
 
 
-def twist_score_table(params, Phi, Z):
-    """(S, d, V) log score ratios; exactly zero at [s, i, Z[s, i]]."""
-    return _score(twist_table(params, Phi, Z)[0], Z)
+def twist_score_table(params, Phi, Z, ws=None):
+    """(S, d, V) log score ratios, a new array; exactly zero at
+    [s, i, Z[s, i]]. ws is twist_table's workspace."""
+    return _score(twist_table(params, Phi, Z, ws)[0], Z)
 
 
 # ---------------------------------------------------------------------------
@@ -398,10 +441,11 @@ def sleep_loss_forward_kl(params, model, spec, theta, items, mc_indices=None,
 
     w, ctxs, (z, z_next, t, t_next) = _rows(
         items, mc_indices, 0, ("states", 0), ("states", 1), ("grid", 0), ("grid", 1))
+    ws = TableWorkspace()  # a chunk's table is done with before the next one
     for rows, F, Phi in _encoded_chunks(params, ctxs, t):
         zc, zn, wc, dt = z[rows], z_next[rows], w[rows], t_next[rows] - t[rows]
         at = np.arange(len(zc))[:, None], nodes
-        H, cache = twist_table(params, Phi, zc)
+        H, cache = twist_table(params, Phi, zc, ws)
         score = _score(H, zc)
         tilted = model.off_rates_batch(t[0], zc, spec, theta) * np.exp(score)
         # a held coordinate scores zero at its own value
@@ -510,13 +554,16 @@ class LearnedTwist(TwistOracle):
         self.spec = spec
         self.obs = obs
         self.ctx = TwistContext(spec, obs)
-        self._phi_cache = {}
+        self._ws = TableWorkspace()
+        # the embeddings of one time: an SMC step reads those of its right
+        # end in log_h_batch, and the next step the same in score_table_batch
+        self._phi_cache = (None, None)
 
     def _phi(self, t):
         key = float(t)
-        if key not in self._phi_cache:
-            self._phi_cache[key], _ = encode_context(self.params, self.ctx, t)
-        return self._phi_cache[key]
+        if self._phi_cache[0] != key:
+            self._phi_cache = key, encode_context(self.params, self.ctx, t)[0]
+        return self._phi_cache[1]
 
     def log_h_batch(self, t, Z):
         if not self.ctx.has_future(t):
@@ -526,7 +573,7 @@ class LearnedTwist(TwistOracle):
     def score_table_batch(self, t, Z):
         if not self.ctx.has_future(t):
             return np.zeros((len(Z), self.spec.d, self.spec.V))
-        return twist_score_table(self.params, self._phi(t), Z)
+        return twist_score_table(self.params, self._phi(t), Z, self._ws)
 
     def q0_dist(self, support_logmask=None):
         return _Q0Dist(self.params, self.ctx, support_logmask)

@@ -2,9 +2,10 @@
 
 import numpy as np
 
-from ipsmc.ips import euler_step_table, make_grid
+from ipsmc.ips import euler_step_table, make_grid, sample_values, sum_values
 from ipsmc import oracle as orc
 from ipsmc import smc
+from ipsmc import twistnet as tn
 from ipsmc.twisting import (SCORE_CLIP, ExactTwist, ObservationSequence,
                             incremental_ess)
 from ipsmc.wakesleep import wake_loss_and_grad
@@ -47,39 +48,6 @@ def exact_twist_ess_values(spec, model, theta, obs, dt, times=None):
     return np.array(vals)
 
 
-def history_rewrite_paths(model, spec, theta, twist, q0, p0, obs, cfg, grid):
-    """(S, M+1, d) trajectories of run_smc with the same arguments, stored
-    the direct way: one int64 history whose prefix is rewritten through the
-    ancestor indices at every resampling. The reference for run_smc's
-    ancestor-traced path storage; the draws are those of run_smc."""
-    M = len(grid) - 1
-    pot = smc._potential_lookup(obs, grid)
-    rng = np.random.default_rng(cfg.seed)
-    Z = q0.sample(rng, cfg.S)
-    lh = twist.log_h_batch(grid[0], Z)
-    logw = p0.log_pmf_batch(Z) + lh - q0.log_pmf_batch(Z)
-    if 0 in pot:
-        logw = logw + smc._emission_batch(obs, pot[0], Z)
-    traj = np.empty((cfg.S, M + 1, Z.shape[1]), dtype=np.int64)
-    traj[:, 0] = Z
-    for m in range(M):
-        t, t1 = grid[m], grid[m + 1]
-        if smc.effective_sample_size(logw) < cfg.ess_threshold * cfg.S:
-            anc = smc.systematic_resample(logw, rng)
-            Z, lh = Z[anc], lh[anc]
-            traj[:, : m + 1] = traj[anc, : m + 1]
-            logw = np.zeros(cfg.S)
-        Z, log_ratio = smc._propose_step(model, spec, theta, twist, Z, t,
-                                         t1 - t, rng)
-        lh_next = twist.log_h_batch(t1, Z)
-        logw = logw + log_ratio + (lh_next - lh)
-        if m + 1 in pot:
-            logw = logw + smc._emission_batch(obs, pot[m + 1], Z)
-        lh = lh_next
-        traj[:, m + 1] = Z
-    return traj
-
-
 def skeleton_score(model, spec, theta, skeletons, grid):
     """Mean wake score (minus the wake_loss_and_grad gradient) of grid
     paths given as state indices, skeletons (N, M+1) of any integer type.
@@ -107,3 +75,101 @@ def skeleton_score(model, spec, theta, skeletons, grid):
         if np.isfinite(loss):
             score = score - counts[c, code] * grad
     return score / len(skeletons)
+
+
+# References for the SMC step, which the tests check the live code against
+# bit for bit: a step that tilts even by all-zero scores, a score table with
+# cumsum excluded sums and fresh temporaries, and a run loop built on them.
+
+def reference_propose_step(model, spec, theta, twist, Z, t, dt, rng):
+    """smc._propose_step with every step tilted, even by all-zero scores."""
+    S, d = Z.shape
+    Z = Z.copy()
+    log_ratio = np.zeros(S)
+    remaining = np.full(S, float(dt))
+    live = np.arange(S)
+    while len(live):
+        Zl = Z[live]
+        n = len(live)
+        rows = np.arange(n)[:, None], np.arange(d)[None, :]
+        scores = np.clip(twist.score_table_batch(t, Zl), -SCORE_CLIP, SCORE_CLIP)
+        base_off = model.off_rates_batch(t, Zl, spec, theta)
+        tw_off = base_off * np.exp(scores)
+        exit_b = sum_values(base_off)
+        exit_t = sum_values(tw_off)
+        worst = np.maximum(exit_b.max(axis=1), exit_t.max(axis=1))
+        h = remaining[live]
+        split = worst * h > 0.995
+        h[split] = 0.995 / worst[split]
+        probs = euler_step_table(tw_off, Zl, h)
+        Znext = sample_values(probs, rng.random((n, d)))
+        jumped = Znext != Zl
+        b_at = base_off[rows[0], rows[1], Znext]
+        t_at = tw_off[rows[0], rows[1], Znext]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            jump_term = np.log(b_at) - np.log(t_at)
+        stay_term = (np.log1p(-h[:, None] * exit_b)
+                     - np.log1p(-h[:, None] * exit_t))
+        log_ratio[live] += np.where(jumped, jump_term, stay_term).sum(axis=1)
+        Z[live] = Znext
+        remaining[live] -= h
+        live = live[remaining[live] > 1e-15]
+    return Z, log_ratio
+
+
+def reference_twist_table(params, Phi, Z):
+    """twist_table with cumsum excluded sums and fresh temporaries."""
+    own = tn._own(Phi, Z)  # (S, d, m)
+    excl = np.zeros_like(own)
+    np.cumsum(own[:, :-1], axis=1, out=excl[:, 1:])
+    # suffix sums in place: own[:, i] becomes the sum over j >= i
+    np.cumsum(own[:, ::-1], axis=1, out=own[:, ::-1])
+    excl[:, :-1] += own[:, 1:]
+    proj = np.matmul(excl, params.W2, out=own)
+    del excl
+    rows = Phi if Phi.ndim == 4 else Phi[None]  # a shared Phi is one row
+    hidden = tn._stacked(rows, params.W2)
+    hidden += params.b2
+    hidden = np.add(hidden, proj[:, :, None, :],
+                    out=hidden if len(rows) == len(Z) else None)
+    tn.TANH(hidden, out=hidden)
+    return tn._stacked(hidden, params.w3) + params.b3, (Phi, Z, hidden)
+
+
+def reference_run_smc(model, spec, theta, twist, q0, p0, obs, cfg, grid):
+    """(states, log weights, log_z, ESS history, trajectories) of run_smc
+    with the same arguments, from a loop with reference_propose_step, three
+    log-sum-exps per resampling step and a stored history rewritten at
+    every resampling."""
+    M = len(grid) - 1
+    pot = smc._potential_lookup(obs, grid)
+    rng = np.random.default_rng(cfg.seed)
+    S = cfg.S
+    Z = q0.sample(rng, S)
+    lh = twist.log_h_batch(grid[0], Z)
+    logw = p0.log_pmf_batch(Z) + lh - q0.log_pmf_batch(Z)
+    if 0 in pot:
+        logw = logw + smc._emission_batch(obs, pot[0], Z)
+    traj = np.empty((S, M + 1, Z.shape[1]), dtype=np.int64)
+    traj[:, 0] = Z
+    log_z, ess_history = 0.0, []
+    for m in range(M):
+        t, t1 = grid[m], grid[m + 1]
+        ess = smc.effective_sample_size(logw)
+        ess_history.append((float(t), ess))
+        if ess < cfg.ess_threshold * S:
+            log_z += float(smc.logsumexp(logw)) - np.log(S)
+            anc = smc.systematic_resample(logw, rng)
+            Z, lh = Z[anc], lh[anc]
+            traj[:, : m + 1] = traj[anc, : m + 1]
+            logw = np.zeros(S)
+        Z, log_ratio = reference_propose_step(model, spec, theta, twist, Z,
+                                              t, t1 - t, rng)
+        lh_next = twist.log_h_batch(t1, Z)
+        logw = logw + log_ratio + (lh_next - lh)
+        if m + 1 in pot:
+            logw = logw + smc._emission_batch(obs, pot[m + 1], Z)
+        lh = lh_next
+        traj[:, m + 1] = Z
+    log_z += float(smc.logsumexp(logw)) - np.log(S)
+    return Z, logw, log_z, ess_history, traj

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ipsmc.errors import CollapseError
 from ipsmc.ips import RateModel, SIRSParams, make_grid, sirs_model
 from ipsmc import oracle as orc
+from ipsmc import twistnet as tn
 from ipsmc.smc import (DenseInitial, FactorizedInitial, SMCConfig, bpf_run,
                        doob_initial, effective_sample_size, logsumexp,
                        posterior_marginals_from_ensemble, sample_path_index,
@@ -15,7 +16,7 @@ from ipsmc.smc import (DenseInitial, FactorizedInitial, SMCConfig, bpf_run,
 from ipsmc.twisting import ConstantTwist, ExactTwist, ObservationSequence
 
 from conftest import chain_spec, make_flip_model
-from helpers import history_rewrite_paths
+from helpers import reference_run_smc
 from test_oracle import _obs, _empty_obs, two_state_model
 from test_twisting import FixedScores
 
@@ -322,9 +323,20 @@ def _cyclic_model(rate):
                      lambda_bar_fn=lambda spec, theta: spec.d * rate)
 
 
+def _assert_matches_reference(ens, log_z, ref):
+    states, logw, ref_log_z, ess_history, traj = ref
+    assert np.array_equal(ens.states, states)
+    assert np.array_equal(ens.log_weights, logw)
+    assert log_z == ref_log_z
+    assert ens.ess_history == ess_history
+    assert np.array_equal(ens.trajectories, traj)
+
+
 class TestPathStorage:
-    """run_smc's traced-back trajectories equal, bitwise, those of a run
-    that rewrites its whole stored history at every resampling."""
+    """run_smc bitwise against reference_run_smc, a loop that tilts every
+    step, computes each log-sum-exp where it is used and rewrites its whole
+    stored history at every resampling: states, log weights, log_z, ESS
+    history and trajectories."""
 
     def _bpf_case(self, **cfg_kw):
         spec, model, obs, p0_vec = _flip_setup(obs_times=(0.3, 0.6),
@@ -332,15 +344,15 @@ class TestPathStorage:
         p0 = DenseInitial(spec, p0_vec)
         grid = make_grid(1.0, 0.05, obs.times)
         cfg = SMCConfig(S=64, dt=0.05, seed=3, **cfg_kw)
-        ens, _ = bpf_run(model, spec, None, p0, obs, cfg, grid=grid)
-        ref = history_rewrite_paths(model, spec, None, ConstantTwist(2, 2), p0,
-                                    p0, obs, cfg, grid)
-        return ens, ref, cfg
+        ens, log_z = bpf_run(model, spec, None, p0, obs, cfg, grid=grid)
+        ref = reference_run_smc(model, spec, None, ConstantTwist(2, 2), p0,
+                                p0, obs, cfg, grid)
+        return ens, log_z, ref, cfg
 
     def test_bootstrap_filter(self):
-        ens, ref, _ = self._bpf_case()
+        ens, log_z, ref, _ = self._bpf_case()
         assert ens.trajectories.dtype == np.int64
-        assert np.array_equal(ens.trajectories, ref)
+        _assert_matches_reference(ens, log_z, ref)
 
     def test_twisted_smc_with_substeps(self):
         spec, model, obs, p0_vec = _flip_setup(delta=0.002)
@@ -351,21 +363,45 @@ class TestPathStorage:
         q0 = doob_initial(spec, p0_vec, la)
         p0 = DenseInitial(spec, p0_vec)
         cfg = SMCConfig(S=64, dt=0.1, seed=4)
-        ens, _ = run_smc(model, spec, None, twist, q0, p0, obs, cfg, grid=grid)
+        ens, log_z = run_smc(model, spec, None, twist, q0, p0, obs, cfg,
+                             grid=grid)
         assert twist.calls > len(grid) - 1
-        ref = history_rewrite_paths(model, spec, None, twist, q0, p0, obs, cfg,
-                                    grid)
-        assert np.array_equal(ens.trajectories, ref)
+        ref = reference_run_smc(model, spec, None, twist, q0, p0, obs, cfg,
+                                grid)
+        _assert_matches_reference(ens, log_z, ref)
+
+    def test_learned_twist_past_last_snapshot(self):
+        # the learned twist tilts up to its last snapshot at 0.6 and is
+        # exactly zero after it, so the run takes both kinds of step
+        spec, model, obs, _ = _flip_setup(obs_times=(0.3, 0.6),
+                                          values=((1, 0), (0, 1)))
+        params = tn.init_params(2, m=8, seed=1)
+        rng = np.random.default_rng(2)
+        for a in params.arrays().values():
+            a[...] += rng.normal(size=a.shape) * 0.5
+        twist = tn.LearnedTwist(params, spec, obs)
+        p0 = FactorizedInitial(np.full((2, 2), 0.5))
+        q0 = twist.q0_dist()
+        grid = make_grid(1.0, 0.05, obs.times)
+        cfg = SMCConfig(S=32, dt=0.05, seed=5)
+        ens, log_z = run_smc(model, spec, None, twist, q0, p0, obs, cfg,
+                             grid=grid)
+        Z = np.zeros((1, 2), dtype=np.int64)
+        assert twist.score_table_batch(0.55, Z).any()
+        assert not twist.score_table_batch(0.65, Z).any()
+        ref = reference_run_smc(model, spec, None, twist, q0, p0, obs, cfg,
+                                grid)
+        _assert_matches_reference(ens, log_z, ref)
 
     def test_adaptive_resampling_skips_steps(self):
-        ens, ref, cfg = self._bpf_case(ess_threshold=0.5)
+        ens, log_z, ref, cfg = self._bpf_case(ess_threshold=0.5)
         ess = np.array([e for _, e in ens.ess_history])
         assert np.any(ess < 0.5 * cfg.S) and np.any(ess >= 0.5 * cfg.S)
-        assert np.array_equal(ens.trajectories, ref)
+        _assert_matches_reference(ens, log_z, ref)
 
     def test_unstored_paths_leave_draws_unchanged(self):
-        ens, _, _ = self._bpf_case()
-        bare, _, _ = self._bpf_case(store_paths=False)
+        ens, _, _, _ = self._bpf_case()
+        bare, _, _, _ = self._bpf_case(store_paths=False)
         assert bare.trajectories is None
         assert np.array_equal(bare.ancestors, ens.ancestors)
         assert np.array_equal(bare.states, ens.states)
@@ -382,11 +418,11 @@ class TestPathStorage:
                                   V=V, p_mask=0.5, label_noise=0.001)
         grid = make_grid(1.0, 0.05, obs.times)
         cfg = SMCConfig(S=32, dt=0.05, seed=6)
-        ens, _ = bpf_run(model, spec, None, p0, obs, cfg, grid=grid)
-        ref = history_rewrite_paths(model, spec, None, ConstantTwist(d, V), p0,
-                                    p0, obs, cfg, grid)
+        ens, log_z = bpf_run(model, spec, None, p0, obs, cfg, grid=grid)
+        ref = reference_run_smc(model, spec, None, ConstantTwist(d, V), p0,
+                                p0, obs, cfg, grid)
         assert ens.trajectories.max() > 255
-        assert np.array_equal(ens.trajectories, ref)
+        _assert_matches_reference(ens, log_z, ref)
 
 
 class TestMarginalSmoothing:

@@ -13,6 +13,7 @@ from ipsmc.smc import FactorizedInitial
 from ipsmc.twisting import ObservationSequence
 
 from conftest import chain_spec, make_flip_model
+from helpers import reference_twist_table
 
 
 def _obs3(d=4, T=2.0):
@@ -226,6 +227,54 @@ class TestProjectedTable:
             dpre[s, np.arange(self.d), Z[s]] += down[s]
         assert np.array_equal(grads["W2"], tn._stacked_gram(Phi, dpre))
         assert np.array_equal(dPhi, tn._stacked(dpre, params.W2.T))
+
+
+class TestTableWorkspace:
+    """twist_table run in one reused workspace against reference_twist_table,
+    the cumsum-based table with fresh temporaries, bit for bit."""
+
+    d, V, m = 32, 3, 64
+
+    def _params(self):
+        return _rand_params(self.V, self.m, 9)
+
+    def _check(self, params, ws, Phi, Z):
+        H, cache = tn.twist_table(params, Phi, Z, ws)
+        ref, ref_cache = reference_twist_table(params, Phi, Z)
+        assert np.array_equal(H, ref)
+        assert np.array_equal(cache[2], ref_cache[2])
+
+    @pytest.mark.parametrize("S", [1, 7, 25])
+    def test_shared_phi_matches_reference(self, S):
+        rng = np.random.default_rng(S)
+        Phi = rng.normal(size=(self.d, self.V, self.m)) * 0.3
+        Z = rng.integers(0, self.V, size=(S, self.d))
+        self._check(self._params(), tn.TableWorkspace(), Phi, Z)
+
+    def test_shrinking_live_sets_share_a_workspace(self):
+        # the substep loop of an SMC step asks for ever fewer rows
+        rng = np.random.default_rng(10)
+        params, ws = self._params(), tn.TableWorkspace()
+        Phi = rng.normal(size=(self.d, self.V, self.m)) * 0.3
+        for S in (25, 12, 3, 1, 25):
+            self._check(params, ws, Phi, rng.integers(0, self.V, size=(S, self.d)))
+
+    def test_per_row_chunks_share_a_workspace(self):
+        # the losses' chunks of per-row Phi, the last one short
+        rng = np.random.default_rng(11)
+        params, ws = self._params(), tn.TableWorkspace()
+        for S in (5, 5, 2):
+            Phi = rng.normal(size=(S, self.d, self.V, self.m)) * 0.3
+            self._check(params, ws, Phi, rng.integers(0, self.V, size=(S, self.d)))
+
+    def test_small_shapes_match_reference(self):
+        rng = np.random.default_rng(12)
+        ws = tn.TableWorkspace()
+        for d, V, m in ((1, 2, 4), (2, 3, 8), (5, 4, 16)):
+            params = _rand_params(V, m, d)
+            for Phi in (rng.normal(size=(d, V, m)),
+                        rng.normal(size=(3, d, V, m))):
+                self._check(params, ws, Phi, rng.integers(0, V, size=(3, d)))
 
 
 class TestSleepLoss:
@@ -560,6 +609,8 @@ class TestLearnedTwistWrapper:
         assert lt.log_h_batch(np.nextafter(1.5, 0.0), Z)[0] != 0.0
 
     def test_batch_matches_scalar(self):
+        # the later calls reuse the wrapper's workspace; a table already
+        # returned must not change under them
         spec = chain_spec(4, V=3)
         params = _rand_params(3, 8, 14)
         obs = _obs3()
@@ -568,6 +619,9 @@ class TestLearnedTwistWrapper:
         Z = rng.integers(0, 3, size=(6, 4))
         lh = lt.log_h_batch(0.3, Z)
         st = lt.score_table_batch(0.3, Z)
+        kept = st.copy()
+        lt.score_table_batch(0.4, rng.integers(0, 3, size=(6, 4)))
+        assert np.array_equal(st, kept)
         for s in range(6):
             assert lh[s] == pytest.approx(lt.log_h_batch(0.3, Z[s:s + 1])[0],
                                           abs=1e-12)
