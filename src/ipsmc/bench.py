@@ -5,10 +5,11 @@ relative parameter error)."""
 from __future__ import annotations
 
 import json
+import math
 import os
+import random
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from .ips import (PathSample, SIRSParams, StateSpaceSpec, gillespie_simulate,
@@ -25,10 +26,12 @@ def generate_graph(d, expected_degree, F, rng) -> StateSpaceSpec:
     features."""
     if d < 2:
         raise ValueError("need at least two nodes")
+    if not 0 <= expected_degree < math.inf:
+        raise ValueError(f"expected degree must be finite and >= 0, "
+                         f"got {expected_degree}")
     seed = int(rng.integers(2**31 - 1))
-    g = nx.expected_degree_graph([expected_degree] * d, seed=seed, selfloops=False)
     adj = np.zeros((d, d), dtype=np.int8)
-    for a, b in g.edges():
+    for a, b in _expected_degree_edges(d, expected_degree, seed):
         adj[a, b] = adj[b, a] = 1
     if F > 0:
         feats = rng.normal(size=(d, F))
@@ -36,6 +39,32 @@ def generate_graph(d, expected_degree, F, rng) -> StateSpaceSpec:
     else:
         feats = np.zeros((d, 0))
     return StateSpaceSpec(d=d, V=3, adjacency=adj, node_features=feats)
+
+
+def _expected_degree_edges(d, w, seed):
+    """Edges of the Chung-Lu graph with every expected degree w and no
+    self-loops, drawn by the skipping sampler of Miller & Hagberg (WAW 2011)
+    on random.Random(seed). It replays networkx's expected_degree_graph
+    draw for draw: with equal weights each edge probability is the same p,
+    and the acceptance uniform is still drawn although q / p = 1 accepts.
+    Where 1 - p rounds to 1 the skips are endless and there is no edge;
+    networkx divides by zero there."""
+    if w == 0:
+        return []
+    rng = random.Random(seed)
+    rho = 1 / sum([w] * d)  # summed in sequence, as networkx does
+    p = min(w * (w * rho), 1)
+    edges = []
+    for u in range(d - 1):
+        v = u + 1
+        while v < d and 1 - p < 1:
+            if p != 1:
+                v += math.floor(math.log(rng.random(), 1 - p))
+            if v < d:
+                rng.random()
+                edges.append((u, v))
+                v += 1
+    return edges
 
 
 def initial_distribution(spec, infect_prob=DEFAULT_INFECT_PROB):
@@ -105,7 +134,7 @@ def generate_dataset(spec, params, T, K, p_mask, delta, n_train, n_test, seed,
                             test_paths=paths[n_train:], test_obs=obs[n_train:])
 
 
-def cross_entropy_metric(marginals, truth_states, grid=None):
+def cross_entropy_metric(marginals, truth_states):
     """Mean negative log smoothed marginal mass of the true value, averaged
     over nodes and grid times. marginals is (M+1, d, V), truth (M+1, d)."""
     marginals = np.asarray(marginals)
@@ -117,7 +146,7 @@ def cross_entropy_metric(marginals, truth_states, grid=None):
     return float(-np.log(picked).mean())
 
 
-def brier_metric(marginals, truth_states, grid=None):
+def brier_metric(marginals, truth_states):
     """Mean squared distance between the smoothed marginals and the one-hot
     truth, averaged over nodes and grid times."""
     marginals = np.asarray(marginals)

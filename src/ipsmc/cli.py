@@ -207,9 +207,8 @@ def cmd_oracle(cfg: OracleConfig, threads=1, emit_svg=False):
     if not 0 < cfg.grid_target < np.inf:
         raise ConfigError(f"grid_target must be positive and finite, got {cfg.grid_target}")
     ds = load_dataset(cfg.dataset)
-    obs_list = ds.train_obs if cfg.split == "train" else ds.test_obs
-    if cfg.index >= len(obs_list):
-        raise ConfigError(f"index {cfg.index} out of range for split {cfg.split}")
+    _, obs_list = _split(ds, cfg.split)
+    _check_indices([cfg.index], obs_list, cfg.split)
     obs = obs_list[cfg.index]
     model = sirs_model()
     orc.n_states(ds.spec)  # guard before any heavy work
@@ -224,6 +223,22 @@ def cmd_oracle(cfg: OracleConfig, threads=1, emit_svg=False):
                 ["time", "state", "probability"], rows, meta)
     _write_rows(os.path.join(cfg.out, "logz.csv"), ["logz"], [(float(logz),)], meta)
     _write_manifest(cfg.out, meta, "oracle")
+
+
+def _split(ds: BenchmarkDataset, split):
+    """The (paths, observations) of the train or test split."""
+    if split == "train":
+        return ds.train_paths, ds.train_obs
+    if split == "test":
+        return ds.test_paths, ds.test_obs
+    raise ConfigError(f"split must be 'train' or 'test', got {split!r}")
+
+
+def _check_indices(indices, obs_list, split):
+    for i in indices:
+        if type(i) is not int or not 0 <= i < len(obs_list):
+            raise ConfigError(f"index {i!r} is not an integer in "
+                              f"[0, {len(obs_list)}) for split {split!r}")
 
 
 def _dense_p0(ds: BenchmarkDataset):
@@ -357,9 +372,9 @@ def cmd_infer(cfg: InferConfig, threads=1, emit_svg=False):
     model = sirs_model()
     if cfg.method not in ("tsmc-kl", "tsmc-dre", "bpf"):
         raise ConfigError(f"unknown method {cfg.method}")
-    paths = ds.train_paths if cfg.split == "train" else ds.test_paths
-    obs_list = ds.train_obs if cfg.split == "train" else ds.test_obs
+    paths, obs_list = _split(ds, cfg.split)
     indices = cfg.indices if cfg.indices is not None else list(range(len(obs_list)))
+    _check_indices(indices, obs_list, cfg.split)
     if cfg.theta is not None and np.shape(cfg.theta) != (4,):
         raise ConfigError("theta must list 4 rates: alpha0, alpha1, beta, gamma")
     theta = (SIRSParams(*cfg.theta) if cfg.theta is not None else ds.params)
@@ -384,7 +399,7 @@ def cmd_infer(cfg: InferConfig, threads=1, emit_svg=False):
         obs = obs_list[idx]
         sub_seed = int(seeds[j].integers(2**63))
         smc_cfg = SMCConfig(S=S, dt=cfg.dt, ess_threshold=cfg.ess_threshold,
-                            store_paths=True, seed=sub_seed)
+                            seed=sub_seed)
         if cfg.method == "bpf":
             ens, logz = bpf_run(model, ds.spec, theta, p0, obs, smc_cfg)
         else:
@@ -514,8 +529,8 @@ def build_parser():
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, help="override config seed")
         p.add_argument("--out", help="override output directory")
-        p.add_argument("--threads", type=int,
-                       default=int(os.environ.get("IPSMC_THREADS", "1")))
+        p.add_argument("--threads", help="worker threads (default: "
+                       "IPSMC_THREADS, else 1)")
         p.add_argument("--svg", action="store_true", help="emit static charts")
         if name == "train-twist":
             p.add_argument("--resume", help="checkpoint to continue from")
@@ -542,11 +557,18 @@ def _resolve_config(args):
     return _from_dict(cls, data), fn
 
 
+def _threads(args):
+    raw = args.threads or os.environ.get("IPSMC_THREADS", "1")
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise ConfigError(f"thread count must be an integer >= 1, got {raw!r}")
+    return int(raw)
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         cfg, fn = _resolve_config(args)
-        kwargs = {"threads": args.threads, "emit_svg": args.svg}
+        kwargs = {"threads": _threads(args), "emit_svg": args.svg}
         if args.command == "train-twist":
             kwargs["resume"] = args.resume
         fn(cfg, **kwargs)

@@ -67,11 +67,11 @@ class DenseGenerator:
         return self.Q.shape[0]
 
 
-def build_dense_generator(model: RateModel, spec, theta, t=0.0) -> DenseGenerator:
-    """Assemble the global generator from the local rates; only single
-    coordinate changes carry mass."""
+def build_dense_generator(model: RateModel, spec, theta) -> DenseGenerator:
+    """Assemble the global generator from the local rates at t = 0; only
+    single coordinate changes carry mass."""
     n = n_states(spec)
-    off = model.off_rates_batch(t, state_table(spec), spec, theta)
+    off = model.off_rates_batch(0.0, state_table(spec), spec, theta)
     Q = np.zeros((n, n))
     Q[np.arange(n)[:, None, None], neighbor_index_table(spec)] = off
     np.fill_diagonal(Q, -Q.sum(axis=1))
@@ -90,7 +90,7 @@ def neighbor_index_table(spec):
     return out
 
 
-def expm_action(A, delta, x, tail=1e-12):
+def expm_action(A, delta, x):
     """exp(A delta) @ x for a vector or matrix x, by uniformization: a
     Poisson mixture of powers of I + A/lam, lam the largest diagonal
     magnitude. A is an intensity matrix Q or its transpose, so every term
@@ -103,19 +103,19 @@ def expm_action(A, delta, x, tail=1e-12):
     if delta == 0 or lam == 0:
         return x.copy()
     M = np.eye(A.shape[0]) + A / lam
-    return _uniformized_sum(M, lam * delta, x, tail)
+    return _uniformized_sum(M, lam * delta, x)
 
 
-def _uniformized_sum(M, rho, x0, tail):
+def _uniformized_sum(M, rho, x0):
     """sum_k Poisson(rho)(k) M^k x0, truncated when the remaining Poisson
-    mass drops below tail."""
+    mass drops below 1e-12."""
     log_w = -rho  # log Poisson(rho) weight at k=0
     log_rho = np.log(rho)
     acc = np.exp(log_w) * x0
     term = x0
     covered = np.exp(log_w)
     k = 0
-    while covered < 1.0 - tail:
+    while covered < 1.0 - 1e-12:
         k += 1
         term = M @ term
         log_w += log_rho - np.log(k)
@@ -170,13 +170,13 @@ class LookaheadTable:
         if rho == 0.0:
             return self.log_h_left[j]
         with np.errstate(divide="ignore"):
-            return np.log(_uniformized_sum(M, rho, vs[j], 1e-12)) + scales[j]
+            return np.log(_uniformized_sum(M, rho, vs[j])) + scales[j]
 
-    def twisted_model(self, base_model, spec, theta, safety=1.5):
+    def twisted_model(self, base_model, spec, theta):
         """Rate model of the conditioned process r * h(z^{i->v}) / h(z).
 
         Time-inhomogeneous; the thinning bound is the tabulated maximum of
-        the twisted exit rates times a safety factor, re-checked by the
+        the twisted exit rates times 1.5, re-checked by the
         thinning loop at every candidate event. Base rates must be
         time-homogeneous (they are cached per state).
         """
@@ -195,7 +195,7 @@ class LookaheadTable:
             for lh in (self.log_h[j], self.log_h_left[j]):
                 tilt = np.exp(lh[nbr] - lh[:, None, None])
                 worst = max(worst, float((base_off * tilt).sum(axis=(1, 2)).max()))
-        lam_bar = worst * safety
+        lam_bar = worst * 1.5
 
         return RateModel(batch_off_rate_fn=batch_off_rate_fn,
                          lambda_bar_fn=lambda *_: lam_bar, time_homogeneous=False)

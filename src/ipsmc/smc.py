@@ -24,7 +24,6 @@ class SMCConfig:
     S: int
     dt: float
     ess_threshold: float = 1.0
-    store_paths: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -41,7 +40,7 @@ class ParticleEnsemble:
     grid: np.ndarray
     states: np.ndarray        # (S, d) final states
     log_weights: np.ndarray   # (S,) final unnormalized log weights
-    trajectories: np.ndarray | None  # (S, M+1, d) if stored
+    trajectories: np.ndarray | None  # (S, M+1, d); None once freed
     ancestors: np.ndarray | None = None  # (M, S) grid-m parent of particle s at m+1
     ess_history: list = field(default_factory=list)   # (time, ess)
 
@@ -93,17 +92,16 @@ def effective_sample_size(log_weights, log_total=None):
     return float(np.exp(-logsumexp(2.0 * lwn)))
 
 
-def systematic_resample(log_weights, rng, n_out=None, log_total=None):
-    """Ancestor indices with one shared uniform shift; offspring counts are
-    floor or ceil of n_out * normalized weight, indices come out sorted.
-    log_total, when given, is logsumexp(log_weights)."""
+def systematic_resample(log_weights, rng, log_total=None):
+    """S ancestor indices for S weights, with one shared uniform shift;
+    offspring counts are floor or ceil of S * normalized weight, indices
+    come out sorted. log_total, when given, is logsumexp(log_weights)."""
     lw = np.asarray(log_weights, dtype=float)
     if not np.any(np.isfinite(lw)):
         raise CollapseError("cannot resample collapsed weights")
     w = np.exp(lw - (logsumexp(lw) if log_total is None else log_total))
-    if n_out is None:
-        n_out = len(w)
-    positions = (rng.random() + np.arange(n_out)) / n_out
+    S = len(w)
+    positions = (rng.random() + np.arange(S)) / S
     cum = np.cumsum(w)
     cum[-1] = 1.0
     return np.searchsorted(cum, positions, side="right").astype(np.int64)
@@ -194,11 +192,8 @@ def run_smc(model, spec, theta, twist, q0, p0, obs, cfg, grid=None):
     # are written once into a compact history and the paths are traced back
     # through the parent rows at the end, so a resampling costs one (S,) row
     # instead of a copy of every stored prefix
-    hist = None
-    if cfg.store_paths:
-        hist = np.empty((M + 1, S, Z.shape[1]),
-                        dtype=np.min_scalar_type(spec.V - 1))
-        hist[0] = Z
+    hist = np.empty((M + 1, S, Z.shape[1]), dtype=np.min_scalar_type(spec.V - 1))
+    hist[0] = Z
     parents = np.tile(np.arange(S), (M, 1))
 
     log_z = 0.0
@@ -228,13 +223,12 @@ def run_smc(model, spec, theta, twist, q0, p0, obs, cfg, grid=None):
             logw = logw + _emission_batch(obs, pot[m + 1], Z)
         _check_alive(logw, step=m + 1)
         lh = lh_next
-        if hist is not None:
-            hist[m + 1] = Z
+        hist[m + 1] = Z
 
     log_z += float(logsumexp(logw)) - log_S
-    traj = None if hist is None else _trace_paths(hist, parents)
     ens = ParticleEnsemble(grid=grid, states=Z, log_weights=logw,
-                           trajectories=traj, ancestors=parents,
+                           trajectories=_trace_paths(hist, parents),
+                           ancestors=parents,
                            ess_history=ess_history)
     return ens, log_z
 
@@ -330,8 +324,6 @@ def posterior_marginals_from_ensemble(ens: ParticleEnsemble, V, eps=1e-3):
     """Per-time nodewise frequency tables from the stored trajectories,
     weighted by the final normalized weights and smoothed with a uniform
     mixture: (M+1, d, V) with rows summing to one."""
-    if ens.trajectories is None:
-        raise ValueError("trajectories were not stored")
     w = ens.normalized_weights()
     traj = ens.trajectories
     M1, d = traj.shape[1:]

@@ -100,6 +100,15 @@ class TwistOracle:
     def score_table_batch(self, t, Z):
         raise NotImplementedError
 
+    def _zero_scores(self, n, d, V):
+        """A read-only all-zero (n, d, V) score table: one buffer, reused
+        across calls, so that an untilted step allocates none."""
+        zeros = getattr(self, "_zeros", None)
+        if zeros is None or len(zeros) < n:
+            zeros = self._zeros = np.zeros((n, d, V))
+            zeros.flags.writeable = False
+        return zeros[:n]
+
 
 class ConstantTwist(TwistOracle):
     """h identically one; twisted SMC degenerates to the bootstrap filter."""
@@ -111,7 +120,7 @@ class ConstantTwist(TwistOracle):
         return np.zeros(len(Z))
 
     def score_table_batch(self, t, Z):
-        return np.zeros((len(Z), self.d, self.V))
+        return self._zero_scores(len(Z), self.d, self.V)
 
 
 class ExactTwist(TwistOracle):

@@ -572,7 +572,7 @@ class LearnedTwist(TwistOracle):
 
     def score_table_batch(self, t, Z):
         if not self.ctx.has_future(t):
-            return np.zeros((len(Z), self.spec.d, self.spec.V))
+            return self._zero_scores(len(Z), self.spec.d, self.spec.V)
         return twist_score_table(self.params, self._phi(t), Z, self._ws)
 
     def q0_dist(self, support_logmask=None):

@@ -294,8 +294,7 @@ def _wake_sample(model, spec, theta_bar, psi, p0, obs, cfg, seed):
     """One tSMC run and one resampled path; None on weight collapse."""
     twist = tn.LearnedTwist(psi, spec, obs)
     smc_cfg = SMCConfig(S=cfg.particles, dt=cfg.dt,
-                        ess_threshold=cfg.ess_threshold, store_paths=True,
-                        seed=seed)
+                        ess_threshold=cfg.ess_threshold, seed=seed)
     try:
         ens, _ = run_smc(model, spec, theta_bar, twist,
                          twist.q0_dist(q0_support_logmask(p0)), p0,

@@ -32,6 +32,29 @@ class TestGraphGeneration:
         with pytest.raises(ValueError):
             generate_graph(1, 5.0, 16, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("degree", [-1.0, float("inf"), float("nan")])
+    def test_rejects_bad_expected_degree(self, degree):
+        with pytest.raises(ValueError):
+            generate_graph(4, degree, 2, np.random.default_rng(0))
+
+    def test_vanishing_edge_probability_gives_empty_graph(self):
+        spec = generate_graph(4, 1e-17, 2, np.random.default_rng(0))
+        assert spec.adjacency.sum() == 0
+
+    def test_matches_networkx_expected_degree_graph(self):
+        # the stdlib port replays networkx's draws; degree 0 has no edges,
+        # and a degree above d caps the edge probability at one
+        nx = pytest.importorskip("networkx")
+        for d in (2, 3, 4, 5, 8, 32, 64):
+            for w in (0, 0.5, 1.5, 2, 5, 31, 40, 100):
+                for s in range(40):
+                    spec = generate_graph(d, w, 0, np.random.default_rng(s))
+                    seed = int(np.random.default_rng(s).integers(2**31 - 1))
+                    g = nx.expected_degree_graph([w] * d, seed=seed,
+                                                 selfloops=False)
+                    ref = nx.to_numpy_array(g, nodelist=range(d), dtype=np.int8)
+                    assert np.array_equal(spec.adjacency, ref), (d, w, s)
+
 
 class TestDatasetGeneration:
     def _make(self, p_mask=0.5, delta=0.001, seed=0, n_train=3, n_test=2):

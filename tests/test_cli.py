@@ -2,6 +2,8 @@ import filecmp
 import json
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -69,6 +71,37 @@ class TestConfigHandling:
         assert cfg.n_train == 50 and cfg.n_test == 50
         assert (cfg.params.alpha0, cfg.params.alpha1, cfg.params.beta,
                 cfg.params.gamma) == (0.1, 1.0, 0.4, 0.05)
+
+    @pytest.mark.parametrize("env, flag", [("two", None), ("0", None),
+                                           ("1", "0"), ("1", "-2"), ("1", "1.5")])
+    def test_bad_thread_count_rejected(self, tmp_path, monkeypatch, env, flag):
+        monkeypatch.setenv("IPSMC_THREADS", env)
+        out = tmp_path / "ds"
+        path = write_cfg(tmp_path, "gen.json", dict(TINY_GEN, out=str(out)))
+        argv = ["generate", "--config", path]
+        if flag is not None:
+            argv += ["--threads", flag]
+        assert main(argv) == 2
+        assert not os.path.exists(out)
+
+    def test_env_threads(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("IPSMC_THREADS", "2")
+        path = write_cfg(tmp_path, "gen.json",
+                         dict(TINY_GEN, out=str(tmp_path / "ds")))
+        assert main(["generate", "--config", path]) == 0
+
+    def test_cli_imports_numpy_only(self):
+        # a fresh interpreter, so that no other test's imports count
+        import ipsmc
+
+        src = os.path.dirname(os.path.dirname(ipsmc.__file__))
+        code = ("import sys, ipsmc.cli; "
+                "print(sorted(m.split('.')[0] for m in sys.modules "
+                "if m.split('.')[0] in ('networkx', 'scipy')))")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "[]"
 
     def test_env_seed(self, tmp_path, monkeypatch):
         monkeypatch.setenv("IPSMC_SEED", "55")
@@ -176,6 +209,15 @@ class TestOracle:
             tracemalloc.stop()
         assert peak < 2**22
         assert not os.path.exists(tmp_path / "orc9")
+
+    @pytest.mark.parametrize("key, value", [("index", -1), ("index", 4),
+                                            ("index", 1.0), ("split", "validation")])
+    def test_rejects_bad_trajectory_choice(self, dataset, tmp_path, key, value):
+        out = tmp_path / "orc"
+        path = write_cfg(tmp_path, "orc.json",
+                         {"dataset": dataset, "out": str(out), key: value})
+        assert main(["oracle", "--config", path]) == 2
+        assert not os.path.exists(out)
 
     @pytest.mark.parametrize("target", [0, -1, float("inf"), float("nan")])
     def test_rejects_bad_grid_target(self, dataset, tmp_path, target):
@@ -474,6 +516,18 @@ class TestInfer:
                "method": "bpf", "S": 1, "dt": 0.2, "seed": 0}
         code = main(["infer", "--config", write_cfg(tmp_path, "cc.json", cfg)])
         assert code == 3
+
+    @pytest.mark.parametrize("extra", [{"indices": [5]}, {"indices": [-1]},
+                                       {"indices": [0, 3]},
+                                       {"split": "validation"}])
+    def test_rejects_bad_trajectory_choice(self, dataset, tmp_path, extra):
+        # the test split holds trajectories 0, 1 and 2
+        out = tmp_path / "bad"
+        cfg = {"dataset": dataset, "out": str(out), "method": "bpf", "S": 4,
+               "dt": 0.2, **extra}
+        code = main(["infer", "--config", write_cfg(tmp_path, "bad.json", cfg)])
+        assert code == 2
+        assert not os.path.exists(out)
 
     def test_nonfinite_theta_rejected(self, dataset, tmp_path):
         cfg = {"dataset": dataset, "out": str(tmp_path / "nan"),

@@ -106,10 +106,12 @@ class TestSystematicResample:
         assert np.array_equal(anc, np.arange(4))
 
     def test_deterministic_offspring_at_integer_weights(self):
-        w = np.array([0.7, 0.3])
+        w = np.zeros(10)
+        w[:2] = 0.7, 0.3
         for seed in range(25):
-            anc = systematic_resample(np.log(w), np.random.default_rng(seed),
-                                      n_out=10)
+            with np.errstate(divide="ignore"):
+                lw = np.log(w)
+            anc = systematic_resample(lw, np.random.default_rng(seed))
             assert (anc == 0).sum() == 7
             assert (anc == 1).sum() == 3
 
@@ -398,13 +400,6 @@ class TestPathStorage:
         ess = np.array([e for _, e in ens.ess_history])
         assert np.any(ess < 0.5 * cfg.S) and np.any(ess >= 0.5 * cfg.S)
         _assert_matches_reference(ens, log_z, ref)
-
-    def test_unstored_paths_leave_draws_unchanged(self):
-        ens, _, _, _ = self._bpf_case()
-        bare, _, _, _ = self._bpf_case(store_paths=False)
-        assert bare.trajectories is None
-        assert np.array_equal(bare.ancestors, ens.ancestors)
-        assert np.array_equal(bare.states, ens.states)
 
     def test_values_beyond_one_byte(self):
         V, d = 300, 3
