@@ -23,6 +23,13 @@ runs the set-up and round stages of every workload once, through
 perfbench/workloads.py's ``workload_stages`` and ``run_stage``, into a
 temporary directory, and the block lists the sha256 of every file the
 stages wrote and whether the two sides match.
+
+Every run is checked, and its problems are listed under ``problems``: a
+nonzero exit, no result line, ``correct: false``, failed stage calls, or a
+metric of BENCHMARK.json missing from the result line (an untraced line
+must carry every ``end_to_end`` metric, a traced line every ``per_layer``
+metric). The BENCH file is written either way; the script exits 1 when any
+run had a problem.
 """
 
 from __future__ import annotations
@@ -46,24 +53,45 @@ WORKLOADS = ("infer", "learn", "exact")
 TIMEOUT_S = 600
 
 
-def run_benchmark(checkout, workload, seed, seconds, trace):
-    """One perfbench/run.py call; returns its JSON result line, or None
-    when the run failed to produce one."""
+def run_benchmark(checkout, workload, seed, seconds, trace, expected):
+    """One perfbench/run.py call: (its JSON result line, or None when it
+    printed none, and the run's problems; see run_problems)."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     try:
         proc = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE,
                               text=True, timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
-        print(f"{checkout}: {workload} ran over {TIMEOUT_S} s", file=sys.stderr)
-        return None
-    lines = proc.stdout.strip().splitlines()
-    try:
-        return json.loads(lines[-1])
-    except (IndexError, json.JSONDecodeError):
-        print(f"{checkout}: {workload} printed no result line "
-              f"(exit {proc.returncode})", file=sys.stderr)
-        return None
+        problems = [f"ran over {TIMEOUT_S} s"]
+        result = None
+    else:
+        lines = proc.stdout.strip().splitlines()
+        try:
+            result = json.loads(lines[-1])
+        except (IndexError, json.JSONDecodeError):
+            result = None
+        problems = run_problems(result, proc.returncode, expected)
+    for problem in problems:
+        print(f"{checkout}: {workload} --trace {trace}: {problem}", file=sys.stderr)
+    return result, problems
+
+
+def run_problems(result, returncode, expected):
+    """What makes one run unusable: a nonzero exit, no result line, a
+    failed check, failed stage calls, or a metric named in expected that
+    its result line lacks."""
+    problems = [f"exit {returncode}"] if returncode else []
+    if result is None:
+        return problems + ["no result line"]
+    if not result["correct"]:
+        problems.append("correct: false")
+    if result["failed"]:
+        problems.append(f"{result['failed']} of {result['attempted']} "
+                        f"stage calls failed")
+    missing = [name for name in expected if name not in result["metrics"]]
+    if missing:
+        problems.append("missing metrics: " + ", ".join(missing))
+    return problems
 
 
 # run from a checkout's root with (workload, seed, work directory): runs
@@ -195,18 +223,23 @@ def main(argv=None):
     with open(os.path.join(args.change, "BENCHMARK.json")) as f:
         bench = json.load(f)
     metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    # an untraced line reports the end-to-end metrics, a traced one the
+    # per-layer metrics
+    expected = {0: list(metrics), 1: [m["name"] for m in bench["per_layer"]]}
     seconds = bench.get("run_seconds", 12)
     parent_commit = subprocess.check_output(["git", "rev-parse", "HEAD"],
                                             cwd=args.parent, text=True).strip()
     sides = {"parent": args.parent, "change": args.change}
 
     runs = []
+    n_bad = 0
     for workload in WORKLOADS:
         for pair in range(1, PAIRS + 1):
             order = ["parent", "change"] if pair % 2 else ["change", "parent"]
-            results = {side: run_benchmark(sides[side], workload, args.seed,
-                                           seconds, 0)
-                       for side in order}
+            results, problems = {}, {}
+            for side in order:
+                results[side], problems[side] = run_benchmark(
+                    sides[side], workload, args.seed, seconds, 0, expected[0])
             runs.append({
                 "workload": workload, "pair": pair, "first": order[0],
                 "parent": values(results["parent"], metrics),
@@ -214,7 +247,9 @@ def main(argv=None):
                 "parent_correct": bool(results["parent"] and results["parent"]["correct"]),
                 "change_correct": bool(results["change"] and results["change"]["correct"]),
                 "failed_stage_calls": sum(r["failed"] for r in results.values() if r),
+                "problems": problems,
             })
+            n_bad += sum(bool(p) for p in problems.values())
             print(json.dumps(runs[-1]), file=sys.stderr)
 
     doc = {
@@ -241,18 +276,26 @@ def main(argv=None):
         traced = []
         for workload in args.traced:
             for side in ("parent", "change"):
-                res = run_benchmark(sides[side], workload, args.seed, seconds, 1)
+                res, problems = run_benchmark(sides[side], workload, args.seed,
+                                              seconds, 1, expected[1])
                 traced.append({"workload": workload, "side": side,
                                "correct": bool(res and res["correct"]),
-                               "metrics": values(res, res["metrics"]) if res else None})
+                               "metrics": values(res, res["metrics"]) if res else None,
+                               "problems": problems})
+                n_bad += bool(problems)
         doc["traced"] = {
             "command": (f"python3 perfbench/run.py --workload {{{','.join(args.traced)}}} "
                         f"--seed {args.seed} --seconds {seconds} --trace 1"),
             "runs": traced,
         }
+    doc["runs_with_problems"] = n_bad
     with open(args.out, "w") as f:
         json.dump(doc, f, indent=1)
         f.write("\n")
+    if n_bad:
+        print(f"{n_bad} runs had problems; see their \"problems\" in {args.out}",
+              file=sys.stderr)
+        return 1
     return 0
 
 

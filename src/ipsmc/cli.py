@@ -158,11 +158,15 @@ class EvaluateConfig:
 
 def _write_rows(path, header_cols, rows, meta):
     with open(path, "w") as f:
-        f.write(f"# config_hash={meta['config_hash']} seed={meta['seed']} "
-                f"version={meta['version']}\n")
-        f.write(",".join(header_cols) + "\n")
+        _write_header(f, header_cols, meta)
         for row in rows:
             f.write(",".join(_cell(x) for x in row) + "\n")
+
+
+def _write_header(f, header_cols, meta):
+    f.write(f"# config_hash={meta['config_hash']} seed={meta['seed']} "
+            f"version={meta['version']}\n")
+    f.write(",".join(header_cols) + "\n")
 
 
 def _cell(x):
@@ -217,10 +221,12 @@ def cmd_oracle(cfg: OracleConfig, threads=1, emit_svg=False):
     marg, logz = orc.exact_posterior_marginals(model, ds.spec, ds.params, p0, obs, grid)
     meta = _meta(dataclasses.asdict(cfg), cfg.seed)
     os.makedirs(cfg.out, exist_ok=True)
-    rows = ((float(t), s, float(p)) for j, t in enumerate(grid)
-            for s, p in enumerate(marg[j]))
-    _write_rows(os.path.join(cfg.out, "marginals.csv"),
-                ["time", "state", "probability"], rows, meta)
+    # the rows _write_rows would write, formatted one grid row at a time
+    with open(os.path.join(cfg.out, "marginals.csv"), "w") as f:
+        _write_header(f, ["time", "state", "probability"], meta)
+        for t, probs in zip(grid.tolist(), marg):
+            t = repr(t)
+            f.write("".join([f"{t},{s},{p!r}\n" for s, p in enumerate(probs.tolist())]))
     _write_rows(os.path.join(cfg.out, "logz.csv"), ["logz"], [(float(logz),)], meta)
     _write_manifest(cfg.out, meta, "oracle")
 

@@ -9,7 +9,7 @@ sampling from the conditioned process. Guarded to small state spaces.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,6 +50,7 @@ def state_index(spec, z):
 @dataclass(frozen=True)
 class DenseGenerator:
     Q: np.ndarray
+    _ops: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         Q = np.asarray(self.Q, dtype=float)
@@ -65,6 +66,19 @@ class DenseGenerator:
     @property
     def n(self):
         return self.Q.shape[0]
+
+    def uniformization(self, transpose=False):
+        """uniformization(Q), or of Q.T with transpose, formed once per
+        direction."""
+        if transpose not in self._ops:
+            self._ops[transpose] = uniformization(self.Q.T if transpose else self.Q)
+        return self._ops[transpose]
+
+    def expm_action(self, delta, x, transpose=False):
+        """expm_action(Q, delta, x), or with Q.T, on the cached operator:
+        the same matrix, so the same bits."""
+        _check_step(delta)
+        return _propagate(self.uniformization(transpose), delta, x)
 
 
 def build_dense_generator(model: RateModel, spec, theta) -> DenseGenerator:
@@ -96,13 +110,28 @@ def expm_action(A, delta, x):
     magnitude. A is an intensity matrix Q or its transpose, so every term
     is nonnegative and, unlike scaling-and-squaring, the series keeps
     nonnegativity and (for x = eye(n)) row sums in floating point."""
-    if delta < 0:
-        raise ValueError("delta must be >= 0")
+    _check_step(delta)
+    return _propagate(uniformization(A), delta, x)
+
+
+def uniformization(A):
+    """(lam, I + A/lam) of an intensity matrix A, lam its largest diagonal
+    magnitude; the matrix is None when lam == 0 (A vanishes)."""
     lam = float(np.max(-np.diag(A)))
+    return lam, (np.eye(A.shape[0]) + A / lam if lam > 0 else None)
+
+
+def _check_step(delta):
+    if not 0 <= delta < np.inf:
+        raise ValueError(f"delta must be finite and >= 0, got {delta}")
+
+
+def _propagate(op, delta, x):
+    """exp(A delta) @ x from A's uniformization op = (lam, M)."""
+    lam, M = op
     x = np.asarray(x, dtype=float)
     if delta == 0 or lam == 0:
         return x.copy()
-    M = np.eye(A.shape[0]) + A / lam
     return _uniformized_sum(M, lam * delta, x)
 
 
@@ -142,12 +171,10 @@ class LookaheadTable:
     gen: DenseGenerator
 
     def _linear_cache(self):
-        # scaled linear-space left limits plus the uniformization operator,
-        # built once; log_h_at propagates from them without re-forming M
+        # scaled linear-space left limits, built once; log_h_at propagates
+        # them with the generator's cached operator
         if not hasattr(self, "_lin"):
-            Q = self.gen.Q
-            lam = float(np.max(-np.diag(Q)))
-            M = np.eye(self.gen.n) + (Q / lam if lam > 0 else Q)
+            lam, M = self.gen.uniformization()
             scales = np.array([v[np.isfinite(v)].max() if np.any(np.isfinite(v))
                                else 0.0 for v in self.log_h_left])
             vs = np.exp(self.log_h_left - scales[:, None])
@@ -158,8 +185,8 @@ class LookaheadTable:
         """Exact log h at an arbitrary time by propagating back from the
         next grid point."""
         grid = self.grid
-        if t < grid[0] - 1e-12 or t > grid[-1] + 1e-12:
-            raise ValueError("time outside the table grid")
+        if not grid[0] - 1e-12 <= t <= grid[-1] + 1e-12:
+            raise ValueError(f"time {t} outside the table grid")
         j = int(np.searchsorted(grid, t - 1e-12, side="left"))
         j = min(j, len(grid) - 1)
         if abs(grid[j] - t) <= 1e-12:
@@ -201,10 +228,11 @@ class LookaheadTable:
                          lambda_bar_fn=lambda *_: lam_bar, time_homogeneous=False)
 
 
-def _log_expm_action(A, delta, log_v):
-    """log(exp(A delta) @ exp(log_v)), stabilized by factoring out the max."""
+def _log_expm_action(gen, delta, log_v, transpose=False):
+    """log(exp(A delta) @ exp(log_v)) for A = Q or Q.T, stabilized by
+    factoring out the max."""
     m = np.max(log_v[np.isfinite(log_v)]) if np.any(np.isfinite(log_v)) else 0.0
-    w = expm_action(A, delta, np.exp(log_v - m))
+    w = gen.expm_action(delta, np.exp(log_v - m), transpose)
     with np.errstate(divide="ignore"):
         return np.log(np.maximum(w, 0.0)) + m
 
@@ -244,7 +272,7 @@ def exact_lookahead(model, spec, theta, potentials, grid) -> LookaheadTable:
     log_h_left = np.zeros((M + 1, n))
     log_h_left[M] = pot[M] if M in pot else 0.0
     for j in range(M - 1, -1, -1):
-        log_h[j] = _log_expm_action(gen.Q, grid[j + 1] - grid[j], log_h_left[j + 1])
+        log_h[j] = _log_expm_action(gen, grid[j + 1] - grid[j], log_h_left[j + 1])
         log_h_left[j] = log_h[j] + pot[j] if j in pot else log_h[j]
     return LookaheadTable(grid=grid, log_h=log_h, log_h_left=log_h_left,
                           potentials=pot, gen=gen)
@@ -265,7 +293,8 @@ def exact_posterior_marginals(model, spec, theta, p0, obs, grid):
     log_z = None
     for j in range(len(grid)):
         if j > 0:
-            log_alpha = _log_expm_action(gen.Q.T, grid[j] - grid[j - 1], log_alpha)
+            log_alpha = _log_expm_action(gen, grid[j] - grid[j - 1], log_alpha,
+                                         transpose=True)
             if j in la.potentials:
                 log_alpha = log_alpha + la.potentials[j]
         log_post = log_alpha + la.log_h[j]
@@ -335,7 +364,7 @@ def sample_posterior_skeleton(model, spec, theta, p0, obs, grid, n_paths, rng):
     out = np.empty((n_paths, len(grid)), dtype=np.min_scalar_type(n - 1))
     out[:, 0] = rng.choice(n, size=n_paths, p=p_init)
     for j in range(len(grid) - 1):
-        P = expm_action(gen.Q, grid[j + 1] - grid[j], np.eye(n))
+        P = gen.expm_action(grid[j + 1] - grid[j], np.eye(n))
         with np.errstate(divide="ignore"):
             logK = np.log(np.maximum(P, 0.0)) + la.log_h_left[j + 1][None, :]
         K = np.exp(logK - logsumexp(logK, axis=1, keepdims=True))

@@ -48,6 +48,25 @@ def exact_twist_ess_values(spec, model, theta, obs, dt, times=None):
     return np.array(vals)
 
 
+def lookahead_by_expm_action(gen, potentials, grid):
+    """(log_h, log_h_left) of exact_lookahead's backward recursion, with
+    one expm_action call per grid interval (forming I + Q/lam afresh each
+    time) in place of the generator's cached operator. potentials maps a
+    grid index to its (n,) log potential."""
+    M = len(grid) - 1
+    log_h = np.zeros((M + 1, gen.n))
+    log_h_left = np.zeros((M + 1, gen.n))
+    log_h_left[M] = potentials.get(M, 0.0)
+    for j in range(M - 1, -1, -1):
+        v = log_h_left[j + 1]
+        m = np.max(v[np.isfinite(v)]) if np.any(np.isfinite(v)) else 0.0
+        w = orc.expm_action(gen.Q, grid[j + 1] - grid[j], np.exp(v - m))
+        with np.errstate(divide="ignore"):
+            log_h[j] = np.log(np.maximum(w, 0.0)) + m
+        log_h_left[j] = log_h[j] + potentials[j] if j in potentials else log_h[j]
+    return log_h, log_h_left
+
+
 def skeleton_score(model, spec, theta, skeletons, grid):
     """Mean wake score (minus the wake_loss_and_grad gradient) of grid
     paths given as state indices, skeletons (N, M+1) of any integer type.

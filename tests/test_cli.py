@@ -168,6 +168,36 @@ class TestOracle:
             val = float(f.readline())
         assert np.isfinite(val) and val < 0
 
+    def test_marginals_csv_bytes(self, dataset, tmp_path):
+        # the row-at-a-time writer must give exactly what _write_rows writes
+        # for the (time, state, probability) rows, every cell the exact float
+        from ipsmc import cli, oracle as orc
+        from ipsmc.bench import load_dataset
+        from ipsmc.ips import sirs_model
+
+        out = tmp_path / "orc"
+        path = write_cfg(tmp_path, "orc.json",
+                         {"dataset": dataset, "out": str(out), "index": 2})
+        assert main(["oracle", "--config", path]) == 0
+        ds = load_dataset(dataset)
+        obs = ds.train_obs[2]
+        grid = orc.oracle_grid(sirs_model(), ds.spec, ds.params, obs, target=0.1)
+        marg, _ = orc.exact_posterior_marginals(sirs_model(), ds.spec, ds.params,
+                                                cli._dense_p0(ds), obs, grid)
+        written = (out / "marginals.csv").read_bytes()
+        first = written.split(b"\n", 1)[0].decode()
+        meta = dict(kv.split("=") for kv in first[2:].split(" "))
+        rows = [(float(t), s, float(p)) for j, t in enumerate(grid)
+                for s, p in enumerate(marg[j])]
+        cli._write_rows(tmp_path / "ref.csv", ["time", "state", "probability"],
+                        rows, meta)
+        assert written == (tmp_path / "ref.csv").read_bytes()
+        lines = written.decode().splitlines()[2:]
+        assert len(lines) == marg.size
+        for line, (t, s, p) in zip(lines, rows):
+            ct, cs, cp = line.split(",")
+            assert (float(ct), int(cs), float(cp)) == (t, s, p)
+
     def test_no_observation_logz_zero(self, tmp_path):
         gen = dict(TINY_GEN, K=0, out=str(tmp_path / "ds0"))
         gpath = write_cfg(tmp_path, "gen0.json", gen)

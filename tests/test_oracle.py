@@ -12,6 +12,7 @@ from ipsmc import oracle as orc
 from ipsmc.twisting import ObservationSequence
 
 from conftest import chain_spec, make_flip_model
+from helpers import lookahead_by_expm_action
 
 
 def two_state_model(r01=0.5, r10=0.3):
@@ -125,6 +126,55 @@ class TestTransitionMatrix:
         with pytest.raises(CollapseError, match="failed to converge"):
             orc.expm_action(gen.Q, 1.5, np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("delta", [np.nan, np.inf, -np.inf, -0.1])
+    def test_rejects_non_finite_or_negative_step(self, pair_spec, delta):
+        gen = orc.build_dense_generator(sirs_model(), pair_spec,
+                                        SIRSParams(0.4, 0.8, 0.6, 0.2))
+        v = np.ones(9)
+        with pytest.raises(ValueError, match="delta must be finite and >= 0"):
+            orc.expm_action(gen.Q, delta, v)
+        for transpose in (False, True):
+            with pytest.raises(ValueError, match="delta must be finite and >= 0"):
+                gen.expm_action(delta, v, transpose)
+
+
+class TestCachedOperator:
+    """DenseGenerator.expm_action forms I + A/lam once per direction and
+    must give exactly the bits of a fresh expm_action call."""
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_matches_expm_action_bitwise(self, pair_spec, transpose):
+        gen = orc.build_dense_generator(sirs_model(), pair_spec,
+                                        SIRSParams(0.4, 0.8, 0.6, 0.2))
+        A = gen.Q.T if transpose else gen.Q
+        rng = np.random.default_rng(5)
+        for x in (rng.uniform(size=9), rng.uniform(size=(9, 4)), np.eye(9)):
+            for delta in (0.0, 1e-3, 0.05, 0.6, 2.5):
+                assert np.array_equal(gen.expm_action(delta, x, transpose),
+                                      orc.expm_action(A, delta, x))
+        assert gen.uniformization(transpose) is gen.uniformization(transpose)
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_zero_generator(self, transpose):
+        gen = orc.build_dense_generator(make_flip_model(0.0, 0.0), chain_spec(2, V=2),
+                                        None)
+        assert gen.uniformization(transpose) == (0.0, None)
+        x = np.random.default_rng(6).uniform(size=4)
+        for delta in (0.0, 0.7):
+            out = gen.expm_action(delta, x, transpose)
+            assert np.array_equal(out, x) and out is not x
+            assert np.array_equal(out, orc.expm_action(gen.Q, delta, x))
+
+    def test_lookahead_matches_per_call_recursion(self, pair_spec):
+        p = SIRSParams(0.3, 1.0, 0.5, 0.3)
+        obs = _obs(pair_spec, 2.0, [0.45, 0.8, 1.5], [[1, 3], [2, 0], [0, 1]])
+        grid = make_grid(2.0, 0.07, obs.times)
+        la = orc.exact_lookahead(sirs_model(), pair_spec, p,
+                                 orc.potential_vectors(pair_spec, obs), grid)
+        log_h, log_h_left = lookahead_by_expm_action(la.gen, la.potentials, la.grid)
+        assert np.array_equal(la.log_h, log_h)
+        assert np.array_equal(la.log_h_left, log_h_left)
+
 
 def _obs(spec, T, times, values, p_mask=0.5, delta=0.01):
     return ObservationSequence(horizon=T, times=np.asarray(times, dtype=float),
@@ -178,6 +228,14 @@ class TestLookahead:
                                 log_h_left=zeros, potentials={}, gen=gen)
         with pytest.raises(CollapseError, match="failed to converge"):
             la.log_h_at(1.5)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_log_h_at_rejects_non_finite_time(self, t):
+        spec = chain_spec(1, V=2)
+        la = orc.exact_lookahead(two_state_model(), spec, None, [],
+                                 make_grid(1.0, 0.25))
+        with pytest.raises(ValueError, match="outside the table grid"):
+            la.log_h_at(t)
 
     def test_reset_identity_at_potentials(self, pair_spec):
         p = SIRSParams(0.3, 1.0, 0.5, 0.3)
