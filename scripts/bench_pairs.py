@@ -24,6 +24,12 @@ perfbench/workloads.py's ``workload_stages`` and ``run_stage``, into a
 temporary directory, and the block lists the sha256 of every file the
 stages wrote and whether the two sides match.
 
+``--tier1`` adds a ``tier1`` block: the Tier-1 suite,
+``PYTHONPATH=src python -m pytest -q --continue-on-collection-errors``, run
+once in each checkout after the pairs, parent first, with its test count,
+passed and failed counts and wall time. A run that exits nonzero or prints
+no summary line is a problem.
+
 Every run is checked, and its problems are listed under ``problems``: a
 nonzero exit, no result line, ``correct: false``, failed stage calls, or a
 metric of BENCHMARK.json missing from the result line (an untraced line
@@ -39,10 +45,12 @@ import hashlib
 import json
 import os
 import platform
+import re
 import shutil
 import subprocess
 import sys
 import tempfile
+import time
 
 import numpy as np
 
@@ -51,6 +59,10 @@ WORKLOADS = ("infer", "learn", "exact")
 # seconds one benchmark run may take; a run at the length BENCHMARK.json
 # sets takes under a minute on a 2-core machine
 TIMEOUT_S = 600
+# the Tier-1 suite, run from a checkout's root with src on PYTHONPATH; it
+# takes about five minutes on a 2-core machine
+TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+TIER1_TIMEOUT_S = 3600
 
 
 def run_benchmark(checkout, workload, seed, seconds, trace, expected):
@@ -92,6 +104,49 @@ def run_problems(result, returncode, expected):
     if missing:
         problems.append("missing metrics: " + ", ".join(missing))
     return problems
+
+
+def tier1_counts(output):
+    """{outcome: count} from the summary line of pytest's output, the last
+    line that names an outcome: "2 failed, 307 passed in 259.5s" gives
+    {"failed": 2, "passed": 307}. An error counts as failed; None when no
+    line names an outcome."""
+    for line in reversed(output.strip().splitlines()):
+        found = re.findall(r"(\d+) (passed|failed|errors?|skipped|xfailed|xpassed)\b", line)
+        if found:
+            counts = {}
+            for n, outcome in found:
+                outcome = "failed" if outcome.startswith("error") else outcome
+                counts[outcome] = counts.get(outcome, 0) + int(n)
+            return counts
+    return None
+
+
+def run_tier1(checkout):
+    """One run of the Tier-1 suite from checkout's root: its test, passed
+    and failed counts, wall time, exit code and problems."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(["src"] + ([env["PYTHONPATH"]]
+                                                   if env.get("PYTHONPATH") else []))
+    start = time.perf_counter()
+    try:
+        proc = subprocess.run(TIER1, cwd=checkout, env=env, stdout=subprocess.PIPE,
+                              stderr=subprocess.STDOUT, text=True,
+                              timeout=TIER1_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return {"wall_s": time.perf_counter() - start,
+                "problems": [f"ran over {TIER1_TIMEOUT_S} s"]}
+    wall = time.perf_counter() - start
+    counts = tier1_counts(proc.stdout)
+    problems = [f"exit {proc.returncode}"] if proc.returncode else []
+    if counts is None:
+        problems.append("no summary line")
+        counts = {}
+    for problem in problems:
+        print(f"{checkout}: tier1: {problem}", file=sys.stderr)
+    return {"tests": sum(counts.values()), "passed": counts.get("passed", 0),
+            "failed": counts.get("failed", 0), "wall_s": wall,
+            "exit": proc.returncode, "problems": problems}
 
 
 # run from a checkout's root with (workload, seed, work directory): runs
@@ -218,6 +273,8 @@ def main(argv=None):
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--traced", nargs="*", default=[],
                     help="workloads to run once per side with --trace 1")
+    ap.add_argument("--tier1", action="store_true",
+                    help="run the Tier-1 suite once per side")
     args = ap.parse_args(argv)
 
     with open(os.path.join(args.change, "BENCHMARK.json")) as f:
@@ -288,6 +345,10 @@ def main(argv=None):
                         f"--seed {args.seed} --seconds {seconds} --trace 1"),
             "runs": traced,
         }
+    if args.tier1:
+        doc["tier1"] = {"command": "PYTHONPATH=src " + " ".join(["python"] + TIER1[1:]),
+                        **{side: run_tier1(sides[side]) for side in ("parent", "change")}}
+        n_bad += sum(bool(doc["tier1"][side]["problems"]) for side in sides)
     doc["runs_with_problems"] = n_bad
     with open(args.out, "w") as f:
         json.dump(doc, f, indent=1)

@@ -83,11 +83,17 @@ def logsumexp(a, axis=None, keepdims=False):
 
 def effective_sample_size(log_weights, log_total=None):
     """1 / sum of squared normalized weights; log_total, when given, is
-    logsumexp(log_weights), computed once by the caller."""
+    logsumexp(log_weights), computed once by the caller. Equal finite
+    weights give exactly their count, which the formula misses by its
+    rounding (249.9999999999999 for 250 zeros), so that a run at
+    ess_threshold 1.0 does not resample uniform weights."""
     lw = np.asarray(log_weights, dtype=float)
     finite = np.isfinite(lw)
     if not np.any(finite):
         raise CollapseError("all particle weights are -inf")
+    live = lw[finite]
+    if live.min() == live.max():
+        return float(len(live))
     lwn = lw - (logsumexp(lw) if log_total is None else log_total)
     return float(np.exp(-logsumexp(2.0 * lwn)))
 
@@ -283,8 +289,9 @@ def _propose_step(model, spec, theta, twist, Z, t, dt, rng):
     while len(live):
         Zl = Z[live]
         n = len(live)
-        scores = twist.score_table_batch(t, Zl)
         base_off = model.off_rates_batch(t, Zl, spec, theta)
+        # a score only ever multiplies a positive rate
+        scores = twist.score_table_batch(t, Zl, base_off > 0)
         exit_b = sum_values(base_off)
         tilted = scores.any()
         if tilted:
@@ -326,14 +333,16 @@ def posterior_marginals_from_ensemble(ens: ParticleEnsemble, V, eps=1e-3):
     mixture: (M+1, d, V) with rows summing to one."""
     w = ens.normalized_weights()
     traj = ens.trajectories
-    M1, d = traj.shape[1:]
+    S, M1, d = traj.shape
     out = np.empty((M1, d, V))
-    # one small (S,) @ (S, d) product per grid step and value: a single
-    # product over all M+1 steps is large enough for OpenBLAS to hand to
-    # its thread pool, whose workers then spin on the other cores
+    # one weighted count per grid step over the (S, d) cells, bin i * V + v:
+    # each bin adds its weights in particle order, with no BLAS kernel to
+    # round by position, and no temporary larger than (S, d)
+    node = np.arange(d) * V
+    wd = np.repeat(w, d)
     for m in range(M1):
-        for v in range(V):
-            out[m, :, v] = w @ (traj[:, m] == v)
+        out[m] = np.bincount((traj[:, m] + node).ravel(), weights=wd,
+                             minlength=d * V).reshape(d, V)
     return (1.0 - eps) * out + eps / V
 
 

@@ -92,12 +92,18 @@ def sample_emission(obs_template, z, rng):
 class TwistOracle:
     """Interface on a batch of states Z (S, d): log twist values (S,) and
     the (S, d, V) tables of log score ratios log h(z^{i->v}) - log h(z),
-    zero at v = z_i."""
+    zero at v = z_i.
+
+    score_table_batch takes a boolean (S, d, V) mask cells of the entries
+    the caller reads: the proposal passes the cells of positive base rate,
+    since a score elsewhere multiplies a zero rate. None asks for every
+    off-diagonal cell. An oracle may score only the requested cells and
+    leave every other entry zero, or ignore the mask and fill the table."""
 
     def log_h_batch(self, t, Z):
         raise NotImplementedError
 
-    def score_table_batch(self, t, Z):
+    def score_table_batch(self, t, Z, cells=None):
         raise NotImplementedError
 
     def _zero_scores(self, n, d, V):
@@ -119,7 +125,7 @@ class ConstantTwist(TwistOracle):
     def log_h_batch(self, t, Z):
         return np.zeros(len(Z))
 
-    def score_table_batch(self, t, Z):
+    def score_table_batch(self, t, Z, cells=None):
         return self._zero_scores(len(Z), self.d, self.V)
 
 
@@ -144,7 +150,9 @@ class ExactTwist(TwistOracle):
     def log_h_batch(self, t, Z):
         return self._log_h_vec(t)[self._index(Z)]
 
-    def score_table_batch(self, t, Z):
+    def score_table_batch(self, t, Z, cells=None):
+        """The full table: every entry is one gather, so the mask saves
+        nothing."""
         lh = self._log_h_vec(t)
         idx = self._index(Z)
         out = lh[self._nbr[idx]] - lh[idx, None, None]

@@ -236,13 +236,13 @@ def twist_log_values(params, Phi, Z):
 
 
 class TableWorkspace:
-    """Reused buffers of twist_table, one per caller: each named buffer
-    grows to the largest size asked for and is handed out as a view.
+    """Reused buffers of twist_table and twist_score_table, one per caller:
+    each named buffer grows to the largest size asked for and is handed out
+    as a view.
 
-    Fresh (S, d, V, m) temporaries of 0.4-1.2 MB per call are returned to
-    the kernel when freed and faulted in again at the next call. Buffers
-    are not shared between callers, so concurrent SMC runs each hold their
-    own."""
+    Fresh temporaries of 0.4-1.2 MB per call are returned to the kernel
+    when freed and faulted in again at the next call. Buffers are not
+    shared between callers, so concurrent SMC runs each hold their own."""
 
     def __init__(self):
         self._bufs = {}
@@ -340,10 +340,42 @@ def _score(H, Z):
     return score
 
 
-def twist_score_table(params, Phi, Z, ws=None):
-    """(S, d, V) log score ratios, a new array; exactly zero at
-    [s, i, Z[s, i]]. ws is twist_table's workspace."""
-    return _score(twist_table(params, Phi, Z, ws)[0], Z)
+def twist_score_table(params, Phi, Z, cells=None, ws=None):
+    """(S, d, V) log score ratios log h(z^{i->v}) - log h(z) of each state
+    of Z (S, d) under a shared (d, V, m) Phi, a new array, computed on the
+    cells (S, d, V) mask only (every off-diagonal cell when None) and
+    exactly zero elsewhere. The (S, d, m) and (cells, m) temporaries live
+    in the workspace ws (a fresh one when None).
+
+    The first aggregator layer is linear, so with P = Phi @ W2 the hidden
+    pre-activation of a state is u = sum_j P[j, z_j] + b2, and that of its
+    swap i -> v is u - P[i, z_i] + P[i, v]: one (m,) row per requested
+    cell, and b3 cancels. The products with w3 run without BLAS, whose
+    kernels round an output by its position in the product, so each score
+    is bitwise a function of its state and cell alone."""
+    ws = TableWorkspace() if ws is None else ws
+    S, d = Z.shape
+    V, m = Phi.shape[-2:]
+    P = Phi.reshape(d * V, m) @ params.W2  # row i * V + v is P[i, v]
+    if cells is None:
+        cells = np.ones((S, d, V), dtype=bool)
+        cells[np.arange(S)[:, None], np.arange(d), Z] = False
+    own = np.take(P, np.arange(d) * V + Z, axis=0,
+                  out=ws.get("own", (S, d, m)), mode="clip")
+    u = own.sum(axis=1)
+    u += params.b2
+    flat = np.flatnonzero(cells)          # s * d * V + i * V + v
+    node = flat // V                      # s * d + i
+    state = node // d
+    pre = np.take(P, flat % (d * V), axis=0, out=ws.get("pre", (len(flat), m)),
+                  mode="clip")
+    held = ws.get("held", pre.shape)
+    pre -= np.take(own.reshape(-1, m), node, axis=0, out=held, mode="clip")
+    pre += np.take(u, state, axis=0, out=held, mode="clip")
+    out = np.zeros((S, d, V))
+    out.reshape(-1)[flat] = (np.einsum("km,m->k", TANH(pre, out=pre), params.w3)
+                             - np.einsum("sm,m->s", TANH(u, out=u), params.w3)[state])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -570,10 +602,10 @@ class LearnedTwist(TwistOracle):
             return np.zeros(len(Z))
         return twist_log_values(self.params, self._phi(t), Z)
 
-    def score_table_batch(self, t, Z):
+    def score_table_batch(self, t, Z, cells=None):
         if not self.ctx.has_future(t):
             return self._zero_scores(len(Z), self.spec.d, self.spec.V)
-        return twist_score_table(self.params, self._phi(t), Z, self._ws)
+        return twist_score_table(self.params, self._phi(t), Z, cells, self._ws)
 
     def q0_dist(self, support_logmask=None):
         return _Q0Dist(self.params, self.ctx, support_logmask)

@@ -111,8 +111,9 @@ def reference_propose_step(model, spec, theta, twist, Z, t, dt, rng):
         Zl = Z[live]
         n = len(live)
         rows = np.arange(n)[:, None], np.arange(d)[None, :]
-        scores = np.clip(twist.score_table_batch(t, Zl), -SCORE_CLIP, SCORE_CLIP)
         base_off = model.off_rates_batch(t, Zl, spec, theta)
+        scores = np.clip(twist.score_table_batch(t, Zl, base_off > 0),
+                         -SCORE_CLIP, SCORE_CLIP)
         tw_off = base_off * np.exp(scores)
         exit_b = sum_values(base_off)
         exit_t = sum_values(tw_off)
@@ -153,6 +154,18 @@ def reference_twist_table(params, Phi, Z):
                     out=hidden if len(rows) == len(Z) else None)
     tn.TANH(hidden, out=hidden)
     return tn._stacked(hidden, params.w3) + params.b3, (Phi, Z, hidden)
+
+
+def reference_marginals(ens, V, eps):
+    """posterior_marginals_from_ensemble by a loop over the particles, each
+    weight added in particle order into its (step, node, value) cell."""
+    w = ens.normalized_weights()
+    S, M1, d = ens.trajectories.shape
+    out = np.zeros((M1, d, V))
+    for s in range(S):
+        for m in range(M1):
+            out[m, np.arange(d), ens.trajectories[s, m]] += w[s]
+    return (1.0 - eps) * out + eps / V
 
 
 def reference_run_smc(model, spec, theta, twist, q0, p0, obs, cfg, grid):

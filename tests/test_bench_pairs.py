@@ -30,3 +30,29 @@ def test_run_benchmark_lists_problems(tmp_path, stdout, code, problems):
                                               ["round_s", "setup_s"])
     assert found == problems
     assert (result is None) == ("no result line" in problems)
+
+
+@pytest.mark.parametrize("output, counts", [
+    ("....\n309 passed in 259.52s (0:04:19)\n", {"passed": 309}),
+    ("F.\n== 2 failed, 307 passed, 1 skipped in 3.1s ==\n",
+     {"failed": 2, "passed": 307, "skipped": 1}),
+    ("E\n1 passed, 1 error in 0.2s\n", {"passed": 1, "failed": 1}),
+    ("no tests ran in 0.01s\n", None),
+    ("", None),
+])
+def test_tier1_counts(output, counts):
+    assert bench_pairs.tier1_counts(output) == counts
+
+
+def test_run_tier1_counts_a_stand_in_suite(tmp_path):
+    # a checkout whose suite has two passing tests and one failing one
+    os.makedirs(tmp_path / "tests")
+    (tmp_path / "tests" / "test_stand_in.py").write_text(
+        "import pytest\n\n"
+        "@pytest.mark.parametrize('x', [1, 2])\n"
+        "def test_pass(x):\n    assert x\n\n"
+        "def test_fail():\n    assert False\n")
+    rec = bench_pairs.run_tier1(str(tmp_path))
+    assert (rec["tests"], rec["passed"], rec["failed"]) == (3, 2, 1)
+    assert rec["exit"] == 1 and rec["problems"] == ["exit 1"]
+    assert rec["wall_s"] > 0

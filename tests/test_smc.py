@@ -16,7 +16,7 @@ from ipsmc.smc import (DenseInitial, FactorizedInitial, SMCConfig, bpf_run,
 from ipsmc.twisting import ConstantTwist, ExactTwist, ObservationSequence
 
 from conftest import chain_spec, make_flip_model
-from helpers import reference_run_smc
+from helpers import reference_marginals, reference_run_smc
 from test_oracle import _obs, _empty_obs, two_state_model
 from test_twisting import FixedScores
 
@@ -80,6 +80,11 @@ class TestLogsumexp:
 class TestESS:
     def test_uniform_weights(self):
         assert effective_sample_size(np.zeros(10)) == pytest.approx(10.0)
+
+    def test_equal_weights_give_the_exact_count(self):
+        assert effective_sample_size(np.zeros(250)) == 250.0
+        assert effective_sample_size(np.full(25, -3.7)) == 25.0
+        assert effective_sample_size(np.array([1.5, -np.inf, 1.5])) == 2.0
 
     def test_single_survivor(self):
         lw = np.full(5, -np.inf)
@@ -299,17 +304,19 @@ class TestBookkeeping:
 
 class _CountingTwist:
     """Delegates to a twist and counts score-table calls: more calls than
-    grid steps means some particle substepped."""
+    grid steps means some particle substepped. asked keeps each call's
+    (t, states, cells)."""
 
     def __init__(self, twist):
-        self.twist, self.calls = twist, 0
+        self.twist, self.calls, self.asked = twist, 0, []
 
     def log_h_batch(self, t, Z):
         return self.twist.log_h_batch(t, Z)
 
-    def score_table_batch(self, t, Z):
+    def score_table_batch(self, t, Z, cells=None):
         self.calls += 1
-        return self.twist.score_table_batch(t, Z)
+        self.asked.append((t, Z.copy(), None if cells is None else cells.copy()))
+        return self.twist.score_table_batch(t, Z, cells)
 
 
 def _cyclic_model(rate):
@@ -395,6 +402,43 @@ class TestPathStorage:
                                 grid)
         _assert_matches_reference(ens, log_z, ref)
 
+    def test_learned_twist_scores_positive_rate_cells(self):
+        # under the cyclic model one of a node's two off values has a
+        # positive rate: every step asks the twist for exactly those cells
+        spec = chain_spec(4, V=3)
+        model = _cyclic_model(1.5)
+        obs = ObservationSequence(horizon=1.0, times=np.array([0.4, 0.8]),
+                                  values=np.array([[1, 3, 0, 2], [2, 1, 3, 0]]),
+                                  V=3, p_mask=0.3, label_noise=0.01)
+        params = tn.init_params(3, m=8, seed=3)
+        rng = np.random.default_rng(4)
+        for a in params.arrays().values():
+            a[...] += rng.normal(size=a.shape) * 0.5
+        twist = _CountingTwist(tn.LearnedTwist(params, spec, obs))
+        p0 = FactorizedInitial(np.full((4, 3), 1 / 3))
+        q0 = twist.twist.q0_dist()
+        grid = make_grid(1.0, 0.05, obs.times)
+        cfg = SMCConfig(S=16, dt=0.05, seed=7)
+        ens, log_z = run_smc(model, spec, None, twist, q0, p0, obs, cfg,
+                             grid=grid)
+        assert len(twist.asked) == len(grid) - 1
+        for t, Z, cells in twist.asked:
+            assert np.array_equal(cells, model.off_rates_batch(t, Z, spec, None) > 0)
+            assert np.all(cells.sum(axis=2) == 1)
+        ref = reference_run_smc(model, spec, None, twist, q0, p0, obs, cfg,
+                                grid)
+        _assert_matches_reference(ens, log_z, ref)
+
+    def test_uniform_weights_are_not_resampled(self):
+        # at threshold 1.0 the filter resamples after each observation and
+        # nowhere else: between them every weight is zero
+        ens, log_z, ref, _ = self._bpf_case()
+        steps = np.flatnonzero(np.any(ens.ancestors != np.arange(64), axis=1))
+        obs_steps = np.flatnonzero(np.isin(np.round(ens.grid, 9), (0.3, 0.6)))
+        assert set(steps) <= set(obs_steps)
+        assert len(steps) == 2
+        _assert_matches_reference(ens, log_z, ref)
+
     def test_adaptive_resampling_skips_steps(self):
         ens, log_z, ref, cfg = self._bpf_case(ess_threshold=0.5)
         ess = np.array([e for _, e in ens.ess_history])
@@ -442,6 +486,20 @@ class TestMarginalSmoothing:
         marg = posterior_marginals_from_ensemble(ens, V=2, eps=1e-3)
         assert marg[0, 0, 0] == pytest.approx(0.5)
 
+
+    def test_matches_sequential_sum_reference(self):
+        from ipsmc.smc import ParticleEnsemble
+
+        rng = np.random.default_rng(6)
+        for S, M1, d, V in ((250, 12, 32, 3), (7, 5, 3, 2), (25, 3, 5, 4)):
+            traj = rng.integers(0, V, size=(S, M1, d))
+            ens = ParticleEnsemble(grid=np.arange(M1, dtype=float),
+                                   states=traj[:, -1],
+                                   log_weights=rng.normal(size=S) * 3,
+                                   trajectories=traj)
+            for eps in (0.0, 1e-3):
+                assert np.array_equal(posterior_marginals_from_ensemble(ens, V, eps),
+                                      reference_marginals(ens, V, eps))
 
     def test_matches_tensordot_reference(self):
         # the parent's single product over every grid step, as reference;

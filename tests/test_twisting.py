@@ -94,7 +94,8 @@ class TestEmission:
 
 
 class FixedScores(TwistOracle):
-    """Twist with log h = 0 and the same score table at every state."""
+    """Twist with log h = 0 and the same score table at every state; it
+    fills the table whatever cells are asked for."""
 
     def __init__(self, score):
         self.score = np.asarray(score, dtype=float)
@@ -102,7 +103,7 @@ class FixedScores(TwistOracle):
     def log_h_batch(self, t, Z):
         return np.zeros(len(Z))
 
-    def score_table_batch(self, t, Z):
+    def score_table_batch(self, t, Z, cells=None):
         return np.broadcast_to(self.score, (len(Z),) + self.score.shape)
 
 

@@ -277,6 +277,67 @@ class TestTableWorkspace:
                 self._check(params, ws, Phi, rng.integers(0, V, size=(3, d)))
 
 
+class TestScoreCells:
+    """LearnedTwist.score_table_batch on a cells mask against
+    reference_twist_table's H - H_own: within 1e-12 on the requested cells,
+    exactly zero on every other."""
+
+    S, d, V, m = 25, 32, 3, 64
+
+    def _case(self, seed):
+        rng = np.random.default_rng(seed)
+        spec = chain_spec(self.d, V=self.V)
+        values = rng.integers(0, self.V + 1, size=(2, self.d))
+        obs = ObservationSequence(horizon=2.0, times=np.array([0.8, 1.5]),
+                                  values=values, V=self.V, p_mask=0.3,
+                                  label_noise=0.001)
+        lt = tn.LearnedTwist(_rand_params(self.V, self.m, seed), spec, obs)
+        Z = rng.integers(0, self.V, size=(self.S, self.d))
+        return rng, lt, Z
+
+    def _reference(self, lt, t, Z):
+        H, _ = reference_twist_table(lt.params, lt._phi(t), Z)
+        return H - H[np.arange(len(Z))[:, None], np.arange(self.d), Z][..., None]
+
+    def _off_diagonal(self, Z):
+        cells = np.ones(Z.shape + (self.V,), dtype=bool)
+        cells[np.arange(len(Z))[:, None], np.arange(self.d), Z] = False
+        return cells
+
+    def test_requested_cells_match_reference(self):
+        rng, lt, Z = self._case(21)
+        ref = self._reference(lt, 0.3, Z)
+        # one positive-rate cell per node, as under SIRS, and a random mask
+        one = np.zeros_like(ref, dtype=bool)
+        one[np.arange(self.S)[:, None], np.arange(self.d), (Z + 1) % self.V] = True
+        some = self._off_diagonal(Z) & (rng.random(ref.shape) < 0.5)
+        for cells in (one, some, np.zeros_like(one)):
+            scores = lt.score_table_batch(0.3, Z, cells)
+            assert np.abs(scores - ref)[cells].max(initial=0.0) <= 1e-12
+            assert np.all(scores[~cells] == 0.0)
+
+    def test_no_mask_scores_every_off_diagonal_cell(self):
+        _, lt, Z = self._case(22)
+        scores = lt.score_table_batch(0.3, Z)
+        assert np.abs(scores - self._reference(lt, 0.3, Z)).max() <= 1e-12
+        assert np.all(scores[~self._off_diagonal(Z)] == 0.0)
+        assert np.all(scores[self._off_diagonal(Z)] != 0.0)
+        assert np.array_equal(scores, lt.score_table_batch(0.3, Z, self._off_diagonal(Z)))
+
+    def test_cell_scores_do_not_depend_on_the_batch(self):
+        # each score is bitwise a function of its state and cell: the same
+        # alone, in any subset of states, and under any mask that holds it
+        rng, lt, Z = self._case(23)
+        full = lt.score_table_batch(0.3, Z)
+        for s in range(self.S):
+            assert np.array_equal(lt.score_table_batch(0.3, Z[s:s + 1])[0], full[s])
+        rows = rng.permutation(self.S)[:7]
+        assert np.array_equal(lt.score_table_batch(0.3, Z[rows]), full[rows])
+        cells = self._off_diagonal(Z) & (rng.random(full.shape) < 0.3)
+        assert np.array_equal(lt.score_table_batch(0.3, Z, cells),
+                              np.where(cells, full, 0.0))
+
+
 class TestSleepLoss:
     def test_single_step_constant_twist_hand_value(self):
         # one grid step, unit exit rate, uniform two-state initial head:
