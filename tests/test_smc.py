@@ -502,8 +502,8 @@ class TestMarginalSmoothing:
                                       reference_marginals(ens, V, eps))
 
     def test_matches_tensordot_reference(self):
-        # the parent's single product over every grid step, as reference;
-        # the per-step products may round differently in the last bit
+        # one BLAS product over every grid step, as reference; the weighted
+        # counts may round differently in the last bit
         from ipsmc.smc import ParticleEnsemble
 
         rng = np.random.default_rng(5)
