@@ -24,6 +24,9 @@ perfbench/workloads.py's ``workload_stages`` and ``run_stage``, into a
 temporary directory, and the block lists the sha256 of every file the
 stages wrote and whether the two sides match.
 
+Its ``src_lines`` block gives each checkout's line count of
+``src/ipsmc/*.py``, per file and in total, as ``wc -l`` counts them.
+
 ``--tier1`` adds a ``tier1`` block: the Tier-1 suite,
 ``PYTHONPATH=src python -m pytest -q --continue-on-collection-errors``, run
 once in each checkout after the pairs, parent first, with its test count,
@@ -41,6 +44,7 @@ run had a problem.
 from __future__ import annotations
 
 import argparse
+import glob
 import hashlib
 import json
 import os
@@ -209,6 +213,16 @@ def output_digests(sides, seed):
     return out
 
 
+def src_lines(checkout):
+    """{"files": {name: lines}, "total": lines} of src/ipsmc/*.py in
+    checkout, a line being a newline character, as wc -l counts."""
+    files = {}
+    for path in sorted(glob.glob(os.path.join(checkout, "src", "ipsmc", "*.py"))):
+        with open(path, "rb") as f:
+            files[os.path.basename(path)] = f.read().count(b"\n")
+    return {"files": files, "total": sum(files.values())}
+
+
 def values(result, names):
     if result is None:
         return None
@@ -324,6 +338,8 @@ def main(argv=None):
         "runs": runs,
         "summary": summarize(runs, metrics),
     }
+    doc["src_lines"] = {"command": "wc -l src/ipsmc/*.py",
+                        **{side: src_lines(path) for side, path in sides.items()}}
     doc["outputs"] = {
         "command": ("python3 -c <STAGES_SCRIPT> {workload} "
                     f"{args.seed} <temporary directory>, from each checkout's root"),

@@ -325,6 +325,8 @@ def _save_twist(path, psi, adam, rng, step, cfg, meta):
 
 
 def cmd_train(cfg: TrainRunConfig, threads=1, emit_svg=False):
+    if not 0 < cfg.theta_init < np.inf:
+        raise ConfigError(f"theta_init must be positive and finite, got {cfg.theta_init}")
     ds = load_dataset(cfg.dataset)
     model = sirs_model()
     wcfg = TrainConfig(global_iters=cfg.G, steps_per_phase=cfg.N, batch=cfg.B,
@@ -374,6 +376,8 @@ def cmd_train(cfg: TrainRunConfig, threads=1, emit_svg=False):
 
 
 def cmd_infer(cfg: InferConfig, threads=1, emit_svg=False):
+    if not 0 <= cfg.epsilon <= 1:
+        raise ConfigError(f"epsilon must lie in [0, 1], got {cfg.epsilon}")
     ds = load_dataset(cfg.dataset)
     model = sirs_model()
     if cfg.method not in ("tsmc-kl", "tsmc-dre", "bpf"):

@@ -229,16 +229,37 @@ def _own(Phi, Z):
     return Phi[rows + (np.arange(Z.shape[1]), Z)]
 
 
+def _pooled(params, Phi, Z, ws):
+    """P = Phi @ W2 with node and value flattened, row i * V + v holding
+    P[i, v] ((d * V, m) for a shared Phi, (S, d * V, m) per row), the
+    (S, d, m) rows P[i, Z[s, i]] that each state of Z (S, d) holds, and
+    the state's hidden pre-activation u = their sum + b2 (S, m)."""
+    S, d = Z.shape
+    rows = Phi.reshape(Phi.shape[:-3] + (-1, Phi.shape[-1]))
+    P = np.matmul(rows, params.W2, out=ws.get("P", rows.shape))
+    at = np.arange(d) * Phi.shape[-2] + Z
+    if Phi.ndim == 4:
+        at += np.arange(S)[:, None] * P.shape[1]
+    own = np.take(P.reshape(-1, P.shape[-1]), at, axis=0, mode="clip",
+                  out=ws.get("own", (S, d, P.shape[-1])))
+    u = own.sum(axis=1)
+    u += params.b2
+    return P, own, u
+
+
 def twist_log_values(params, Phi, Z):
-    """(S,) log twists: rho of the pooled embedding of each state of Z (S, d)."""
-    out, _ = rho_forward(params, _own(Phi, Z).sum(axis=1))
-    return out
+    """(S,) log twists of the states of Z (S, d): rho of the pooled
+    embedding, computed as the own-state term of twist_score_table, so a
+    state's value is bitwise the same in any batch."""
+    _, _, u = _pooled(params, Phi, Z, TableWorkspace())
+    return np.einsum("sm,m->s", TANH(u, out=u), params.w3) + params.b3
 
 
 class TableWorkspace:
-    """Reused buffers of twist_table and twist_score_table, one per caller:
-    each named buffer grows to the largest size asked for and is handed out
-    as a view.
+    """Reused buffers of twist_score_table and its backward, one per
+    caller: each named buffer grows to the largest size asked for and is
+    handed out as a view. cache holds the activations of the last
+    twist_score_table call for twist_score_table_backward.
 
     Fresh temporaries of 0.4-1.2 MB per call are returned to the kernel
     when freed and faulted in again at the next call. Buffers are not
@@ -246,6 +267,7 @@ class TableWorkspace:
 
     def __init__(self):
         self._bufs = {}
+        self.cache = None
 
     def get(self, name, shape):
         size = math.prod(shape)
@@ -255,127 +277,92 @@ class TableWorkspace:
         return buf[:size].reshape(shape)
 
 
-def twist_table(params, Phi, Z, ws=None):
+def twist_table(params, Phi, Z):
     """(S, d, V) tables of log twist values after single swaps of each
-    state of Z (S, d); entry [s, i, Z[s, i]] is the log twist of Z[s]
-    itself (recomputed per row), from the sampler's shared (d, V, m) Phi or
-    the losses' per-row (S, d, V, m) Phi. The pooled sum excluding node i
-    is accumulated in a fixed prefix/suffix order, so row i is bitwise equal
-    for states that agree off node i.
-
-    The first aggregator layer is linear, so it is applied to the (S, d, m)
-    excluded sums and the embeddings apart; only their sum, the hidden
-    layer, has the full (S, d, V, m) shape. The table, the hidden layer and
-    every other large temporary live in the workspace ws (a fresh one when
-    None), so they stay valid until its next use. The cache holds
-    (Phi, Z, hidden) for twist_table_backward."""
-    ws = TableWorkspace() if ws is None else ws
-    S, d = Z.shape
-    V, m = Phi.shape[-2:]
-    # the embeddings each state holds, node-major and in both node orders:
-    # run[k, 0] is node k's (S, m) row and run[k, 1] node d-1-k's, so that
-    # one pass of contiguous adds leaves in run[k] the prefix sum over nodes
-    # 0..k and the suffix sum over nodes d-1-k..d-1
-    at = np.arange(d)[:, None] * V + Z.T
-    if Phi.ndim == 4:
-        at += np.arange(S) * (d * V)
-    run = np.take(Phi.reshape(-1, m), np.stack([at, at[::-1]], axis=1), axis=0,
-                  out=ws.get("run", (d, 2, S, m)), mode="clip")
-    for k in range(1, d):
-        run[k] += run[k - 1]
-    # excl[i] = (sum over j < i) + (sum over j > i)
-    excl = ws.get("excl", (d, S, m))
-    excl[0] = 0.0
-    if d > 1:
-        excl[0] += run[d - 2, 1]
-    excl[1:] = run[:d - 1, 0]
-    excl[1:d - 1] += run[:d - 2, 1][::-1]
-    # the products stay row-major and stacked per row (see _stacked)
-    proj = np.matmul(excl.transpose(1, 0, 2), params.W2,
-                     out=ws.get("proj", (S, d, m)))
-    hidden = ws.get("hidden", (S, d, V, m))
-    if Phi.ndim == 4:
-        np.matmul(Phi.reshape(S, d * V, m), params.W2,
-                  out=hidden.reshape(S, d * V, m))
-        hidden += params.b2
-        hidden += proj[:, :, None, :]
-    else:  # a shared Phi is one row, broadcast over the states
-        shared = _stacked(Phi[None], params.W2)
-        shared += params.b2
-        np.add(shared, proj[:, :, None, :], out=hidden)
+    state of Z (S, d), entry [s, i, Z[s, i]] being the log twist of Z[s]
+    itself, from a shared (d, V, m) Phi or one (S, d, V, m) Phi per row,
+    with its (S, d, V, m) hidden layer: the dense reference of
+    twist_score_table. The pooled sum excluding node i is a cumulative sum
+    in a fixed prefix/suffix order, so row i is bitwise equal for states
+    that agree off node i."""
+    own = _own(Phi, Z)  # (S, d, m)
+    excl = np.zeros_like(own)
+    np.cumsum(own[:, :-1], axis=1, out=excl[:, 1:])
+    # suffix sums in place: own[:, i] becomes the sum over j >= i
+    np.cumsum(own[:, ::-1], axis=1, out=own[:, ::-1])
+    excl[:, :-1] += own[:, 1:]
+    proj = np.matmul(excl, params.W2, out=own)
+    rows = Phi if Phi.ndim == 4 else Phi[None]  # a shared Phi is one row
+    hidden = _stacked(rows, params.W2)
+    hidden += params.b2
+    hidden = np.add(hidden, proj[:, :, None, :],
+                    out=hidden if len(rows) == len(Z) else None)
     TANH(hidden, out=hidden)
-    table = ws.get("table", (S, d, V))
-    np.matmul(hidden.reshape(S, d * V, m), params.w3, out=table.reshape(S, d * V))
-    table += params.b3
-    return table, (Phi, Z, hidden)
-
-
-def twist_table_backward(params, cache, dout, grads):
-    """Accumulate the aggregator gradients of twist_table, run on per-row
-    Phi (S, d, V, m), for the table cotangent dout (S, d, V) into grads;
-    returns the gradient of Phi through the swapped-in embedding and the
-    excluded sums. excl[s, i] sums own[s, j] = Phi[s, j, Z[s, j]] over
-    j != i, so the cotangent of excl @ W2 is added into that of Phi @ W2
-    once per (s, j) cell. The cache's hidden layer is overwritten."""
-    Phi, Z, hidden = cache
-    S, d, V, m = hidden.shape
-    grads["w3"] += _stacked_gram(dout[..., None], hidden)[0]
-    grads["b3"] += dout.sum()
-    dpre = _dtanh(hidden, out=hidden)  # of Phi @ W2 + b2
-    dpre *= params.w3
-    dpre *= dout[..., None]
-    grads["b2"] += dpre.reshape(-1, m).sum(axis=0)
-    dexcl = dpre.sum(axis=2)                               # of excl @ W2
-    dpre[np.arange(S)[:, None], np.arange(d), Z] += dexcl.sum(axis=1, keepdims=True) - dexcl
-    grads["W2"] += _stacked_gram(Phi, dpre)
-    return _stacked(dpre, params.W2.T)
-
-
-def _score(H, Z):
-    """(S, d, V) log score ratios of the tables H; exactly zero at
-    [s, i, Z[s, i]]."""
-    at = np.arange(len(Z))[:, None], np.arange(Z.shape[1])[None, :], Z
-    score = H - H[at][:, :, None]
-    score[at] = 0.0
-    return score
+    return _stacked(hidden, params.w3) + params.b3, hidden
 
 
 def twist_score_table(params, Phi, Z, cells=None, ws=None):
     """(S, d, V) log score ratios log h(z^{i->v}) - log h(z) of each state
-    of Z (S, d) under a shared (d, V, m) Phi, a new array, computed on the
-    cells (S, d, V) mask only (every off-diagonal cell when None) and
-    exactly zero elsewhere. The (S, d, m) and (cells, m) temporaries live
-    in the workspace ws (a fresh one when None).
+    of Z (S, d) under a shared (d, V, m) Phi or one (S, d, V, m) Phi per
+    row, a new array, computed on the cells of the (S, d, V) mask, which
+    holds off-diagonal cells only (every one when None), and exactly zero
+    elsewhere. Its temporaries and activations live in the workspace ws (a
+    fresh one when None).
 
     The first aggregator layer is linear, so with P = Phi @ W2 the hidden
     pre-activation of a state is u = sum_j P[j, z_j] + b2, and that of its
     swap i -> v is u - P[i, z_i] + P[i, v]: one (m,) row per requested
     cell, and b3 cancels. The products with w3 run without BLAS, whose
-    kernels round an output by its position in the product, so each score
-    is bitwise a function of its state and cell alone."""
+    kernels round an output by its position in the product, so with a
+    shared Phi each score is bitwise a function of its state and cell."""
     ws = TableWorkspace() if ws is None else ws
     S, d = Z.shape
     V, m = Phi.shape[-2:]
-    P = Phi.reshape(d * V, m) @ params.W2  # row i * V + v is P[i, v]
     if cells is None:
         cells = np.ones((S, d, V), dtype=bool)
         cells[np.arange(S)[:, None], np.arange(d), Z] = False
-    own = np.take(P, np.arange(d) * V + Z, axis=0,
-                  out=ws.get("own", (S, d, m)), mode="clip")
-    u = own.sum(axis=1)
-    u += params.b2
+    P, own, u = _pooled(params, Phi, Z, ws)
     flat = np.flatnonzero(cells)          # s * d * V + i * V + v
     node = flat // V                      # s * d + i
     state = node // d
-    pre = np.take(P, flat % (d * V), axis=0, out=ws.get("pre", (len(flat), m)),
-                  mode="clip")
+    pre = np.take(P.reshape(-1, m), flat if P.ndim == 3 else flat % (d * V),
+                  axis=0, out=ws.get("pre", (len(flat), m)), mode="clip")
     held = ws.get("held", pre.shape)
     pre -= np.take(own.reshape(-1, m), node, axis=0, out=held, mode="clip")
     pre += np.take(u, state, axis=0, out=held, mode="clip")
     out = np.zeros((S, d, V))
     out.reshape(-1)[flat] = (np.einsum("km,m->k", TANH(pre, out=pre), params.w3)
                              - np.einsum("sm,m->s", TANH(u, out=u), params.w3)[state])
+    ws.cache = Phi, Z, flat, pre, u
     return out
+
+
+def twist_score_table_backward(params, ws, dout, grads):
+    """Accumulate into grads the aggregator gradients of the last
+    twist_score_table call on ws, run on per-row Phi (S, d, V, m), for the
+    score cotangent dout (S, d, V), read on that call's cells; returns the
+    gradient of Phi. The call's activations in ws are overwritten.
+
+    A cell's pre-activation u - P[i, z_i] + P[i, v] and the held state's
+    u = sum_j P[j, z_j] + b2 both enter its score, so the cotangent of P
+    is the cell's own at [i, v], and at every held row [j, z_j] that of u
+    less those of node j's cells."""
+    # hidden and top hold the tanh of the cells' and the states' pre-activations
+    Phi, Z, flat, hidden, top = ws.cache
+    S, d, V, m = Phi.shape
+    g = dout.reshape(-1)[flat]
+    G = np.bincount(flat // (d * V), g, minlength=S)  # of each state's -tanh(u) @ w3
+    grads["w3"] += g @ hidden - G @ top
+    dP = ws.get("dP", (S, d, V, m))
+    dP.fill(0.0)
+    dP.reshape(-1, m)[flat] = _dtanh(hidden, out=hidden) * (g[:, None] * params.w3)
+    dnode = dP.sum(axis=2)
+    du = dnode.sum(axis=1)
+    du -= _dtanh(top) * params.w3 * G[:, None]
+    grads["b2"] += du.sum(axis=0)
+    dP[np.arange(S)[:, None], np.arange(d), Z] += du[:, None, :] - dnode
+    grads["W2"] += _stacked_gram(Phi, dP)
+    return _stacked(dP, params.W2.T)
 
 
 # ---------------------------------------------------------------------------
@@ -473,22 +460,25 @@ def sleep_loss_forward_kl(params, model, spec, theta, items, mc_indices=None,
 
     w, ctxs, (z, z_next, t, t_next) = _rows(
         items, mc_indices, 0, ("states", 0), ("states", 1), ("grid", 0), ("grid", 1))
-    ws = TableWorkspace()  # a chunk's table is done with before the next one
+    ws = TableWorkspace()  # a chunk's scores are done with before the next one
     for rows, F, Phi in _encoded_chunks(params, ctxs, t):
         zc, zn, wc, dt = z[rows], z_next[rows], w[rows], t_next[rows] - t[rows]
         at = np.arange(len(zc))[:, None], nodes
-        H, cache = twist_table(params, Phi, zc, ws)
-        score = _score(H, zc)
-        tilted = model.off_rates_batch(t[0], zc, spec, theta) * np.exp(score)
+        off = model.off_rates_batch(t[0], zc, spec, theta)
+        # the positive-rate cells, where exp(score) enters, and every
+        # realized move, whose score enters whatever its rate
+        cells = off > 0
+        cells[at + (zn,)] |= zn != zc
+        score = twist_score_table(params, Phi, zc, cells, ws)
+        tilted = off * np.exp(score)
         # a held coordinate scores zero at its own value
         total += float(wc @ (dt * tilted.sum(axis=(1, 2))
                              - score[at + (zn,)].sum(axis=1)))
         g = dt[:, None, None] * tilted  # d loss / d score
         g[at + (zn,)] -= zn != zc
-        g[at + (zc,)] -= g.sum(axis=2)  # through the held state's entry
         g *= wc[:, None, None]
         encoder_backward(params, F, Phi,
-                         twist_table_backward(params, cache, g, grads), grads)
+                         twist_score_table_backward(params, ws, g, grads), grads)
     return total, grads
 
 

@@ -97,8 +97,8 @@ def skeleton_score(model, spec, theta, skeletons, grid):
 
 
 # References for the SMC step, which the tests check the live code against
-# bit for bit: a step that tilts even by all-zero scores, a score table with
-# cumsum excluded sums and fresh temporaries, and a run loop built on them.
+# bit for bit: a step that tilts even by all-zero scores, and a run loop
+# built on it.
 
 def reference_propose_step(model, spec, theta, twist, Z, t, dt, rng):
     """smc._propose_step with every step tilted, even by all-zero scores."""
@@ -135,25 +135,6 @@ def reference_propose_step(model, spec, theta, twist, Z, t, dt, rng):
         remaining[live] -= h
         live = live[remaining[live] > 1e-15]
     return Z, log_ratio
-
-
-def reference_twist_table(params, Phi, Z):
-    """twist_table with cumsum excluded sums and fresh temporaries."""
-    own = tn._own(Phi, Z)  # (S, d, m)
-    excl = np.zeros_like(own)
-    np.cumsum(own[:, :-1], axis=1, out=excl[:, 1:])
-    # suffix sums in place: own[:, i] becomes the sum over j >= i
-    np.cumsum(own[:, ::-1], axis=1, out=own[:, ::-1])
-    excl[:, :-1] += own[:, 1:]
-    proj = np.matmul(excl, params.W2, out=own)
-    del excl
-    rows = Phi if Phi.ndim == 4 else Phi[None]  # a shared Phi is one row
-    hidden = tn._stacked(rows, params.W2)
-    hidden += params.b2
-    hidden = np.add(hidden, proj[:, :, None, :],
-                    out=hidden if len(rows) == len(Z) else None)
-    tn.TANH(hidden, out=hidden)
-    return tn._stacked(hidden, params.w3) + params.b3, (Phi, Z, hidden)
 
 
 def reference_marginals(ens, V, eps):

@@ -56,3 +56,16 @@ def test_run_tier1_counts_a_stand_in_suite(tmp_path):
     assert (rec["tests"], rec["passed"], rec["failed"]) == (3, 2, 1)
     assert rec["exit"] == 1 and rec["problems"] == ["exit 1"]
     assert rec["wall_s"] > 0
+
+
+def test_src_lines_counts_like_wc(tmp_path):
+    # wc -l counts newlines: a last line without one is not counted, and
+    # files outside src/ipsmc/*.py are left out
+    pkg = tmp_path / "src" / "ipsmc"
+    os.makedirs(pkg / "sub")
+    (pkg / "a.py").write_text("import os\n\nx = 1\n")
+    (pkg / "b.py").write_text("y = 2\nz = 3")
+    (pkg / "notes.txt").write_text("one\ntwo\n")
+    (pkg / "sub" / "c.py").write_text("w = 4\n")
+    assert bench_pairs.src_lines(str(tmp_path)) == {
+        "files": {"a.py": 3, "b.py": 1}, "total": 4}

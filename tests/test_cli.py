@@ -459,6 +459,15 @@ class TestTrain:
             f.readline()
             assert all(line.strip().endswith(",nan") for line in f)
 
+    @pytest.mark.parametrize("theta_init", [0.0, -0.2, float("inf"), float("nan")])
+    def test_rejects_bad_theta_init(self, tmp_path, theta_init):
+        # refused before the dataset loads: a missing one would exit 4
+        out = tmp_path / "tr"
+        cfg = {"dataset": str(tmp_path / "missing"), "out": str(out),
+               "theta_init": theta_init}
+        assert main(["train", "--config", write_cfg(tmp_path, "tr.json", cfg)]) == 2
+        assert not os.path.exists(out)
+
     def test_wake_collapse_exit_codes(self, dataset, tmp_path, monkeypatch):
         # a wake batch with no surviving tSMC run, and a skip rate above
         # 10% over the run, both end in exit code 3
@@ -565,6 +574,15 @@ class TestInfer:
                "theta": [float("nan"), 1.0, 0.4, 0.05]}
         code = main(["infer", "--config", write_cfg(tmp_path, "nan.json", cfg)])
         assert code == 2
+
+    @pytest.mark.parametrize("epsilon", [1.5, -0.5, float("nan")])
+    def test_rejects_bad_epsilon(self, tmp_path, epsilon):
+        # refused before the dataset loads: a missing one would exit 4
+        out = tmp_path / "eps"
+        cfg = {"dataset": str(tmp_path / "missing"), "out": str(out),
+               "method": "bpf", "epsilon": epsilon}
+        assert main(["infer", "--config", write_cfg(tmp_path, "eps.json", cfg)]) == 2
+        assert not os.path.exists(out)
 
     def test_theta_of_wrong_length_rejected(self, dataset, tmp_path):
         cfg = {"dataset": dataset, "out": str(tmp_path / "short"),

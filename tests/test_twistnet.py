@@ -13,7 +13,6 @@ from ipsmc.smc import FactorizedInitial
 from ipsmc.twisting import ObservationSequence
 
 from conftest import chain_spec, make_flip_model
-from helpers import reference_twist_table
 
 
 def _obs3(d=4, T=2.0):
@@ -161,10 +160,10 @@ class TestTableAlgebra:
 
 
 class TestProjectedTable:
-    """twist_table and twist_table_backward against the aggregator run on
-    the materialized (S, d, V, m) shifted sums, for the shared (d, V, m)
-    embedding of the sampler and the per-row (S, d, V, m) embeddings of
-    the sleep losses."""
+    """twist_table against the aggregator run on the materialized
+    (S, d, V, m) shifted sums, for the shared (d, V, m) embedding of the
+    sampler and the per-row (S, d, V, m) embeddings of the sleep losses;
+    twist_score_table_backward against rho_backward run on those sums."""
 
     S, d, V, m = 25, 32, 3, 64
 
@@ -193,63 +192,86 @@ class TestProjectedTable:
         ref, _ = tn.rho_forward(params, A)
         assert np.abs(H - ref).max() <= 1e-12
 
+    def _backward(self, params, Phi, Z, cells, dout):
+        ws, grads = tn.TableWorkspace(), tn.zero_grads(params)
+        tn.twist_score_table(params, Phi, Z, cells, ws)
+        return tn.twist_score_table_backward(params, ws, dout, grads), grads
+
     def test_backward_matches_materialized_sums(self):
+        # score[s, i, v] = rho(A[s, i, v]) - rho(A[s, i, Z[s, i]]) on the
+        # cells, where A[s, i, v] = Phi[s, i, v] + sum over j != i of
+        # Phi[s, j, Z[s, j]] and A[s, i, Z[s, i]] sums every held embedding
         rng, params, Phi, Z, A = self._case(per_row=True)
-        dout = rng.normal(size=(self.S, self.d, self.V))
-        _, cache = tn.twist_table(params, Phi, Z)
-        grads = tn.zero_grads(params)
-        dPhi = tn.twist_table_backward(params, cache, dout, grads)
-        _, ref_cache = tn.rho_forward(params, A)
+        cells = rng.random(A.shape[:3]) < 0.5
+        cells[np.arange(self.S)[:, None], np.arange(self.d), Z] = False
+        dout = rng.normal(size=cells.shape) * cells
+        dPhi, grads = self._backward(params, Phi, Z, cells, dout)
         ref = tn.zero_grads(params)
-        dA = tn.rho_backward(params, ref_cache, dout, ref)
-        # A[s, i, v] = Phi[s, i, v] + sum over j != i of Phi[s, j, Z[s, j]]
+        _, cache = tn.rho_forward(params, A)
+        dA = tn.rho_backward(params, cache, dout, ref)
+        held = Phi[np.arange(self.S)[:, None], np.arange(self.d), Z].sum(axis=1)
+        _, cache = tn.rho_forward(params, held)
+        dheld = tn.rho_backward(params, cache, -dout.sum(axis=(1, 2)), ref)
         ref_dPhi = dA.copy()
         dexcl = dA.sum(axis=2)
-        down = dexcl.sum(axis=1, keepdims=True) - dexcl
+        down = dexcl.sum(axis=1, keepdims=True) - dexcl + dheld[:, None, :]
         for s in range(self.S):
             ref_dPhi[s, np.arange(self.d), Z[s]] += down[s]
         for k in ref:
-            assert np.abs(grads[k] - ref[k]).max() <= 1e-12 * np.abs(ref[k]).max()
+            scale = max(np.abs(ref[k]).max(), 1.0)
+            assert np.abs(grads[k] - ref[k]).max() <= 1e-12 * scale, k
         assert np.abs(dPhi - ref_dPhi).max() <= 1e-12 * np.abs(ref_dPhi).max()
 
-    def test_backward_adds_each_cell_once(self):
-        # each (row, node) cell of a per-row Phi takes one excluded-sum
-        # term, so the indexed add agrees bit for bit with a loop over rows
-        rng, params, Phi, Z, _ = self._case(per_row=True)
-        dout = rng.normal(size=(self.S, self.d, self.V))
-        _, cache = tn.twist_table(params, Phi, Z)
-        dpre = tn._dtanh(cache[2]) * params.w3 * dout[..., None]
-        grads = tn.zero_grads(params)
-        dPhi = tn.twist_table_backward(params, cache, dout, grads)
-        dexcl = dpre.sum(axis=2)
-        down = dexcl.sum(axis=1, keepdims=True) - dexcl
-        for s in range(self.S):
-            dpre[s, np.arange(self.d), Z[s]] += down[s]
-        assert np.array_equal(grads["W2"], tn._stacked_gram(Phi, dpre))
-        assert np.array_equal(dPhi, tn._stacked(dpre, params.W2.T))
+    def test_backward_reads_the_cells_only(self):
+        # a cotangent off the requested cells changes nothing
+        rng, params, Phi, Z, A = self._case(per_row=True)
+        cells = np.zeros(A.shape[:3], dtype=bool)
+        cells[np.arange(self.S)[:, None], np.arange(self.d), (Z + 1) % self.V] = True
+        dout = rng.normal(size=cells.shape)
+        dPhi, grads = self._backward(params, Phi, Z, cells, dout * cells)
+        dPhi2, grads2 = self._backward(params, Phi, Z, cells, dout)
+        assert np.array_equal(dPhi, dPhi2)
+        for k in grads:
+            assert np.array_equal(grads[k], grads2[k]), k
 
 
 class TestTableWorkspace:
-    """twist_table run in one reused workspace against reference_twist_table,
-    the cumsum-based table with fresh temporaries, bit for bit."""
+    """twist_score_table and its backward run in one reused workspace
+    against the same calls in a fresh one, bit for bit, and the scores
+    against the dense twist_table's H - H_own within 1e-12."""
 
     d, V, m = 32, 3, 64
 
     def _params(self):
         return _rand_params(self.V, self.m, 9)
 
-    def _check(self, params, ws, Phi, Z):
-        H, cache = tn.twist_table(params, Phi, Z, ws)
-        ref, ref_cache = reference_twist_table(params, Phi, Z)
-        assert np.array_equal(H, ref)
-        assert np.array_equal(cache[2], ref_cache[2])
+    def _check(self, params, ws, Phi, Z, rng):
+        cells = rng.random(Z.shape + (Phi.shape[-2],)) < 0.6
+        cells[np.arange(len(Z))[:, None], np.arange(Z.shape[1]), Z] = False
+        fresh = tn.TableWorkspace()
+        scores = tn.twist_score_table(params, Phi, Z, cells, ws)
+        assert np.array_equal(scores, tn.twist_score_table(params, Phi, Z, cells, fresh))
+        H, _ = tn.twist_table(params, Phi, Z)
+        ref = H - H[np.arange(len(Z))[:, None], np.arange(Z.shape[1]), Z][..., None]
+        assert np.abs(scores - ref)[cells].max(initial=0.0) <= 1e-12
+        assert np.all(scores[~cells] == 0.0)
+        if Phi.ndim == 3:
+            return
+        dout = rng.normal(size=scores.shape)
+        grads, ref = tn.zero_grads(params), tn.zero_grads(params)
+        dPhi = tn.twist_score_table_backward(params, ws, dout, grads)
+        assert np.array_equal(dPhi, tn.twist_score_table_backward(params, fresh, dout, ref))
+        for k in grads:
+            assert np.array_equal(grads[k], ref[k]), k
 
     @pytest.mark.parametrize("S", [1, 7, 25])
     def test_shared_phi_matches_reference(self, S):
         rng = np.random.default_rng(S)
         Phi = rng.normal(size=(self.d, self.V, self.m)) * 0.3
         Z = rng.integers(0, self.V, size=(S, self.d))
-        self._check(self._params(), tn.TableWorkspace(), Phi, Z)
+        ws = tn.TableWorkspace()
+        self._check(self._params(), ws, Phi, Z, rng)
+        self._check(self._params(), ws, Phi, Z, rng)
 
     def test_shrinking_live_sets_share_a_workspace(self):
         # the substep loop of an SMC step asks for ever fewer rows
@@ -257,15 +279,15 @@ class TestTableWorkspace:
         params, ws = self._params(), tn.TableWorkspace()
         Phi = rng.normal(size=(self.d, self.V, self.m)) * 0.3
         for S in (25, 12, 3, 1, 25):
-            self._check(params, ws, Phi, rng.integers(0, self.V, size=(S, self.d)))
+            self._check(params, ws, Phi, rng.integers(0, self.V, size=(S, self.d)), rng)
 
     def test_per_row_chunks_share_a_workspace(self):
-        # the losses' chunks of per-row Phi, the last one short
+        # the sleep loss's chunks of per-row Phi, the last one short
         rng = np.random.default_rng(11)
         params, ws = self._params(), tn.TableWorkspace()
         for S in (5, 5, 2):
             Phi = rng.normal(size=(S, self.d, self.V, self.m)) * 0.3
-            self._check(params, ws, Phi, rng.integers(0, self.V, size=(S, self.d)))
+            self._check(params, ws, Phi, rng.integers(0, self.V, size=(S, self.d)), rng)
 
     def test_small_shapes_match_reference(self):
         rng = np.random.default_rng(12)
@@ -274,13 +296,13 @@ class TestTableWorkspace:
             params = _rand_params(V, m, d)
             for Phi in (rng.normal(size=(d, V, m)),
                         rng.normal(size=(3, d, V, m))):
-                self._check(params, ws, Phi, rng.integers(0, V, size=(3, d)))
+                self._check(params, ws, Phi, rng.integers(0, V, size=(3, d)), rng)
 
 
 class TestScoreCells:
-    """LearnedTwist.score_table_batch on a cells mask against
-    reference_twist_table's H - H_own: within 1e-12 on the requested cells,
-    exactly zero on every other."""
+    """LearnedTwist.score_table_batch on a cells mask against the dense
+    twist_table's H - H_own: within 1e-12 on the requested cells, exactly
+    zero on every other."""
 
     S, d, V, m = 25, 32, 3, 64
 
@@ -296,7 +318,7 @@ class TestScoreCells:
         return rng, lt, Z
 
     def _reference(self, lt, t, Z):
-        H, _ = reference_twist_table(lt.params, lt._phi(t), Z)
+        H, _ = tn.twist_table(lt.params, lt._phi(t), Z)
         return H - H[np.arange(len(Z))[:, None], np.arange(self.d), Z][..., None]
 
     def _off_diagonal(self, Z):
@@ -337,6 +359,13 @@ class TestScoreCells:
         assert np.array_equal(lt.score_table_batch(0.3, Z, cells),
                               np.where(cells, full, 0.0))
 
+    def test_log_h_does_not_depend_on_the_batch(self):
+        # log h reads the same P = Phi @ W2 as the scores, without BLAS
+        _, lt, Z = self._case(24)
+        full = lt.log_h_batch(0.3, Z)
+        for s in range(self.S):
+            assert lt.log_h_batch(0.3, Z[s:s + 1])[0] == full[s]
+
 
 class TestSleepLoss:
     def test_single_step_constant_twist_hand_value(self):
@@ -372,6 +401,31 @@ class TestSleepLoss:
         _, grads = tn.sleep_loss_forward_kl(params, model, spec, p, [item])
         _assert_grads_match(params, grads, lambda q: tn.sleep_loss_forward_kl(
             q, model, spec, p, [item])[0], tol=1e-5)
+
+    def test_realized_moves_are_scored_at_any_rate(self):
+        # a zero-rate move (0 -> 1 under rates up=0, down=1) still enters
+        # the loss through its score: the loss equals its dense form
+        spec = chain_spec(3, V=2)
+        model = make_flip_model(0.0, 1.0)
+        params = _rand_params(2, 8, 3)
+        grid = np.array([0.0, 0.1, 0.2])
+        states = np.array([[0, 1, 1], [1, 1, 0], [1, 0, 0]])
+        obs = ObservationSequence(horizon=0.2, times=np.array([0.2]),
+                                  values=np.array([[1, 0, 2]]), V=2,
+                                  p_mask=0.5, label_noise=0.001)
+        ctx = tn.TwistContext(spec, obs)
+        item = tn.SleepItem(grid=grid, states=states, ctx=ctx)
+        loss, _ = tn.sleep_loss_forward_kl(params, model, spec, None, [item])
+        logp = tn.q0_logp(params, ctx.initial_features)
+        ref = -logp[np.arange(3), states[0]].sum()
+        for j in range(2):
+            z, zn = states[j], states[j + 1]
+            H, _ = tn.twist_table(params, tn.encode_context(params, ctx, grid[j])[0],
+                                  z[None])
+            score = H[0] - H[0, np.arange(3), z][:, None]
+            off = model.off_rates_batch(0.0, z[None], spec, None)[0]
+            ref += 0.1 * (off * np.exp(score)).sum() - score[np.arange(3), zn].sum()
+        assert loss == pytest.approx(ref, abs=1e-12)
 
     def test_mc_time_estimator_unbiased(self):
         spec = chain_spec(2, V=3)
