@@ -28,10 +28,11 @@ Its ``src_lines`` block gives each checkout's line count of
 ``src/ipsmc/*.py``, per file and in total, as ``wc -l`` counts them.
 
 ``--tier1`` adds a ``tier1`` block: the Tier-1 suite,
-``PYTHONPATH=src python -m pytest -q --continue-on-collection-errors``, run
-once in each checkout after the pairs, parent first, with its test count,
-passed and failed counts and wall time. A run that exits nonzero or prints
-no summary line is a problem.
+``PYTHONPATH=src python -m pytest -q --continue-on-collection-errors
+--durations=10``, run once in each checkout after the pairs, parent first,
+with its test count, passed and failed counts, wall time and the ten
+slowest test phases pytest lists. A run that exits nonzero or prints no
+summary line is a problem.
 
 Every run is checked, and its problems are listed under ``problems``: a
 nonzero exit, no result line, ``correct: false``, failed stage calls, or a
@@ -63,9 +64,10 @@ WORKLOADS = ("infer", "learn", "exact")
 # seconds one benchmark run may take; a run at the length BENCHMARK.json
 # sets takes under a minute on a 2-core machine
 TIMEOUT_S = 600
-# the Tier-1 suite, run from a checkout's root with src on PYTHONPATH; it
-# takes about five minutes on a 2-core machine
-TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+# the Tier-1 suite, run from a checkout's root with src on PYTHONPATH, and
+# its ten slowest test phases; it takes about five minutes on a 2-core machine
+TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
+         "--durations=10"]
 TIER1_TIMEOUT_S = 3600
 
 
@@ -126,9 +128,26 @@ def tier1_counts(output):
     return None
 
 
+def slowest_tests(output):
+    """[{"s": seconds, "when": phase, "test": node id}] from the "slowest
+    durations" section of pytest's output, slowest first; [] when there is
+    none."""
+    lines = output.splitlines()
+    start = next((k for k, line in enumerate(lines)
+                  if re.search(r"slowest( \d+)? durations", line)), None)
+    rows = []
+    for line in lines[start + 1:] if start is not None else []:
+        found = re.match(r"(\d+(?:\.\d+)?)s (\w+)\s+(\S.*)$", line.strip())
+        if not found:
+            break
+        rows.append({"s": float(found[1]), "when": found[2], "test": found[3]})
+    return rows
+
+
 def run_tier1(checkout):
     """One run of the Tier-1 suite from checkout's root: its test, passed
-    and failed counts, wall time, exit code and problems."""
+    and failed counts, wall time, slowest test phases, exit code and
+    problems."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(["src"] + ([env["PYTHONPATH"]]
                                                    if env.get("PYTHONPATH") else []))
@@ -150,6 +169,7 @@ def run_tier1(checkout):
         print(f"{checkout}: tier1: {problem}", file=sys.stderr)
     return {"tests": sum(counts.values()), "passed": counts.get("passed", 0),
             "failed": counts.get("failed", 0), "wall_s": wall,
+            "slowest": slowest_tests(proc.stdout),
             "exit": proc.returncode, "problems": problems}
 
 

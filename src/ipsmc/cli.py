@@ -15,6 +15,7 @@ import hashlib
 import json
 import os
 import sys
+import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -42,22 +43,42 @@ def config_hash(resolved: dict) -> str:
 _NESTED = {"params": "SIRSParamConfig"}
 
 
+def _type_ok(value, tp):
+    """Whether a JSON value fits a field's declared type: an int field
+    takes an int only (no bool or float), a float field an int or a float
+    (no bool), and "X | None" either."""
+    if tp is float:
+        return type(value) in (int, float)
+    if tp is int:
+        return type(value) is int
+    args = typing.get_args(tp)
+    if args:
+        return any(_type_ok(value, a) for a in args)
+    return isinstance(value, tp)
+
+
 def _from_dict(cls, data, path="config"):
     names = {f.name for f in dataclasses.fields(cls)}
     unknown = set(data) - names
     if unknown:
         raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
+    types = typing.get_type_hints(cls)
     kwargs = {}
     for f in dataclasses.fields(cls):
         if f.name in data:
             val = data[f.name]
             if f.name in _NESTED and isinstance(val, dict):
                 val = _from_dict(globals()[_NESTED[f.name]], val, f"{path}.{f.name}")
+            if not _type_ok(val, types[f.name]):
+                raise ConfigError(f"{path}.{f.name} must be of type "
+                                  f"{f.type}, got {val!r}")
             kwargs[f.name] = val
-    try:
-        return cls(**kwargs)
-    except TypeError as e:
-        raise ConfigError(f"{path}: {e}") from None
+    return cls(**kwargs)
+
+
+def _check_positive(name, value):
+    if not 0 < value < np.inf:
+        raise ConfigError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass
@@ -208,8 +229,7 @@ def cmd_generate(cfg: GenerateConfig, threads=1, emit_svg=False):
 
 
 def cmd_oracle(cfg: OracleConfig, threads=1, emit_svg=False):
-    if not 0 < cfg.grid_target < np.inf:
-        raise ConfigError(f"grid_target must be positive and finite, got {cfg.grid_target}")
+    _check_positive("grid_target", cfg.grid_target)
     ds = load_dataset(cfg.dataset)
     _, obs_list = _split(ds, cfg.split)
     _check_indices([cfg.index], obs_list, cfg.split)
@@ -254,6 +274,8 @@ def _dense_p0(ds: BenchmarkDataset):
 
 
 def cmd_train_twist(cfg: TrainTwistConfig, threads=1, emit_svg=False, resume=None):
+    if min(cfg.steps, cfg.checkpoint_every) < 0:
+        raise ConfigError("steps and checkpoint_every must be >= 0")
     wcfg = TrainConfig(batch=cfg.batch, dt=cfg.dt, mc_loss=cfg.mc_loss,
                        reuse=cfg.reuse, lr_psi=cfg.lr, seed=cfg.seed,
                        loss=cfg.loss, width=cfg.m, pretrain_steps=0)
@@ -325,8 +347,7 @@ def _save_twist(path, psi, adam, rng, step, cfg, meta):
 
 
 def cmd_train(cfg: TrainRunConfig, threads=1, emit_svg=False):
-    if not 0 < cfg.theta_init < np.inf:
-        raise ConfigError(f"theta_init must be positive and finite, got {cfg.theta_init}")
+    _check_positive("theta_init", cfg.theta_init)
     ds = load_dataset(cfg.dataset)
     model = sirs_model()
     wcfg = TrainConfig(global_iters=cfg.G, steps_per_phase=cfg.N, batch=cfg.B,
@@ -378,6 +399,7 @@ def cmd_train(cfg: TrainRunConfig, threads=1, emit_svg=False):
 def cmd_infer(cfg: InferConfig, threads=1, emit_svg=False):
     if not 0 <= cfg.epsilon <= 1:
         raise ConfigError(f"epsilon must lie in [0, 1], got {cfg.epsilon}")
+    _check_positive("dt", cfg.dt)
     ds = load_dataset(cfg.dataset)
     model = sirs_model()
     if cfg.method not in ("tsmc-kl", "tsmc-dre", "bpf"):
@@ -590,6 +612,11 @@ def main(argv=None):
     except (ConfigError, StateSpaceTooLargeError, StepSizeError, ValueError) as e:
         # an Euler step too coarse for the rates is fixed by a smaller dt
         print(f"config error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError as e:
+        # arrays sized by the config (a grid of a tiny dt, say) that do not
+        # fit are fixed by a smaller problem
+        print(f"config error: out of memory: {e}", file=sys.stderr)
         return 2
     except OSError as e:
         print(f"i/o failure: {e}", file=sys.stderr)

@@ -209,9 +209,10 @@ def run_smc(model, spec, theta, twist, q0, p0, obs, cfg, grid=None):
     for m in range(M):
         t, t1 = grid[m], grid[m + 1]
         dt = t1 - t
-        # one log-sum-exp per step, shared by the ESS, the normalizer
-        # increment and the resampling weights
-        log_total = logsumexp(logw)
+        # at most one log-sum-exp per step, shared by the ESS, the
+        # normalizer increment and the resampling weights; equal weights
+        # have an ESS of exactly S and are not resampled, so need none
+        log_total = None if logw.min() == logw.max() else logsumexp(logw)
         ess = effective_sample_size(logw, log_total)
         ess_history.append((float(t), ess))
         if ess < cfg.ess_threshold * S:

@@ -58,6 +58,10 @@ class TwistNetParams:
     def copy(self):
         return self.replace_arrays({k: v.copy() for k, v in self.arrays().items()})
 
+    def astype(self, dtype):
+        """A copy with every array cast to dtype."""
+        return self.replace_arrays({k: v.astype(dtype) for k, v in self.arrays().items()})
+
 
 def init_params(V, m=64, seed=0):
     """Fan-in scaled symmetric uniform init; the aggregator output layer
@@ -89,22 +93,53 @@ class TwistContext:
     """Deterministic per-(node, value) features of the future observations.
 
     The discrete parts depend on t only through how many observations
-    remain, so they are cached per remaining-count; time offsets are
-    filled in per call.
+    remain, so they are built once, one (d, V, nf) segment per count in a
+    (K+1, d, V, nf) table; time offsets are filled in per call.
     """
 
     def __init__(self, spec, obs):
         self.spec = spec
         self.obs = obs
         self.T = float(obs.horizon)
-        self.K = obs.K
-        self._seg_cache = {}
-        w = self._w = spec.edge_weights
+        self.K = K = obs.K
+        d, V, nf = spec.d, spec.V, feature_dim(spec.V)
+        w = spec.edge_weights
         deg = spec.adjacency.sum(axis=1).astype(float)
-        self._deg = np.maximum(deg, 1.0)
-        self._adj = spec.adjacency.astype(float)
-        self._graph = np.stack([w.sum(axis=1), w.sum(axis=1) / self._deg,
-                                deg / max(1.0, deg.mean())], axis=1)  # (d, 3)
+        norm = np.maximum(deg, 1.0)
+        # a sentinel snapshot after the last one: unmasked, of value V, at
+        # time inf; it is the next unmasked snapshot of a node with none
+        vals = np.vstack([obs.values, np.full((1, d), V)])
+        times = np.append(obs.times, np.inf)
+        hit = vals != V
+        hit[-1] = True
+        # segment k: the first k snapshots have passed; first[k, i] is the
+        # index of node i's next unmasked snapshot, counted from zero
+        first = np.minimum.accumulate(
+            np.where(hit, np.arange(K + 1)[:, None], K)[::-1], axis=0)[::-1]
+        next_val = vals[first, np.arange(d)]
+        hits = (next_val[..., None] == np.arange(V)).astype(float)  # (K+1, d, V)
+        table = np.zeros((K + 1, d, V, nf))
+        node = table[:, :, 0, : nf - V - 1]  # per-node columns, copied to every value
+        node[np.arange(K + 1)[:, None], np.arange(d), 1 + next_val] = 1.0
+        # unmasked snapshots still ahead, the sentinel taken off
+        node[..., V + 2] = (np.cumsum(hit[::-1], axis=0)[::-1] - 1) / max(K, 1)
+        node[..., V + 3:2 * V + 3] = (spec.adjacency.astype(float) @ hits) / norm[:, None]
+        # edge-weighted variant: how strongly my neighborhood pulls toward
+        # each value, in the same units as the interaction rates; one
+        # matrix-vector product per segment and value, so the edge-weighted
+        # sums keep the fixed order of a lone product
+        node[..., 2 * V + 3:3 * V + 3] = np.matmul(
+            w, hits.transpose(0, 2, 1)[..., None])[..., 0].transpose(0, 2, 1)
+        node[..., 3 * V + 5:3 * V + 8] = np.stack(
+            [w.sum(axis=1), w.sum(axis=1) / norm, deg / max(1.0, deg.mean())], axis=1)
+        table[:, :, 1:, : nf - V - 1] = node[:, :, None, :]
+        table[:, :, np.arange(V), nf - V - 1 + np.arange(V)] = 1.0
+        table[..., nf - 1] = hits
+        self.table = table
+        # each segment's next snapshot time per node, and of any node (T
+        # when there is none)
+        self.next_time = np.where(first < K, times[first], self.T)
+        self.next_event = np.append(obs.times, self.T)
         self.initial_features = self.features(0.0)  # read by the initial head
 
     def start_index(self, t):
@@ -114,50 +149,24 @@ class TwistContext:
     def has_future(self, t):
         return self.start_index(t) < self.K
 
-    def _segment(self, start):
-        """The features while the first start snapshots have passed, with
-        the three time columns left at zero, plus each node's next snapshot
-        time and the next snapshot time of any node (T when there is none)."""
-        if start in self._seg_cache:
-            return self._seg_cache[start]
-        d, V, T = self.spec.d, self.spec.V, self.T
-        # a sentinel snapshot after the last one: unmasked, of value V, at
-        # time inf; it is the next unmasked snapshot of a node with none
-        vals = np.vstack([self.obs.values[start:], np.full((1, d), V)])
-        times = np.append(self.obs.times[start:], np.inf)
-        hit = vals != V
-        hit[-1] = True
-        first = np.argmax(hit, axis=0)
-        next_val = vals[first, np.arange(d)]
-        hits = (next_val[:, None] == np.arange(V)).astype(float)
-        nf = feature_dim(V)
-        out = np.zeros((d, V, nf))
-        node = out[:, 0, : nf - V - 1]  # per-node columns, copied to every value
-        node[np.arange(d), 1 + next_val] = 1.0
-        node[:, V + 2] = hit[:-1].sum(axis=0) / max(self.K, 1)
-        node[:, V + 3:2 * V + 3] = (self._adj @ hits) / self._deg[:, None]
-        # edge-weighted variant: how strongly my neighborhood pulls toward
-        # each value, in the same units as the interaction rates; one
-        # product per value, the edge-weighted sums in their fixed order
-        node[:, 2 * V + 3:3 * V + 3] = np.stack([self._w @ h for h in hits.T], axis=1)
-        node[:, 3 * V + 5:3 * V + 8] = self._graph
-        out[:, 1:, : nf - V - 1] = node[:, None, :]
-        out[:, np.arange(V), nf - V - 1 + np.arange(V)] = 1.0
-        out[:, :, nf - 1] = hits
-        seg = (out, np.where(first < len(times) - 1, times[first], T),
-               times[0] if start < self.K else T)
-        self._seg_cache[start] = seg
-        return seg
-
     def features(self, t):
         """(d, V, nf) feature tensor at time t."""
-        V, T = self.spec.V, self.T
-        seg, next_time, next_event = self._segment(self.start_index(t))
-        out = seg.copy()
-        out[:, :, 0] = ((next_time - t) / T)[:, None]
-        out[:, :, 3 * V + 3] = t / T
-        out[:, :, 3 * V + 4] = (next_event - t) / T
-        return out
+        return stacked_features([self], np.array([t], dtype=float))[0]
+
+
+def stacked_features(ctxs, t):
+    """(rows, d, V, nf) features of each row's context at the row's time
+    t (rows,), gathered from the contexts' segment tables in one stack."""
+    V = ctxs[0].spec.V
+    segs = [ctx.start_index(s) for ctx, s in zip(ctxs, t)]
+    F = np.stack([ctx.table[k] for ctx, k in zip(ctxs, segs)])
+    T = np.array([ctx.T for ctx in ctxs])
+    next_time = np.stack([ctx.next_time[k] for ctx, k in zip(ctxs, segs)])
+    next_event = np.array([ctx.next_event[k] for ctx, k in zip(ctxs, segs)])
+    F[..., 0] = ((next_time - t[:, None]) / T[:, None])[..., None]
+    F[..., 3 * V + 3] = (t / T)[:, None, None]
+    F[..., 3 * V + 4] = ((next_event - t) / T)[:, None, None]
+    return F
 
 
 def _stacked(X, W):
@@ -201,7 +210,7 @@ def rho_forward(params, X):
 
 def rho_backward(params, cache, dout, grads):
     X, H = cache
-    d = np.asarray(dout)[..., None]
+    d = np.asarray(dout, dtype=H.dtype)[..., None]
     grads["w3"] += np.tensordot(d[..., 0], H, axes=(tuple(range(d.ndim - 1)),
                                                     tuple(range(d.ndim - 1))))
     grads["b3"] += d.sum()
@@ -229,29 +238,36 @@ def _own(Phi, Z):
     return Phi[rows + (np.arange(Z.shape[1]), Z)]
 
 
-def _pooled(params, Phi, Z, ws):
+def _project(params, Phi, out=None):
     """P = Phi @ W2 with node and value flattened, row i * V + v holding
-    P[i, v] ((d * V, m) for a shared Phi, (S, d * V, m) per row), the
-    (S, d, m) rows P[i, Z[s, i]] that each state of Z (S, d) holds, and
-    the state's hidden pre-activation u = their sum + b2 (S, m)."""
-    S, d = Z.shape
+    P[i, v]: (d * V, m) for a shared (d, V, m) Phi, (S, d * V, m) for one
+    Phi per row."""
     rows = Phi.reshape(Phi.shape[:-3] + (-1, Phi.shape[-1]))
-    P = np.matmul(rows, params.W2, out=ws.get("P", rows.shape))
-    at = np.arange(d) * Phi.shape[-2] + Z
-    if Phi.ndim == 4:
+    return np.matmul(rows, params.W2, out=out)
+
+
+def _pooled(params, P, Z, ws):
+    """The (S, d, m) rows P[i, Z[s, i]] of the projection P (see _project)
+    that each state of Z (S, d) holds, and the state's hidden
+    pre-activation u = their sum + b2 (S, m)."""
+    S, d = Z.shape
+    at = np.arange(d) * (P.shape[-2] // d) + Z
+    if P.ndim == 3:
         at += np.arange(S)[:, None] * P.shape[1]
     own = np.take(P.reshape(-1, P.shape[-1]), at, axis=0, mode="clip",
                   out=ws.get("own", (S, d, P.shape[-1])))
     u = own.sum(axis=1)
     u += params.b2
-    return P, own, u
+    return own, u
 
 
-def twist_log_values(params, Phi, Z):
+def twist_log_values(params, Phi, Z, P=None):
     """(S,) log twists of the states of Z (S, d): rho of the pooled
     embedding, computed as the own-state term of twist_score_table, so a
-    state's value is bitwise the same in any batch."""
-    _, _, u = _pooled(params, Phi, Z, TableWorkspace())
+    state's value is bitwise the same in any batch. P, when given, is
+    _project(params, Phi)."""
+    P = _project(params, Phi) if P is None else P
+    _, u = _pooled(params, P, Z, TableWorkspace(P.dtype))
     return np.einsum("sm,m->s", TANH(u, out=u), params.w3) + params.b3
 
 
@@ -263,9 +279,11 @@ class TableWorkspace:
 
     Fresh temporaries of 0.4-1.2 MB per call are returned to the kernel
     when freed and faulted in again at the next call. Buffers are not
-    shared between callers, so concurrent SMC runs each hold their own."""
+    shared between callers, so concurrent SMC runs each hold their own.
+    Every buffer has the workspace's dtype, that of the params it serves."""
 
-    def __init__(self):
+    def __init__(self, dtype=np.float64):
+        self.dtype = np.dtype(dtype)
         self._bufs = {}
         self.cache = None
 
@@ -273,7 +291,7 @@ class TableWorkspace:
         size = math.prod(shape)
         buf = self._bufs.get(name)
         if buf is None or len(buf) < size:
-            buf = self._bufs[name] = np.empty(size)
+            buf = self._bufs[name] = np.empty(size, dtype=self.dtype)
         return buf[:size].reshape(shape)
 
 
@@ -301,13 +319,15 @@ def twist_table(params, Phi, Z):
     return _stacked(hidden, params.w3) + params.b3, hidden
 
 
-def twist_score_table(params, Phi, Z, cells=None, ws=None):
+def twist_score_table(params, Phi, Z, cells=None, ws=None, P=None):
     """(S, d, V) log score ratios log h(z^{i->v}) - log h(z) of each state
     of Z (S, d) under a shared (d, V, m) Phi or one (S, d, V, m) Phi per
-    row, a new array, computed on the cells of the (S, d, V) mask, which
-    holds off-diagonal cells only (every one when None), and exactly zero
-    elsewhere. Its temporaries and activations live in the workspace ws (a
-    fresh one when None).
+    row, a new array of the params' dtype, computed on the cells of the
+    (S, d, V) mask, which holds off-diagonal cells only (every one when
+    None), and exactly zero elsewhere. Its temporaries and activations live
+    in the workspace ws (a fresh one when None). P, when given, is
+    _project(params, Phi), formed once by a caller that scores many
+    batches under one Phi.
 
     The first aggregator layer is linear, so with P = Phi @ W2 the hidden
     pre-activation of a state is u = sum_j P[j, z_j] + b2, and that of its
@@ -315,13 +335,15 @@ def twist_score_table(params, Phi, Z, cells=None, ws=None):
     cell, and b3 cancels. The products with w3 run without BLAS, whose
     kernels round an output by its position in the product, so with a
     shared Phi each score is bitwise a function of its state and cell."""
-    ws = TableWorkspace() if ws is None else ws
+    ws = TableWorkspace(Phi.dtype) if ws is None else ws
     S, d = Z.shape
     V, m = Phi.shape[-2:]
     if cells is None:
         cells = np.ones((S, d, V), dtype=bool)
         cells[np.arange(S)[:, None], np.arange(d), Z] = False
-    P, own, u = _pooled(params, Phi, Z, ws)
+    if P is None:
+        P = _project(params, Phi, ws.get("P", Phi.shape[:-3] + (d * V, m)))
+    own, u = _pooled(params, P, Z, ws)
     flat = np.flatnonzero(cells)          # s * d * V + i * V + v
     node = flat // V                      # s * d + i
     state = node // d
@@ -330,7 +352,7 @@ def twist_score_table(params, Phi, Z, cells=None, ws=None):
     held = ws.get("held", pre.shape)
     pre -= np.take(own.reshape(-1, m), node, axis=0, out=held, mode="clip")
     pre += np.take(u, state, axis=0, out=held, mode="clip")
-    out = np.zeros((S, d, V))
+    out = np.zeros((S, d, V), dtype=P.dtype)
     out.reshape(-1)[flat] = (np.einsum("km,m->k", TANH(pre, out=pre), params.w3)
                              - np.einsum("sm,m->s", TANH(u, out=u), params.w3)[state])
     ws.cache = Phi, Z, flat, pre, u
@@ -340,8 +362,9 @@ def twist_score_table(params, Phi, Z, cells=None, ws=None):
 def twist_score_table_backward(params, ws, dout, grads):
     """Accumulate into grads the aggregator gradients of the last
     twist_score_table call on ws, run on per-row Phi (S, d, V, m), for the
-    score cotangent dout (S, d, V), read on that call's cells; returns the
-    gradient of Phi. The call's activations in ws are overwritten.
+    score cotangent dout (S, d, V), read on that call's cells and cast to
+    the call's dtype; returns the gradient of Phi. The call's activations
+    in ws are overwritten.
 
     A cell's pre-activation u - P[i, z_i] + P[i, v] and the held state's
     u = sum_j P[j, z_j] + b2 both enter its score, so the cotangent of P
@@ -350,8 +373,9 @@ def twist_score_table_backward(params, ws, dout, grads):
     # hidden and top hold the tanh of the cells' and the states' pre-activations
     Phi, Z, flat, hidden, top = ws.cache
     S, d, V, m = Phi.shape
-    g = dout.reshape(-1)[flat]
-    G = np.bincount(flat // (d * V), g, minlength=S)  # of each state's -tanh(u) @ w3
+    g = dout.reshape(-1)[flat].astype(hidden.dtype, copy=False)
+    # of each state's -tanh(u) @ w3
+    G = np.bincount(flat // (d * V), g, minlength=S).astype(g.dtype, copy=False)
     grads["w3"] += g @ hidden - G @ top
     dP = ws.get("dP", (S, d, V, m))
     dP.fill(0.0)
@@ -373,7 +397,7 @@ def q0_logp(params, F0, support_logmask=None):
     features F0 (..., d, V, nf), confined to support_logmask's support."""
     logits = F0 @ params.Wq + params.bq
     if support_logmask is not None:
-        logits = logits + support_logmask
+        logits += support_logmask  # in the params' dtype
     m = logits.max(axis=-1, keepdims=True)
     return logits - (m + np.log(np.exp(logits - m).sum(axis=-1, keepdims=True)))
 
@@ -423,12 +447,13 @@ def _rows(items, mc_indices, extra, *fields):
 
 def _encoded_chunks(params, ctxs, t):
     """Yield (rows, F, Phi) over slices of the rows: each row's (d, V, nf)
-    context features at its time t and its (d, V, m) embeddings."""
-    spec = ctxs[0].spec
-    size = max(1, CHUNK_BYTES // (8 * spec.d * spec.V * params.m))
+    context features at its time t, in the params' dtype, and its (d, V, m)
+    embeddings."""
+    spec, dtype = ctxs[0].spec, params.W1.dtype
+    size = max(1, CHUNK_BYTES // (dtype.itemsize * spec.d * spec.V * params.m))
     for a in range(0, len(t), size):
         rows = slice(a, a + size)
-        F = np.stack([ctx.features(s) for ctx, s in zip(ctxs[rows], t[rows])])
+        F = stacked_features(ctxs[rows], t[rows]).astype(dtype, copy=False)
         yield rows, F, encode(params, F)
 
 
@@ -442,14 +467,16 @@ def sleep_loss_forward_kl(params, model, spec, theta, items, mc_indices=None,
     scales it by the step count, an unbiased single-term estimate.
     Returns (loss, grads) with the gradient exact for the returned loss.
     The (item, step) rows run as one batched pass, all rates read at the
-    first row's time.
+    first row's time. The network and the gradients are in the params'
+    dtype; the rates and the loss are float64.
     """
     if not model.time_homogeneous:
         raise ValueError("the sleep loss needs a time-homogeneous model")
     grads = zero_grads(params)
     B, nodes = len(items), np.arange(spec.d)
     # initial-distribution term, on each context's time-zero features
-    F0 = np.stack([item.ctx.initial_features for item in items])
+    F0 = np.stack([item.ctx.initial_features for item in items]).astype(
+        params.Wq.dtype, copy=False)
     logp = q0_logp(params, F0, q0_support)
     at_z0 = np.arange(B)[:, None], nodes, np.stack([it.states[0] for it in items])
     total = -float(logp[at_z0].sum()) / B
@@ -460,7 +487,8 @@ def sleep_loss_forward_kl(params, model, spec, theta, items, mc_indices=None,
 
     w, ctxs, (z, z_next, t, t_next) = _rows(
         items, mc_indices, 0, ("states", 0), ("states", 1), ("grid", 0), ("grid", 1))
-    ws = TableWorkspace()  # a chunk's scores are done with before the next one
+    # a chunk's scores are done with before the next one
+    ws = TableWorkspace(params.W2.dtype)
     for rows, F, Phi in _encoded_chunks(params, ctxs, t):
         zc, zn, wc, dt = z[rows], z_next[rows], w[rows], t_next[rows] - t[rows]
         at = np.arange(len(zc))[:, None], nodes
@@ -496,7 +524,8 @@ def dre_loss(params, spec, items, mc_indices=None):
     """Density-ratio twist objective: logistic discrimination of coupled
     from decoupled states through the log twist value, at every grid
     point of each item or at its mc_indices point scaled by the point
-    count; the (item, point) rows run as one batched pass."""
+    count; the (item, point) rows run as one batched pass, the network in
+    the params' dtype and the loss in float64."""
     grads = zero_grads(params)
     w, ctxs, (zp, zn, t) = _rows(items, mc_indices, 1, ("states_pos", 0),
                                  ("states_neg", 0), ("grid", 0))
@@ -577,25 +606,30 @@ class LearnedTwist(TwistOracle):
         self.obs = obs
         self.ctx = TwistContext(spec, obs)
         self._ws = TableWorkspace()
-        # the embeddings of one time: an SMC step reads those of its right
-        # end in log_h_batch, and the next step the same in score_table_batch
-        self._phi_cache = (None, None)
+        # the embeddings Phi of one time and their projection P = Phi @ W2:
+        # an SMC step reads those of its right end in log_h_batch, and the
+        # next step the same in score_table_batch
+        self._cache = (None, None, None)
 
-    def _phi(self, t):
+    def _embed(self, t):
+        """(Phi, P) at time t."""
         key = float(t)
-        if self._phi_cache[0] != key:
-            self._phi_cache = key, encode_context(self.params, self.ctx, t)[0]
-        return self._phi_cache[1]
+        if self._cache[0] != key:
+            Phi = encode_context(self.params, self.ctx, t)[0]
+            self._cache = key, Phi, _project(self.params, Phi)
+        return self._cache[1:]
 
     def log_h_batch(self, t, Z):
         if not self.ctx.has_future(t):
             return np.zeros(len(Z))
-        return twist_log_values(self.params, self._phi(t), Z)
+        Phi, P = self._embed(t)
+        return twist_log_values(self.params, Phi, Z, P)
 
     def score_table_batch(self, t, Z, cells=None):
         if not self.ctx.has_future(t):
             return self._zero_scores(len(Z), self.spec.d, self.spec.V)
-        return twist_score_table(self.params, self._phi(t), Z, cells, self._ws)
+        Phi, P = self._embed(t)
+        return twist_score_table(self.params, Phi, Z, cells, self._ws, P)
 
     def q0_dist(self, support_logmask=None):
         return _Q0Dist(self.params, self.ctx, support_logmask)

@@ -20,6 +20,11 @@ from .smc import SMCConfig, run_smc, sample_path_index
 from .twisting import ObservationSequence, emission_log_table, sample_emission
 from . import twistnet as tn
 
+# the dtype the sleep losses run the twist network in; the master weights,
+# the Adam state and checkpoints stay float64 (mixed-precision training:
+# Micikevicius et al., ICLR 2018)
+SLEEP_DTYPE = np.float32
+
 
 @dataclass
 class TrainConfig:
@@ -41,8 +46,13 @@ class TrainConfig:
     pretrain_rel_tol: float = 1e-3
 
     def __post_init__(self):
-        if min(self.batch, self.particles, self.reuse) < 1:
-            raise ValueError("batch, particles and reuse must be >= 1")
+        if min(self.batch, self.particles, self.reuse, self.width) < 1:
+            raise ValueError("batch, particles, reuse and width must be >= 1")
+        if min(self.global_iters, self.steps_per_phase, self.pretrain_steps) < 0:
+            raise ValueError("global_iters, steps_per_phase and pretrain_steps "
+                             "must be >= 0")
+        if not 0 < self.dt < np.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if self.loss not in ("kl", "dre"):
             raise ValueError("loss must be 'kl' or 'dre'")
 
@@ -171,8 +181,10 @@ def sleep_steps(psi, adam, theta, model, spec, p0, tau_grids, obs_template,
     paths under theta, each on the grid of a randomly drawn tau_grids
     entry. With cfg.mc_loss each step scores every path on one random grid
     step (Monte Carlo over time); cfg.loss picks the forward-KL or the
-    density-ratio loss. The generator is lazy: it draws nothing from rng
-    after the caller's last step."""
+    density-ratio loss. Each loss runs on a SLEEP_DTYPE copy of psi, and
+    its gradients are cast back to float64 for the Adam step on psi. The
+    generator is lazy: it draws nothing from rng after the caller's last
+    step."""
     hyper = tn.AdamHyper(lr=cfg.lr_psi)
     q0_support = q0_support_logmask(p0)
     for step in range(n_steps):
@@ -184,12 +196,14 @@ def sleep_steps(psi, adam, theta, model, spec, p0, tau_grids, obs_template,
                                           with_negatives=cfg.loss == "dre")
         mcs = ([int(rng.integers(len(it.grid) - 1)) for it in items]
                if cfg.mc_loss else None)
+        low = psi.astype(SLEEP_DTYPE)
         if cfg.loss == "dre":
-            loss, grads = tn.dre_loss(psi, spec, items, mc_indices=mcs)
+            loss, grads = tn.dre_loss(low, spec, items, mc_indices=mcs)
         else:
-            loss, grads = tn.sleep_loss_forward_kl(psi, model, spec, theta,
+            loss, grads = tn.sleep_loss_forward_kl(low, model, spec, theta,
                                                    items, mc_indices=mcs,
                                                    q0_support=q0_support)
+        grads = {k: g.astype(np.float64) for k, g in grads.items()}
         psi = psi.replace_arrays(tn.adam_step(psi.arrays(), grads, adam, hyper))
         yield psi, loss
 

@@ -69,3 +69,29 @@ def test_src_lines_counts_like_wc(tmp_path):
     (pkg / "sub" / "c.py").write_text("w = 4\n")
     assert bench_pairs.src_lines(str(tmp_path)) == {
         "files": {"a.py": 3, "b.py": 1}, "total": 4}
+
+
+def test_slowest_tests_reads_the_durations_section():
+    output = ("....\n== slowest 10 durations ==\n"
+              "81.19s call     tests/test_a.py::test_one\n"
+              "2.50s setup    tests/test_b.py::TestB::test_two[x-1]\n"
+              "\n(3 durations < 0.005s hidden.  Use -vv to show these durations.)\n"
+              "4 passed in 90.1s\n")
+    assert bench_pairs.slowest_tests(output) == [
+        {"s": 81.19, "when": "call", "test": "tests/test_a.py::test_one"},
+        {"s": 2.5, "when": "setup", "test": "tests/test_b.py::TestB::test_two[x-1]"}]
+    assert bench_pairs.slowest_tests("4 passed in 0.1s\n") == []
+
+
+def test_run_tier1_records_the_slowest_tests(tmp_path):
+    # a stand-in suite with one test that takes a tenth of a second
+    os.makedirs(tmp_path / "tests")
+    (tmp_path / "tests" / "test_stand_in.py").write_text(
+        "import time\n\n"
+        "def test_slow():\n    time.sleep(0.1)\n\n"
+        "def test_fast():\n    assert True\n")
+    rec = bench_pairs.run_tier1(str(tmp_path))
+    assert (rec["tests"], rec["passed"], rec["exit"]) == (2, 2, 0)
+    first = rec["slowest"][0]
+    assert first["test"] == "tests/test_stand_in.py::test_slow"
+    assert first["when"] == "call" and first["s"] >= 0.1

@@ -319,6 +319,83 @@ TWIST_CFG = {"steps": 40, "batch": 4, "dt": 0.2, "m": 8, "reuse": 20,
              "seed": 11}
 
 
+class TestConfigMistakes:
+    """Config values of the wrong type or out of range end in exit 2 with
+    a message, before any output is written."""
+
+    def _run(self, tmp_path, command, cfg, capsys):
+        out = tmp_path / "out"
+        code = main([command, "--config",
+                     write_cfg(tmp_path, "c.json", dict(cfg, out=str(out)))])
+        assert not os.path.exists(out / "manifest.json")
+        return code, capsys.readouterr().err
+
+    def _twist(self, dataset, **change):
+        return dict(TWIST_CFG, dataset=dataset, **change)
+
+    def _train(self, dataset, **change):
+        return {"dataset": dataset, "G": 1, "N": 2, "B": 2, "S": 2, "dt": 0.2,
+                "reuse": 2, "pretrain_steps": 2, "m": 8, "seed": 0, **change}
+
+    def _infer(self, dataset, **change):
+        return {"dataset": dataset, "method": "bpf", "S": 4, "dt": 0.2,
+                "indices": [0], **change}
+
+    def test_train_twist_zero_width(self, dataset, tmp_path, capsys):
+        code, err = self._run(tmp_path, "train-twist", self._twist(dataset, m=0), capsys)
+        assert code == 2 and "width must be >= 1" in err
+
+    def test_train_zero_width(self, dataset, tmp_path, capsys):
+        code, err = self._run(tmp_path, "train", self._train(dataset, m=0), capsys)
+        assert code == 2 and "width must be >= 1" in err
+
+    @pytest.mark.parametrize("dt", [0.0, -0.1, float("inf"), float("nan")])
+    def test_train_twist_bad_step(self, dataset, tmp_path, capsys, dt):
+        # a negative step once ended in a message about the Euler bound
+        code, err = self._run(tmp_path, "train-twist", self._twist(dataset, dt=dt), capsys)
+        assert code == 2 and "dt must be positive and finite" in err
+
+    def test_train_twist_negative_steps(self, dataset, tmp_path, capsys):
+        code, err = self._run(tmp_path, "train-twist", self._twist(dataset, steps=-3),
+                              capsys)
+        assert code == 2 and "steps and checkpoint_every must be >= 0" in err
+
+    def test_train_twist_fractional_steps(self, dataset, tmp_path, capsys):
+        code, err = self._run(tmp_path, "train-twist", self._twist(dataset, steps=2.5),
+                              capsys)
+        assert code == 2 and "config.steps must be of type int" in err
+
+    @pytest.mark.parametrize("change", [{"S": 2.5}, {"S": True}, {"dt": "0.1"},
+                                        {"indices": 3}, {"theta": "fast"}])
+    def test_infer_wrong_type(self, dataset, tmp_path, capsys, change):
+        code, err = self._run(tmp_path, "infer", self._infer(dataset, **change), capsys)
+        name = next(iter(change))
+        assert code == 2 and f"config.{name} must be of type" in err
+
+    @pytest.mark.parametrize("dt", [0.0, -0.2])
+    def test_infer_bad_step(self, dataset, tmp_path, capsys, dt):
+        code, err = self._run(tmp_path, "infer", self._infer(dataset, dt=dt), capsys)
+        assert code == 2 and "dt must be positive and finite" in err
+
+    def test_int_accepted_for_float(self, dataset, tmp_path):
+        cfg = self._infer(dataset, dt=1, out=str(tmp_path / "ok"))
+        assert main(["infer", "--config", write_cfg(tmp_path, "ok.json", cfg)]) == 0
+
+    def test_out_of_memory_is_config_error(self, dataset, tmp_path, capsys, monkeypatch):
+        # a step of 1e-9 asks for a grid of 1e10 points; the allocation
+        # failure is simulated here rather than provoked
+        from ipsmc import smc
+
+        def no_memory(T, dt, obs_times=()):
+            raise MemoryError(f"cannot allocate a grid of step {dt}")
+
+        monkeypatch.setattr(smc, "make_grid", no_memory)
+        code = main(["infer", "--config", write_cfg(
+            tmp_path, "c.json", self._infer(dataset, dt=1e-9, out=str(tmp_path / "o")))])
+        assert code == 2
+        assert "out of memory" in capsys.readouterr().err
+
+
 class TestTrainTwist:
     def test_resume_reproduces_uninterrupted_run(self, dataset, tmp_path):
         full = dict(TWIST_CFG, dataset=dataset, out=str(tmp_path / "full"),

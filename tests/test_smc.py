@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ipsmc.errors import CollapseError
 from ipsmc.ips import RateModel, SIRSParams, make_grid, sirs_model
 from ipsmc import oracle as orc
+from ipsmc import smc
 from ipsmc import twistnet as tn
 from ipsmc.smc import (DenseInitial, FactorizedInitial, SMCConfig, bpf_run,
                        doob_initial, effective_sample_size, logsumexp,
@@ -437,6 +438,24 @@ class TestPathStorage:
         obs_steps = np.flatnonzero(np.isin(np.round(ens.grid, 9), (0.3, 0.6)))
         assert set(steps) <= set(obs_steps)
         assert len(steps) == 2
+        _assert_matches_reference(ens, log_z, ref)
+
+    def test_equal_weights_skip_the_log_sum_exp(self, monkeypatch):
+        # between observations every weight is zero: those steps compute
+        # no log-sum-exp, and the outputs still match the reference, which
+        # computes each one where it is used
+        calls = []
+
+        def counting(a, *args, **kw):
+            calls.append(len(np.atleast_1d(a)))
+            return logsumexp(a, *args, **kw)
+
+        monkeypatch.setattr(smc, "logsumexp", counting)
+        ens, log_z, _, cfg = self._bpf_case()
+        monkeypatch.undo()
+        M = len(ens.grid) - 1
+        assert 0 < len(calls) < M
+        _, _, ref, _ = self._bpf_case()
         _assert_matches_reference(ens, log_z, ref)
 
     def test_adaptive_resampling_skips_steps(self):

@@ -85,6 +85,76 @@ class TestFeatures:
         assert set(changed) <= {0, 1}
         assert 1 in changed
 
+    @staticmethod
+    def _segment(spec, obs, start):
+        """Reference: the features while the first start snapshots have
+        passed, with the time columns at zero, built for that segment
+        alone, and each node's next snapshot time."""
+        d, V, T, K = spec.d, spec.V, float(obs.horizon), obs.K
+        vals = np.vstack([obs.values[start:], np.full((1, d), V)])
+        times = np.append(obs.times[start:], np.inf)
+        hit = vals != V
+        hit[-1] = True
+        first = np.argmax(hit, axis=0)
+        next_val = vals[first, np.arange(d)]
+        hits = (next_val[:, None] == np.arange(V)).astype(float)
+        deg = spec.adjacency.sum(axis=1).astype(float)
+        w = spec.edge_weights
+        nf = tn.feature_dim(V)
+        out = np.zeros((d, V, nf))
+        node = out[:, 0, : nf - V - 1]
+        node[np.arange(d), 1 + next_val] = 1.0
+        node[:, V + 2] = hit[:-1].sum(axis=0) / max(K, 1)
+        node[:, V + 3:2 * V + 3] = (spec.adjacency.astype(float) @ hits) / np.maximum(
+            deg, 1.0)[:, None]
+        node[:, 2 * V + 3:3 * V + 3] = np.stack([w @ h for h in hits.T], axis=1)
+        node[:, 3 * V + 5:3 * V + 8] = np.stack(
+            [w.sum(axis=1), w.sum(axis=1) / np.maximum(deg, 1.0),
+             deg / max(1.0, deg.mean())], axis=1)
+        out[:, 1:, : nf - V - 1] = node[:, None, :]
+        out[:, np.arange(V), nf - V - 1 + np.arange(V)] = 1.0
+        out[:, :, nf - 1] = hits
+        return out, np.where(first < len(times) - 1, times[first], T)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_segment_table_matches_per_segment_reference(self, seed):
+        # random weighted graphs and masked snapshot sequences, one of
+        # them with no snapshot at all: every segment bit for bit, and
+        # features at any time from the segment it falls in
+        from ipsmc.bench import generate_graph
+
+        rng = np.random.default_rng(seed)
+        d, V, K = int(rng.integers(1, 12)), int(rng.integers(2, 5)), seed
+        spec = generate_graph(d, 2.0, 3, rng) if d > 1 else chain_spec(1, V=V)
+        spec = dataclasses.replace(spec, V=V)
+        times = np.sort(rng.choice(np.arange(1, 40) / 10.0, size=K, replace=False))
+        values = rng.integers(0, V + 1, size=(K, d))
+        obs = ObservationSequence(horizon=4.0, times=times, values=values, V=V,
+                                  p_mask=0.5, label_noise=0.001)
+        ctx = tn.TwistContext(spec, obs)
+        assert ctx.table.shape == (K + 1, d, V, tn.feature_dim(V))
+        for k in range(K + 1):
+            seg, next_time = self._segment(spec, obs, k)
+            assert np.array_equal(ctx.table[k], seg), k
+            assert np.array_equal(ctx.next_time[k], next_time), k
+        for t in rng.uniform(0.0, 4.0, size=10).tolist() + [0.0] + times.tolist():
+            seg, next_time = self._segment(spec, obs, ctx.start_index(t))
+            nxt = times[ctx.start_index(t)] if ctx.has_future(t) else 4.0
+            ref = seg.copy()
+            ref[:, :, 0] = ((next_time - t) / 4.0)[:, None]
+            ref[:, :, 3 * V + 3] = t / 4.0
+            ref[:, :, 3 * V + 4] = (nxt - t) / 4.0
+            assert np.array_equal(ctx.features(t), ref), t
+
+    def test_stacked_features_match_per_context_calls(self):
+        spec = chain_spec(4, V=3)
+        ctxs = [tn.TwistContext(spec, _obs3()), tn.TwistContext(spec, _obs3(T=3.0))]
+        rows = [ctxs[0], ctxs[1], ctxs[0], ctxs[1]]
+        t = np.array([0.0, 0.9, 1.6, 2.5])
+        F = tn.stacked_features(rows, t)
+        for r, (ctx, s) in enumerate(zip(rows, t)):
+            assert np.array_equal(F[r], ctx.features(s)), r
+
     def test_zero_weights_constant_twist(self):
         spec = chain_spec(4, V=3)
         params = tn.init_params(3, m=8, seed=0)
@@ -318,7 +388,7 @@ class TestScoreCells:
         return rng, lt, Z
 
     def _reference(self, lt, t, Z):
-        H, _ = tn.twist_table(lt.params, lt._phi(t), Z)
+        H, _ = tn.twist_table(lt.params, lt._embed(t)[0], Z)
         return H - H[np.arange(len(Z))[:, None], np.arange(self.d), Z][..., None]
 
     def _off_diagonal(self, Z):
@@ -358,6 +428,16 @@ class TestScoreCells:
         cells = self._off_diagonal(Z) & (rng.random(full.shape) < 0.3)
         assert np.array_equal(lt.score_table_batch(0.3, Z, cells),
                               np.where(cells, full, 0.0))
+
+    def test_cached_projection_matches_fresh_calls(self):
+        # the wrapper forms Phi and P = Phi @ W2 once per time; log h and
+        # the scores equal those of the functions run from scratch
+        _, lt, Z = self._case(25)
+        for t in (0.3, 0.3, 0.7, 0.3, 1.2):
+            Phi, _ = tn.encode_context(lt.params, lt.ctx, t)
+            assert np.array_equal(lt.log_h_batch(t, Z), tn.twist_log_values(lt.params, Phi, Z))
+            assert np.array_equal(lt.score_table_batch(t, Z),
+                                  tn.twist_score_table(lt.params, Phi, Z))
 
     def test_log_h_does_not_depend_on_the_batch(self):
         # log h reads the same P = Phi @ W2 as the scores, without BLAS
@@ -532,12 +612,12 @@ class TestBatchedLosses:
                                         states_neg=paths[1], ctx=ctx))
         params = _rand_params(3, 8, 21)
 
-        def call(batch, mcs):
+        def call(batch, mcs, q=params):
             if loss == "kl":
-                return tn.sleep_loss_forward_kl(params, model, spec, p, batch,
+                return tn.sleep_loss_forward_kl(q, model, spec, p, batch,
                                                 mc_indices=mcs,
                                                 q0_support=np.zeros((4, 3)))
-            return tn.dre_loss(params, spec, batch, mc_indices=mcs)
+            return tn.dre_loss(q, spec, batch, mc_indices=mcs)
 
         return items, call
 
@@ -562,6 +642,42 @@ class TestBatchedLosses:
         scale = max(np.abs(r).max() for r in refs.values())
         for k, g in grads_b.items():
             assert np.allclose(g, refs[k], rtol=1e-12, atol=1e-12 * scale), k
+
+    # (loss value as float.hex, sha256 prefix of the gradient blocks' bytes
+    # in sorted order) of the full loss over all three items, recorded with
+    # the float64-only code that preceded dtype-following losses
+    RECORDED = {"kl": ("0x1.9265f96913503p+2", "4d1b4d1b9ffc6ac1"),
+                "dre": ("0x1.48d87f05a080bp+4", "1063249095e9089b")}
+
+    @pytest.mark.parametrize("loss", ["kl", "dre"])
+    def test_float64_matches_recorded_values(self, loss):
+        import hashlib
+
+        items, call = self._items(loss)
+        value, grads = call(items, None)
+        digest = hashlib.sha256(b"".join(grads[k].tobytes() for k in sorted(grads)))
+        assert (float(value).hex(), digest.hexdigest()[:16]) == self.RECORDED[loss]
+        assert all(g.dtype == np.float64 for g in grads.values())
+
+    @pytest.mark.parametrize("loss", ["kl", "dre"])
+    @pytest.mark.parametrize("mc", [False, True])
+    def test_float32_agrees_with_float64(self, loss, mc):
+        # the network and gradients follow the params' dtype, the loss
+        # stays a float64 sum: the value within 1e-5 relative, and every
+        # gradient entry within 1e-4 of the largest float64 gradient entry
+        # (the kl loss's b3 gradient and, by the softmax's shift
+        # invariance, its bq gradient are structurally zero)
+        items, call = self._items(loss)
+        mcs = [3, 0, 7] if mc else None
+        ref, ref_grads = call(items, mcs)
+        params = _rand_params(3, 8, 21)
+        value, grads = call(items, mcs, params.astype(np.float32))
+        assert isinstance(value, float)
+        assert abs(value - ref) <= 1e-5 * abs(ref)
+        scale = max(np.abs(g).max() for g in ref_grads.values())
+        for k, g in grads.items():
+            assert g.dtype == np.float32, k
+            assert np.abs(g - ref_grads[k]).max() <= 1e-4 * scale, k
 
     def test_rejects_time_inhomogeneous_model(self):
         items, _ = self._items("kl")

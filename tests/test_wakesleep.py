@@ -270,6 +270,42 @@ class TestSleepPhase:
         for k in ends[0][1]:
             assert np.array_equal(ends[0][1][k], ends[1][1][k])
 
+    @pytest.mark.parametrize("loss", ["kl", "dre"])
+    def test_losses_run_in_float32_on_float64_master_weights(self, loss, monkeypatch):
+        # each step hands the loss a float32 copy of psi and applies Adam,
+        # on float64 gradients, to the float64 weights: the step equals an
+        # Adam step on the loss's gradients cast to float64
+        spec, theta, model, p0, template, tau_grids = _sleep_setup()
+        cfg = TrainConfig(batch=2, dt=0.25, seed=0, reuse=3, loss=loss,
+                          pretrain_steps=0)
+        name = "sleep_loss_forward_kl" if loss == "kl" else "dre_loss"
+        original, seen = getattr(tn, name), []
+
+        def recording(params, *args, **kw):
+            out = original(params, *args, **kw)
+            seen.append((params, out[1]))
+            return out
+
+        monkeypatch.setattr(tn, name, recording)
+        psi = tn.init_params(3, m=8, seed=0)
+        adam = tn.AdamState.init(psi.arrays())
+        ref_adam = tn.AdamState.init(psi.arrays())
+        steps = sleep_steps(psi, adam, theta, model, spec, p0, tau_grids,
+                            template, cfg, np.random.default_rng(4), 4)
+        for new, _ in steps:
+            low, grads = seen[-1]
+            for k, a in psi.arrays().items():
+                assert low.arrays()[k].dtype == np.float32, k
+                assert np.array_equal(low.arrays()[k], a.astype(np.float32)), k
+            ref = tn.adam_step(psi.arrays(), {k: g.astype(np.float64)
+                                              for k, g in grads.items()},
+                               ref_adam, tn.AdamHyper(lr=cfg.lr_psi))
+            for k, a in new.arrays().items():
+                assert a.dtype == np.float64 and adam.m[k].dtype == np.float64, k
+                assert np.array_equal(a, ref[k]), k
+            psi = new
+        assert len(seen) == 4
+
     def test_equal_grids_simulate_on_one_shared_grid(self):
         # a batch whose items share one grid runs on that grid, bitwise as
         # a shared-grid call, and so also under a time-inhomogeneous model;
