@@ -95,9 +95,10 @@ class BenchmarkDataset:
 
 
 def generate_dataset(spec, params, T, K, p_mask, delta, n_train, n_test, seed,
-                     infect_prob=DEFAULT_INFECT_PROB, pool=None) -> BenchmarkDataset:
+                     infect_prob=DEFAULT_INFECT_PROB, mapper=map) -> BenchmarkDataset:
     """Exact trajectories with per-trajectory uniform snapshot times and
-    masked noisy observations. Reproducible from the seed alone."""
+    masked noisy observations, simulated through mapper (builtin map, or a
+    pool's). Reproducible from the seed alone."""
     model = sirs_model()
     p0 = initial_distribution(spec, infect_prob)
     n = n_train + n_test
@@ -122,10 +123,7 @@ def generate_dataset(spec, params, T, K, p_mask, delta, n_train, n_test, seed,
                                   p_mask=p_mask, label_noise=delta)
         return path, obs
 
-    if pool is None:
-        results = [one(i) for i in range(n)]
-    else:
-        results = list(pool.map(one, range(n)))
+    results = list(mapper(one, range(n)))
     paths = [r[0] for r in results]
     obs = [r[1] for r in results]
     return BenchmarkDataset(spec=spec, params=params, T=T, K=K, p_mask=p_mask,

@@ -10,6 +10,7 @@ Exit codes: 0 ok, 2 config error, 3 numerical collapse, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -40,9 +41,6 @@ def config_hash(resolved: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-_NESTED = {"params": "SIRSParamConfig"}
-
-
 def _type_ok(value, tp):
     """Whether a JSON value fits a field's declared type: an int field
     takes an int only (no bool or float), a float field an int or a float
@@ -67,8 +65,8 @@ def _from_dict(cls, data, path="config"):
     for f in dataclasses.fields(cls):
         if f.name in data:
             val = data[f.name]
-            if f.name in _NESTED and isinstance(val, dict):
-                val = _from_dict(globals()[_NESTED[f.name]], val, f"{path}.{f.name}")
+            if dataclasses.is_dataclass(types[f.name]) and isinstance(val, dict):
+                val = _from_dict(types[f.name], val, f"{path}.{f.name}")
             if not _type_ok(val, types[f.name]):
                 raise ConfigError(f"{path}.{f.name} must be of type "
                                   f"{f.type}, got {val!r}")
@@ -196,6 +194,17 @@ def _cell(x):
     return str(x)
 
 
+@contextlib.contextmanager
+def _mapper(threads):
+    """The map that spreads a command's independent jobs: builtin map for
+    one thread, which starts no worker, else a pool's map."""
+    if threads == 1:
+        yield map
+        return
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        yield pool.map
+
+
 def _meta(cfg_dict, seed):
     return {"config_hash": config_hash(cfg_dict), "seed": seed,
             "version": __version__}
@@ -215,14 +224,10 @@ def cmd_generate(cfg: GenerateConfig, threads=1, emit_svg=False):
     spec = generate_graph(cfg.d, cfg.expected_degree, cfg.feature_dim, rng)
     params = SIRSParams(cfg.params.alpha0, cfg.params.alpha1, cfg.params.beta,
                         cfg.params.gamma)
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
+    with _mapper(threads) as mapper:
         ds = generate_dataset(spec, params, cfg.T, cfg.K, cfg.p_mask, cfg.delta,
                               cfg.n_train, cfg.n_test, seed=cfg.seed,
-                              infect_prob=cfg.infect_prob, pool=pool)
-    finally:
-        if pool:
-            pool.shutdown()
+                              infect_prob=cfg.infect_prob, mapper=mapper)
     save_dataset(ds, cfg.out)
     meta = _meta(dataclasses.asdict(cfg), cfg.seed)
     _write_manifest(cfg.out, meta, "generate")
@@ -286,7 +291,6 @@ def cmd_train_twist(cfg: TrainTwistConfig, threads=1, emit_svg=False, resume=Non
     p0 = ds.p0()
     tau_grids = [np.asarray(o.times) for o in ds.train_obs]
     meta = _meta(dataclasses.asdict(cfg), cfg.seed)
-    os.makedirs(cfg.out, exist_ok=True)
 
     rng = np.random.default_rng(cfg.seed)
     if resume is not None:
@@ -298,6 +302,7 @@ def cmd_train_twist(cfg: TrainTwistConfig, threads=1, emit_svg=False, resume=Non
         psi = tn.init_params(ds.spec.V, m=cfg.m, seed=cfg.seed)
         adam = tn.AdamState.init(psi.arrays())
         start = 0
+    os.makedirs(cfg.out, exist_ok=True)
 
     telemetry = []
     step = start
@@ -324,12 +329,16 @@ _RESUME_KEYS = ("loss", "seed", "batch", "dt", "lr", "reuse", "mc_loss")
 
 
 def _check_resume(header, psi, cfg: TrainTwistConfig):
-    """Reject a checkpoint that train-twist did not write, or one written
-    under another loss, width, seed, batch, dt, lr, reuse or mc_loss."""
+    """Reject a checkpoint that train-twist did not write, one past the
+    config's steps, or one written under another loss, width, seed, batch,
+    dt, lr, reuse or mc_loss."""
     missing = [k for k in ("step", "rng_state") if k not in header]
     if missing:
         raise ConfigError(f"resume checkpoint lacks {missing}; only "
                           f"train-twist checkpoints can be resumed")
+    if int(header["step"]) > cfg.steps:
+        raise ConfigError(f"resume checkpoint is at step {header['step']}, "
+                          f"past the config's steps {cfg.steps}")
     checks = [(k, header.get(k), getattr(cfg, k)) for k in _RESUME_KEYS]
     for name, saved, want in checks + [("m", psi.m, cfg.m)]:
         if saved != want:
@@ -360,34 +369,32 @@ def cmd_train(cfg: TrainRunConfig, threads=1, emit_svg=False):
                         cfg.theta_init)
     meta = _meta(dataclasses.asdict(cfg), cfg.seed)
     os.makedirs(cfg.out, exist_ok=True)
+    with _mapper(threads) as mapper:
+        theta_state, psi, telemetry = train(model, ds.spec, ds.p0(), ds.train_obs,
+                                            theta0, wcfg, checkpoint_dir=cfg.out,
+                                            mapper=mapper)
+    names = list(dataclasses.asdict(ds.params))
+    truth = ds.params.as_array()
     # the relative error divides by every true rate; with a zero rate it
     # is undefined and reported as NaN
-    truth = ds.params if np.all(ds.params.as_array() > 0) else None
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        theta_state, psi, telemetry = train(model, ds.spec, ds.p0(), ds.train_obs,
-                                            theta0, wcfg, truth=truth,
-                                            checkpoint_dir=cfg.out, pool=pool)
-    finally:
-        if pool:
-            pool.shutdown()
-    cols = ["global_iter", "phase", "step", "loss", "mean_ess", "min_ess",
-            "alpha0", "alpha1", "beta", "gamma", "rpe"]
-    rows = [tuple(r[c] for c in cols) for r in telemetry.rows]
-    _write_rows(os.path.join(cfg.out, "telemetry.csv"), cols, rows, meta)
+    scored = bool(np.all(truth > 0))
+
+    def rpe(theta):
+        return relative_parameter_error(theta, truth) if scored else float("nan")
+
+    cols = ["global_iter", "phase", "step", "loss", "mean_ess", "min_ess", *names]
+    errors = [rpe([r[n] for n in names]) for r in telemetry.rows]
+    rows = [(*(r[c] for c in cols), e) for r, e in zip(telemetry.rows, errors)]
+    _write_rows(os.path.join(cfg.out, "telemetry.csv"), cols + ["rpe"], rows, meta)
     final = theta_state.params()
     with open(os.path.join(cfg.out, "theta.json"), "w") as f:
-        json.dump({"alpha0": final.alpha0, "alpha1": final.alpha1,
-                   "beta": final.beta, "gamma": final.gamma,
-                   "rpe": (relative_parameter_error(final.as_array(),
-                                                    truth.as_array())
-                           if truth is not None else float("nan")),
+        json.dump({**dataclasses.asdict(final), "rpe": rpe(final.as_array()),
                    **meta}, f, sort_keys=True)
     tn.save_checkpoint(os.path.join(cfg.out, "twist.npz"), psi,
                        meta={"loss": cfg.loss, **meta})
-    if emit_svg and truth is not None:
-        wake = [(r["step"] + (r["global_iter"] - 1) * cfg.N, r["rpe"])
-                for r in telemetry.rows if r["phase"] == "wake"]
+    if emit_svg and scored:
+        wake = [(r["step"] + (r["global_iter"] - 1) * cfg.N, e)
+                for r, e in zip(telemetry.rows, errors) if r["phase"] == "wake"]
         if wake:
             svg.line_chart(os.path.join(cfg.out, "rpe.svg"),
                            [("rpe", [w[0] for w in wake], [w[1] for w in wake])],
@@ -449,13 +456,8 @@ def cmd_infer(cfg: InferConfig, threads=1, emit_svg=False):
         brier = brier_metric(marg, truth)
         return idx, ens, logz, ce, brier
 
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        results = list(pool.map(one, range(len(indices)))) if pool else [
-            one(j) for j in range(len(indices))]
-    finally:
-        if pool:
-            pool.shutdown()
+    with _mapper(threads) as mapper:
+        results = list(mapper(one, range(len(indices))))
 
     metric_rows = []
     for idx, ens, logz, ce, brier in results:

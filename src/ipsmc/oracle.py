@@ -17,6 +17,7 @@ from .errors import (CollapseError, InconsistentObservationsError,
                      StateSpaceTooLargeError)
 from .ips import RateModel, make_grid
 from .smc import logsumexp
+from .twisting import emission_log_potential
 
 GENERATOR_BYTES_GUARD = 2**29  # dense float64 generator of at most 8192 states
 
@@ -239,15 +240,9 @@ def _log_expm_action(gen, delta, log_v, transpose=False):
 
 def potential_vectors(spec, obs):
     """Log emission potentials on the dense state space: [(tau_k, (n,) log G)]."""
-    from .twisting import emission_log_table
-
     table = state_table(spec)
-    out = []
-    for k in range(len(obs.times)):
-        logg = emission_log_table(obs, k)  # (d, V)
-        vec = logg[np.arange(spec.d)[None, :], table].sum(axis=1)
-        out.append((float(obs.times[k]), vec))
-    return out
+    return [(float(obs.times[k]), emission_log_potential(obs, k, table))
+            for k in range(len(obs.times))]
 
 
 def exact_lookahead(model, spec, theta, potentials, grid) -> LookaheadTable:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import CollapseError
 from .ips import euler_step_table, make_grid, sample_values, sum_values
-from .twisting import ConstantTwist, SCORE_CLIP, emission_log_table
+from .twisting import ConstantTwist, SCORE_CLIP, emission_log_potential
 
 
 @dataclass
@@ -191,7 +191,7 @@ def run_smc(model, spec, theta, twist, q0, p0, obs, cfg, grid=None):
     lh = twist.log_h_batch(grid[0], Z)
     logw = p0.log_pmf_batch(Z) + lh - q0.log_pmf_batch(Z)
     if 0 in pot:
-        logw = logw + _emission_batch(obs, pot[0], Z)
+        logw = logw + emission_log_potential(obs, pot[0], Z)
     _check_alive(logw, step=0)
 
     # path storage (Jacob, Murray & Rubenthaler 2015): each step's states
@@ -227,7 +227,7 @@ def run_smc(model, spec, theta, twist, q0, p0, obs, cfg, grid=None):
         lh_next = twist.log_h_batch(t1, Z)
         logw = logw + log_ratio + (lh_next - lh)
         if m + 1 in pot:
-            logw = logw + _emission_batch(obs, pot[m + 1], Z)
+            logw = logw + emission_log_potential(obs, pot[m + 1], Z)
         _check_alive(logw, step=m + 1)
         lh = lh_next
         hist[m + 1] = Z
@@ -257,12 +257,6 @@ def _trace_paths(hist, parents):
 def _check_alive(logw, step):
     if not np.any(np.isfinite(logw)):
         raise CollapseError("total weight collapse", step=step)
-
-
-def _emission_batch(obs, k, Z):
-    table = emission_log_table(obs, k)
-    d = Z.shape[1]
-    return table[np.arange(d)[None, :], Z].sum(axis=1)
 
 
 def _propose_step(model, spec, theta, twist, Z, t, dt, rng):

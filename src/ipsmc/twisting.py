@@ -65,10 +65,10 @@ def emission_log_table(obs: ObservationSequence, k):
     return out
 
 
-def emission_log_potential(obs: ObservationSequence, k, z):
-    """log G_{tau_k}(z): sum of per-node emission log-likelihoods."""
-    table = emission_log_table(obs, k)
-    return float(table[np.arange(obs.d), np.asarray(z)].sum())
+def emission_log_potential(obs: ObservationSequence, k, Z):
+    """log G_{tau_k}(z) of each state z in Z (..., d): the sum of per-node
+    emission log-likelihoods."""
+    return emission_log_table(obs, k)[np.arange(obs.d), Z].sum(axis=-1)
 
 
 def sample_emission(obs_template, z, rng):

@@ -563,16 +563,13 @@ class AdamState:
                    v={k: np.zeros_like(a) for k, a in params_arrays.items()})
 
 
-@dataclass(frozen=True)
-class AdamHyper:
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
-def adam_step(arrays, grads, state: AdamState, hyper: AdamHyper):
-    """Bias-corrected Adam update on a dict of arrays."""
+def adam_step(arrays, grads, state: AdamState, lr):
+    """Bias-corrected Adam update at learning rate lr on a dict of arrays."""
     for k, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise ValueError(f"non-finite gradient block {k}")
@@ -580,11 +577,11 @@ def adam_step(arrays, grads, state: AdamState, hyper: AdamHyper):
     new = {}
     for k, a in arrays.items():
         g = grads[k]
-        state.m[k] = hyper.beta1 * state.m[k] + (1 - hyper.beta1) * g
-        state.v[k] = hyper.beta2 * state.v[k] + (1 - hyper.beta2) * g * g
-        mhat = state.m[k] / (1 - hyper.beta1**t)
-        vhat = state.v[k] / (1 - hyper.beta2**t)
-        new[k] = a - hyper.lr * mhat / (np.sqrt(vhat) + hyper.eps)
+        state.m[k] = ADAM_BETA1 * state.m[k] + (1 - ADAM_BETA1) * g
+        state.v[k] = ADAM_BETA2 * state.v[k] + (1 - ADAM_BETA2) * g * g
+        mhat = state.m[k] / (1 - ADAM_BETA1**t)
+        vhat = state.v[k] / (1 - ADAM_BETA2**t)
+        new[k] = a - lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
     state.step = t
     return new
 

@@ -1,19 +1,20 @@
 """Outer training loop: sleep updates of the twist on prior simulations,
 wake updates of the rate parameters on posterior paths drawn with twisted
-SMC under a lagged parameter copy.
+SMC under the parameters a wake phase starts with.
 
 Rate parameters are optimized as unconstrained logs, so positivity is
 structural. Inside the wake sampler both the proposal and the weights use
-the lagged copy; the current parameters enter only through the wake loss.
+the phase's starting parameters; the current parameters enter only through
+the wake loss.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bench import relative_parameter_error
 from .errors import CollapseError
 from .ips import SIRSParams, euler_simulate_batch, make_grid
 from .smc import SMCConfig, run_smc, sample_path_index
@@ -24,6 +25,12 @@ from . import twistnet as tn
 # the Adam state and checkpoints stay float64 (mixed-precision training:
 # Micikevicius et al., ICLR 2018)
 SLEEP_DTYPE = np.float32
+
+# the sleep-only warm start stops on a loss plateau: at the end of a batch,
+# once 2 * PRETRAIN_WINDOW losses exist, if the mean of the last window fell
+# by less than PRETRAIN_REL_TOL (relative) below the mean of the one before
+PRETRAIN_WINDOW = 100
+PRETRAIN_REL_TOL = 1e-3
 
 
 @dataclass
@@ -42,8 +49,6 @@ class TrainConfig:
     width: int = 64
     ess_threshold: float = 1.0
     pretrain_steps: int = 2500
-    pretrain_window: int = 100
-    pretrain_rel_tol: float = 1e-3
 
     def __post_init__(self):
         if min(self.batch, self.particles, self.reuse, self.width) < 1:
@@ -59,25 +64,19 @@ class TrainConfig:
 
 @dataclass
 class ThetaState:
-    """Rate parameters in unconstrained log space plus optimizer state and
-    the lagged copy used by the wake-phase sampler."""
+    """Rate parameters in unconstrained log space plus optimizer state."""
 
     log_theta: np.ndarray
     adam: tn.AdamState
-    lagged: SIRSParams
 
     @classmethod
     def init(cls, theta0: SIRSParams):
         log_theta = np.log(theta0.as_array())
         return cls(log_theta=log_theta,
-                   adam=tn.AdamState.init({"log_theta": log_theta}),
-                   lagged=theta0)
+                   adam=tn.AdamState.init({"log_theta": log_theta}))
 
     def params(self) -> SIRSParams:
         return SIRSParams.from_array(np.exp(self.log_theta))
-
-    def refresh_lag(self):
-        self.lagged = self.params()
 
 
 def wake_loss_and_grad(theta: SIRSParams, model, spec, states, obs, grid):
@@ -128,12 +127,11 @@ def wake_loss_and_grad(theta: SIRSParams, model, spec, states, obs, grid):
 class Telemetry:
     rows: list = field(default_factory=list)
 
-    def add(self, global_iter, phase, step, loss, mean_ess, min_ess, theta, rpe):
+    def add(self, global_iter, phase, step, loss, mean_ess, min_ess, theta):
         self.rows.append({
             "global_iter": global_iter, "phase": phase, "step": step,
             "loss": loss, "mean_ess": mean_ess, "min_ess": min_ess,
-            "alpha0": theta.alpha0, "alpha1": theta.alpha1,
-            "beta": theta.beta, "gamma": theta.gamma, "rpe": rpe,
+            **dataclasses.asdict(theta),
         })
 
 
@@ -185,7 +183,6 @@ def sleep_steps(psi, adam, theta, model, spec, p0, tau_grids, obs_template,
     its gradients are cast back to float64 for the Adam step on psi. The
     generator is lazy: it draws nothing from rng after the caller's last
     step."""
-    hyper = tn.AdamHyper(lr=cfg.lr_psi)
     q0_support = q0_support_logmask(p0)
     for step in range(n_steps):
         if step % cfg.reuse == 0:
@@ -204,36 +201,32 @@ def sleep_steps(psi, adam, theta, model, spec, p0, tau_grids, obs_template,
                                                    items, mc_indices=mcs,
                                                    q0_support=q0_support)
         grads = {k: g.astype(np.float64) for k, g in grads.items()}
-        psi = psi.replace_arrays(tn.adam_step(psi.arrays(), grads, adam, hyper))
+        psi = psi.replace_arrays(tn.adam_step(psi.arrays(), grads, adam,
+                                              cfg.lr_psi))
         yield psi, loss
 
 
 def sleep_phase(psi, psi_adam, theta, model, spec, p0, tau_grids, obs_template,
-                cfg, rng, n_steps, telemetry=None, global_iter=0, truth=None,
-                phase="sleep", plateau=None):
+                cfg, rng, n_steps, telemetry=None, global_iter=0, pretrain=False):
     """n_steps sleep steps on the twist (sleep_steps), one telemetry row
-    each, labelled phase. mc_loss applies to the sleep loop only; the wake
-    phase always uses the exact full-path objective.
+    each. mc_loss applies to the sleep loop only; the wake phase always
+    uses the exact full-path objective.
 
-    plateau=(window, rel_tol) stops early on a loss plateau, as the
-    sleep-only warm start does: at the end of a batch, once 2 * window
-    losses exist, it stops if the mean of the last window fell by less
-    than rel_tol (relative) below the mean of the window before."""
-    rpe = (relative_parameter_error(theta.as_array(), truth.as_array())
-           if truth is not None else float("nan"))
-    window, rel_tol = plateau or (0, 0.0)
+    pretrain=True labels the rows "pretrain" (else "sleep") and stops
+    early on a loss plateau (PRETRAIN_WINDOW, PRETRAIN_REL_TOL)."""
+    window = PRETRAIN_WINDOW
     losses = []
     for step, (psi, loss) in enumerate(
             sleep_steps(psi, psi_adam, theta, model, spec, p0, tau_grids,
                         obs_template, cfg, rng, n_steps), 1):
         losses.append(loss)
         if telemetry is not None:
-            telemetry.add(global_iter, phase, step, loss,
-                          float("nan"), float("nan"), theta, rpe)
-        if plateau and step % cfg.reuse == 0 and len(losses) >= 2 * window:
+            telemetry.add(global_iter, "pretrain" if pretrain else "sleep",
+                          step, loss, float("nan"), float("nan"), theta)
+        if pretrain and step % cfg.reuse == 0 and len(losses) >= 2 * window:
             prev = float(np.mean(losses[-2 * window:-window]))
             last = float(np.mean(losses[-window:]))
-            if (prev - last) / max(abs(prev), 1e-9) < rel_tol:
+            if (prev - last) / max(abs(prev), 1e-9) < PRETRAIN_REL_TOL:
                 break
     return psi
 
@@ -246,24 +239,24 @@ def q0_support_logmask(p0):
 
 
 def wake_phase(theta_state: ThetaState, psi, model, spec, p0, dataset_obs,
-               cfg, rng, n_steps, telemetry=None, global_iter=0, truth=None,
-               skip_counter=None, pool=None):
+               cfg, rng, n_steps, telemetry=None, global_iter=0,
+               skip_counter=None, mapper=map):
     """n_steps optimizer steps on the rate parameters: per batch, run
-    twisted SMC under the lagged parameters, draw one path per item by
-    importance resampling, then reuse the batch for several steps.
+    twisted SMC under the parameters the phase started with, draw one path
+    per item by importance resampling, then reuse the batch for several
+    steps. mapper maps the batch's tSMC runs (builtin map, or a pool's).
 
     Each step follows the exact full-path wake objective of every sampled
     path (cfg.mc_loss does not apply here). A batch in which every tSMC
     run collapsed raises CollapseError."""
-    hyper = tn.AdamHyper(lr=cfg.lr_theta)
     step = 0
-    theta_bar = theta_state.lagged
+    theta_bar = theta_state.params()
     while step < n_steps:
         picks = [int(rng.integers(len(dataset_obs))) for _ in range(cfg.batch)]
         seeds = [int(rng.integers(2**63)) for _ in picks]
         jobs = [(dataset_obs[i], s) for i, s in zip(picks, seeds)]
-        results = _map(pool, lambda job: _wake_sample(model, spec, theta_bar, psi,
-                                                      p0, job[0], cfg, job[1]), jobs)
+        results = mapper(lambda job: _wake_sample(model, spec, theta_bar, psi,
+                                                  p0, job[0], cfg, job[1]), jobs)
         batch = []
         ess_stats = []
         for res in results:
@@ -283,7 +276,7 @@ def wake_phase(theta_state: ThetaState, psi, model, spec, p0, dataset_obs,
         for _ in range(min(cfg.reuse, n_steps - step)):
             theta = theta_state.params()
             losses = []
-            grad = np.zeros(4)
+            grad = np.zeros_like(theta_state.log_theta)
             for states, obs, grid in batch:
                 lo, gr = wake_loss_and_grad(theta, model, spec, states, obs, grid)
                 losses.append(lo)
@@ -292,15 +285,13 @@ def wake_phase(theta_state: ThetaState, psi, model, spec, p0, dataset_obs,
             # chain rule into log space; wake loss is minimized
             glog = grad * np.exp(theta_state.log_theta)
             new = tn.adam_step({"log_theta": theta_state.log_theta},
-                               {"log_theta": glog}, theta_state.adam, hyper)
+                               {"log_theta": glog}, theta_state.adam,
+                               cfg.lr_theta)
             theta_state.log_theta = new["log_theta"]
             step += 1
             if telemetry is not None:
-                cur = theta_state.params()
-                rpe = (relative_parameter_error(cur.as_array(), truth.as_array())
-                       if truth is not None else float("nan"))
                 telemetry.add(global_iter, "wake", step, float(np.mean(losses)),
-                              mean_ess, min_ess, cur, rpe)
+                              mean_ess, min_ess, theta_state.params())
     return theta_state
 
 
@@ -321,19 +312,13 @@ def _wake_sample(model, spec, theta_bar, psi, p0, obs, cfg, seed):
     return ens.trajectories[s], obs, ens.grid, (float(ess.mean()), float(ess.min()))
 
 
-def _map(pool, fn, jobs):
-    if pool is None:
-        return [fn(j) for j in jobs]
-    return list(pool.map(fn, jobs))
-
-
 def train(model, spec, p0, dataset_obs, theta0: SIRSParams, cfg: TrainConfig,
-          truth=None, checkpoint_dir=None, pool=None):
+          checkpoint_dir=None, mapper=map):
     """Alternating wake-sleep (optional sleep-only warm start first).
 
     Returns (ThetaState, twist params, Telemetry). The twist is frozen
-    during each wake phase and the lagged copy refreshes once per global
-    iteration.
+    during each wake phase, whose sampler runs under the parameters the
+    phase starts with.
     """
     rng = np.random.default_rng(cfg.seed)
     psi = tn.init_params(spec.V, m=cfg.width, seed=cfg.seed)
@@ -347,17 +332,15 @@ def train(model, spec, p0, dataset_obs, theta0: SIRSParams, cfg: TrainConfig,
     if cfg.pretrain_steps > 0:
         psi = sleep_phase(psi, psi_adam, theta_state.params(), model, spec, p0,
                           tau_grids, obs_template, cfg, rng, cfg.pretrain_steps,
-                          telemetry, 0, truth, phase="pretrain",
-                          plateau=(cfg.pretrain_window, cfg.pretrain_rel_tol))
+                          telemetry, 0, pretrain=True)
 
     for g in range(1, cfg.global_iters + 1):
         psi = sleep_phase(psi, psi_adam, theta_state.params(), model, spec, p0,
                           tau_grids, obs_template, cfg, rng, cfg.steps_per_phase,
-                          telemetry, g, truth)
-        theta_state.refresh_lag()
+                          telemetry, g)
         theta_state = wake_phase(theta_state, psi, model, spec, p0, dataset_obs,
                                  cfg, rng, cfg.steps_per_phase, telemetry, g,
-                                 truth, skip_counter, pool)
+                                 skip_counter, mapper)
         if checkpoint_dir is not None:
             tn.save_checkpoint(f"{checkpoint_dir}/checkpoint_{g:04d}.npz", psi,
                                psi_adam, meta={"global_iter": g,

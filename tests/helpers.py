@@ -7,7 +7,7 @@ from ipsmc import oracle as orc
 from ipsmc import smc
 from ipsmc import twistnet as tn
 from ipsmc.twisting import (SCORE_CLIP, ExactTwist, ObservationSequence,
-                            incremental_ess)
+                            emission_log_potential, incremental_ess)
 from ipsmc.wakesleep import wake_loss_and_grad
 
 
@@ -162,7 +162,7 @@ def reference_run_smc(model, spec, theta, twist, q0, p0, obs, cfg, grid):
     lh = twist.log_h_batch(grid[0], Z)
     logw = p0.log_pmf_batch(Z) + lh - q0.log_pmf_batch(Z)
     if 0 in pot:
-        logw = logw + smc._emission_batch(obs, pot[0], Z)
+        logw = logw + emission_log_potential(obs, pot[0], Z)
     traj = np.empty((S, M + 1, Z.shape[1]), dtype=np.int64)
     traj[:, 0] = Z
     log_z, ess_history = 0.0, []
@@ -181,7 +181,7 @@ def reference_run_smc(model, spec, theta, twist, q0, p0, obs, cfg, grid):
         lh_next = twist.log_h_batch(t1, Z)
         logw = logw + log_ratio + (lh_next - lh)
         if m + 1 in pot:
-            logw = logw + smc._emission_batch(obs, pot[m + 1], Z)
+            logw = logw + emission_log_potential(obs, pot[m + 1], Z)
         lh = lh_next
         traj[:, m + 1] = Z
     log_z += float(smc.logsumexp(logw)) - np.log(S)

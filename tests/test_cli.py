@@ -1,3 +1,4 @@
+import dataclasses
 import filecmp
 import json
 import math
@@ -10,7 +11,8 @@ import warnings
 import numpy as np
 import pytest
 
-from ipsmc.cli import GenerateConfig, config_hash, main
+from ipsmc.bench import relative_parameter_error
+from ipsmc.cli import GenerateConfig, SIRSParamConfig, config_hash, main
 
 
 def write_cfg(tmp_path, name, payload):
@@ -71,6 +73,29 @@ class TestConfigHandling:
         assert cfg.n_train == 50 and cfg.n_test == 50
         assert (cfg.params.alpha0, cfg.params.alpha1, cfg.params.beta,
                 cfg.params.gamma) == (0.1, 1.0, 0.4, 0.05)
+
+    def test_partial_params_keep_defaults(self, tmp_path):
+        # a nested dict sets only the rates it names; the others keep their
+        # defaults, and the hash is that of the whole resolved config
+        out = tmp_path / "ds"
+        cfg = dict(TINY_GEN, params={"beta": 0.5}, out=str(out))
+        assert main(["generate", "--config", write_cfg(tmp_path, "gen.json", cfg)]) == 0
+        with open(out / "params.json") as f:
+            params = json.load(f)
+        assert [params[k] for k in ("alpha0", "alpha1", "beta", "gamma")] == [
+            0.1, 1.0, 0.5, 0.05]
+        resolved = GenerateConfig(**dict(cfg, params=SIRSParamConfig(beta=0.5)))
+        with open(out / "manifest.json") as f:
+            assert json.load(f)["config_hash"] == config_hash(
+                dataclasses.asdict(resolved))
+
+    @pytest.mark.parametrize("params", [[0.1, 1.0, 0.4, 0.05], 0.4, "fast"])
+    def test_non_dict_params_rejected(self, tmp_path, capsys, params):
+        out = tmp_path / "ds"
+        cfg = dict(TINY_GEN, params=params, out=str(out))
+        assert main(["generate", "--config", write_cfg(tmp_path, "gen.json", cfg)]) == 2
+        assert "config.params must be of type" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
     @pytest.mark.parametrize("env, flag", [("two", None), ("0", None),
                                            ("1", "0"), ("1", "-2"), ("1", "1.5")])
@@ -446,6 +471,20 @@ class TestTrainTwist:
             assert main(["train-twist", "--config", path, "--resume", ckpt]) == 2
             assert not os.path.exists(out / "telemetry.csv")
 
+    def test_resume_rejects_checkpoint_past_steps(self, dataset, tmp_path, capsys):
+        # a step-20 checkpoint resumed under steps 10 would write a twist at
+        # step 20 with no telemetry rows; it ends in exit 2 before any output
+        first = dict(TWIST_CFG, dataset=dataset, out=str(tmp_path / "first"),
+                     steps=20)
+        assert main(["train-twist", "--config",
+                     write_cfg(tmp_path, "first.json", first)]) == 0
+        out = tmp_path / "resumed"
+        cfg = dict(TWIST_CFG, dataset=dataset, out=str(out), steps=10)
+        assert main(["train-twist", "--config", write_cfg(tmp_path, "r.json", cfg),
+                     "--resume", str(tmp_path / "first" / "twist.npz")]) == 2
+        assert "past the config's steps 10" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_coarse_step_is_config_error(self, tmp_path):
         # steps of up to 5 on a horizon of 20 break the Euler small-interval
         # bound (StepSizeError); the fix is a smaller dt, so exit 2
@@ -513,6 +552,32 @@ class TestTrain:
         with open(tmp_path / "tr" / "theta.json") as f:
             theta = json.load(f)
         assert all(theta[k] > 0 for k in ("alpha0", "alpha1", "beta", "gamma"))
+
+    def test_telemetry_rpe_matches_params(self, dataset, tmp_path):
+        # each telemetry row's rpe is the relative error of that row's rates
+        # against the dataset's true rates, and theta.json's of the final ones
+        cfg = {"dataset": dataset, "out": str(tmp_path / "tr"), "G": 2,
+               "N": 2, "B": 2, "S": 4, "dt": 0.2, "reuse": 2,
+               "pretrain_steps": 2, "m": 8, "seed": 3}
+        assert main(["train", "--config", write_cfg(tmp_path, "tr.json", cfg)]) == 0
+        names = ("alpha0", "alpha1", "beta", "gamma")
+        with open(os.path.join(dataset, "params.json")) as f:
+            params = json.load(f)
+        truth = np.array([params[k] for k in names])
+        with open(tmp_path / "tr" / "telemetry.csv") as f:
+            f.readline()
+            header = f.readline().strip().split(",")
+            rows = [dict(zip(header, line.strip().split(","))) for line in f]
+        assert [r["phase"] for r in rows] == ["pretrain"] * 2 + ["sleep", "sleep",
+                                                                 "wake", "wake"] * 2
+        for r in rows:
+            theta = [float(r[k]) for k in names]
+            assert float(r["rpe"]) == relative_parameter_error(theta, truth)
+        with open(tmp_path / "tr" / "theta.json") as f:
+            final = json.load(f)
+        assert final["rpe"] == relative_parameter_error(
+            [final[k] for k in names], truth)
+        assert [final[k] for k in names] == [float(rows[-1][k]) for k in names]
 
     def test_zero_true_rate_reports_nan_error(self, tmp_path):
         # the relative error is undefined with a true gamma of 0: the run

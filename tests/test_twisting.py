@@ -67,6 +67,21 @@ class TestEmission:
         assert emission_log_potential(obs, 0, np.array([0])) == pytest.approx(
             math.log(0.5 * 0.001))
 
+    def test_stack_matches_per_state_calls(self):
+        # one call on a stack of states gives each state's potential bit for
+        # bit, whatever the leading shape
+        spec = chain_spec(5, V=3)
+        obs = _obs(spec, 1.0, [0.5, 0.8], [[3, 0, 2, 3, 1], [1, 3, 3, 0, 2]],
+                   p_mask=0.3, delta=0.01)
+        Z = np.random.default_rng(0).integers(3, size=(40, 5))
+        for k in range(2):
+            stack = emission_log_potential(obs, k, Z)
+            assert stack.shape == (40,)
+            assert np.array_equal(stack, [emission_log_potential(obs, k, z)
+                                          for z in Z])
+            assert np.array_equal(emission_log_potential(obs, k, Z.reshape(8, 5, 5)),
+                                  stack.reshape(8, 5))
+
     def test_table_matches_per_node_reference(self):
         spec = chain_spec(5, V=3)
         obs = _obs(spec, 1.0, [0.5, 0.8], [[3, 0, 2, 3, 1], [1, 3, 3, 0, 2]],

@@ -745,7 +745,6 @@ class TestQ0:
         p0 = FactorizedInitial(probs)
         params = tn.init_params(3, m=16, seed=0)
         adam = tn.AdamState.init(params.arrays())
-        hyper = tn.AdamHyper(lr=5e-3)
         rng = np.random.default_rng(8)
         template = ObservationSequence(horizon=2.0, times=np.array([1.0, 2.0]),
                                        values=np.full((2, d), 3), V=3,
@@ -768,7 +767,7 @@ class TestQ0:
                                           ctx=tn.TwistContext(spec, obs)))
             _, grads = tn.sleep_loss_forward_kl(params, model, spec, p, items)
             params = params.replace_arrays(tn.adam_step(params.arrays(), grads,
-                                                        adam, hyper))
+                                                        adam, 5e-3))
         test_obs = ObservationSequence(horizon=2.0, times=template.times,
                                        values=np.full((2, d), 1), V=3,
                                        p_mask=0.5, label_noise=0.001)
@@ -781,8 +780,7 @@ class TestAdam:
     def test_zero_gradient_keeps_params(self):
         arrays = {"a": np.array([1.0, 2.0])}
         state = tn.AdamState.init(arrays)
-        out = tn.adam_step(arrays, {"a": np.zeros(2)}, state,
-                           tn.AdamHyper(lr=0.1))
+        out = tn.adam_step(arrays, {"a": np.zeros(2)}, state, 0.1)
         assert np.array_equal(out["a"], arrays["a"])
         assert state.step == 1
 
@@ -790,8 +788,7 @@ class TestAdam:
         for g in (1.0, 100.0, 1e-4):
             arrays = {"a": np.array([0.0])}
             state = tn.AdamState.init(arrays)
-            out = tn.adam_step(arrays, {"a": np.array([g])}, state,
-                               tn.AdamHyper(lr=0.001))
+            out = tn.adam_step(arrays, {"a": np.array([g])}, state, 0.001)
             assert abs(out["a"][0]) <= 0.001 * (1 + 1e-6)
             assert abs(out["a"][0]) >= 0.001 * (1 - 1e-3)
 
@@ -799,8 +796,7 @@ class TestAdam:
         arrays = {"a": np.array([0.0])}
         state = tn.AdamState.init(arrays)
         with pytest.raises(ValueError):
-            tn.adam_step(arrays, {"a": np.array([np.nan])}, state,
-                         tn.AdamHyper())
+            tn.adam_step(arrays, {"a": np.array([np.nan])}, state, 1e-3)
 
 
 class TestCheckpoint:
@@ -886,7 +882,6 @@ def test_learned_score_sign_matches_oracle_near_endpoint():
     p0 = FactorizedInitial(np.array([[0.5, 0.5]]))
     params = tn.init_params(2, m=16, seed=0)
     adam = tn.AdamState.init(params.arrays())
-    hyper = tn.AdamHyper(lr=3e-3)
     rng = np.random.default_rng(5)
     grid = make_grid(T, 0.05, [T])
     for _ in range(350):
@@ -901,7 +896,7 @@ def test_learned_score_sign_matches_oracle_near_endpoint():
                                       ctx=tn.TwistContext(spec, obs)))
         _, grads = tn.sleep_loss_forward_kl(params, model, spec, None, items)
         params = params.replace_arrays(tn.adam_step(params.arrays(), grads,
-                                                    adam, hyper))
+                                                    adam, 3e-3))
     obs1 = ObservationSequence(horizon=T, times=np.array([T]),
                                values=np.array([[1]]), V=2, p_mask=0.0,
                                label_noise=1e-9)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from ipsmc.bench import relative_parameter_error
 from ipsmc.errors import CollapseError
 from ipsmc.ips import (SIRSParams, StateSpaceSpec, make_grid, sirs_model,
                        sirs_rate_grad, euler_simulate_batch)
@@ -203,13 +204,6 @@ class TestThetaState:
         state.log_theta -= 50.0
         assert np.all(state.params().as_array() > 0)
 
-    def test_lag_refresh(self):
-        state = ThetaState.init(SIRSParams(0.2, 0.2, 0.2, 0.2))
-        state.log_theta = np.log(np.array([0.3, 0.4, 0.5, 0.6]))
-        assert state.lagged.alpha0 == 0.2
-        state.refresh_lag()
-        assert state.lagged.alpha0 == pytest.approx(0.3)
-
 
 def _sleep_setup(d=2, seed=0):
     spec = _ring_spec(d) if d > 2 else chain_spec(d, V=3)
@@ -299,7 +293,7 @@ class TestSleepPhase:
                 assert np.array_equal(low.arrays()[k], a.astype(np.float32)), k
             ref = tn.adam_step(psi.arrays(), {k: g.astype(np.float64)
                                               for k, g in grads.items()},
-                               ref_adam, tn.AdamHyper(lr=cfg.lr_psi))
+                               ref_adam, cfg.lr_psi)
             for k, a in new.arrays().items():
                 assert a.dtype == np.float64 and adam.m[k].dtype == np.float64, k
                 assert np.array_equal(a, ref[k]), k
@@ -399,6 +393,31 @@ class TestWakePhase:
                        skip_counter=counter)
         assert counter == {"skipped": 2, "attempted": 2}
 
+    def test_every_batch_samples_under_the_starting_theta(self, monkeypatch):
+        # the tSMC runs of every batch use the parameters the phase started
+        # with, while the wake steps between batches move them
+        spec, theta, model, p0, template, tau_grids = _sleep_setup(d=3)
+        obs = self._dataset(spec, theta, model, p0, 2, 0)
+        cfg = TrainConfig(batch=2, particles=4, dt=0.25, seed=0, reuse=2,
+                          pretrain_steps=0)
+        real, seen = wakesleep._wake_sample, []
+
+        def spy(model, spec, theta_bar, *args):
+            seen.append((theta_bar, state.log_theta.copy()))
+            return real(model, spec, theta_bar, *args)
+
+        monkeypatch.setattr(wakesleep, "_wake_sample", spy)
+        state = ThetaState.init(SIRSParams(0.2, 0.3, 0.4, 0.5))
+        start = state.params()
+        psi = tn.init_params(3, m=8, seed=0)
+        wake_phase(state, psi, model, spec, p0, obs, cfg,
+                   np.random.default_rng(0), n_steps=6)
+        assert len(seen) == 3 * cfg.batch
+        assert all(theta_bar == start for theta_bar, _ in seen)
+        at_batch = [log_theta for _, log_theta in seen[::cfg.batch]]
+        for before, after in zip(at_batch, at_batch[1:] + [state.log_theta]):
+            assert not np.array_equal(before, after)
+
     @pytest.mark.slow
     def test_stationary_at_truth_with_trained_twist(self):
         # parameters starting at the truth should end a wake phase close to
@@ -415,12 +434,9 @@ class TestWakePhase:
                           [o.times for o in obs], template, cfg,
                           np.random.default_rng(3), n_steps=120)
         state = ThetaState.init(theta)
-        state.refresh_lag()
-        telemetry = Telemetry()
         wake_phase(state, psi, model, spec, p0, obs, cfg,
-                   np.random.default_rng(4), n_steps=100, telemetry=telemetry,
-                   truth=theta)
-        rpe = telemetry.rows[-1]["rpe"]
+                   np.random.default_rng(4), n_steps=100)
+        rpe = relative_parameter_error(state.params().as_array(), theta.as_array())
         assert rpe < 0.2
 
 
@@ -440,23 +456,22 @@ class TestTrain:
         obs = [template, template]
         cfg = TrainConfig(global_iters=2, steps_per_phase=3, batch=2,
                           particles=4, dt=0.25, seed=0, reuse=3,
-                          pretrain_steps=4, pretrain_window=1000)
+                          pretrain_steps=4)
         state, psi, telemetry = train(model, spec, p0, obs,
-                                      SIRSParams(0.2, 0.2, 0.2, 0.2), cfg,
-                                      truth=theta)
+                                      SIRSParams(0.2, 0.2, 0.2, 0.2), cfg)
         assert len(telemetry.rows) == 4 + 2 * (3 + 3)
         phases = [r["phase"] for r in telemetry.rows]
         assert phases[:4] == ["pretrain"] * 4
-        assert all(np.isfinite(r["rpe"]) for r in telemetry.rows)
 
-    def test_pretraining_stops_on_plateau_at_batch_end(self):
+    def test_pretraining_stops_on_plateau_at_batch_end(self, monkeypatch):
         # any change passes a relative tolerance of 1e9, so pretraining stops
-        # at the first batch end with 2 * pretrain_window losses: step 6
+        # at the first batch end with 2 * PRETRAIN_WINDOW losses: step 6
         spec, theta, model, p0, template, tau_grids = _sleep_setup()
+        monkeypatch.setattr(wakesleep, "PRETRAIN_WINDOW", 2)
+        monkeypatch.setattr(wakesleep, "PRETRAIN_REL_TOL", 1e9)
         cfg = TrainConfig(global_iters=1, steps_per_phase=2, batch=2,
                           particles=4, dt=0.25, seed=0, reuse=3,
-                          pretrain_steps=20, pretrain_window=2,
-                          pretrain_rel_tol=1e9)
+                          pretrain_steps=20)
         _, _, telemetry = train(model, spec, p0, [template, template],
                                 SIRSParams(0.2, 0.2, 0.2, 0.2), cfg)
         phases = [r["phase"] for r in telemetry.rows]
@@ -467,9 +482,9 @@ class TestTrain:
         obs = [template, template]
         cfg = TrainConfig(global_iters=1, steps_per_phase=2, batch=2,
                           particles=4, dt=0.25, seed=9, reuse=2,
-                          pretrain_steps=2, pretrain_window=1000)
+                          pretrain_steps=2)
         runs = [train(model, spec, p0, obs, SIRSParams(0.2, 0.2, 0.2, 0.2),
-                      cfg, truth=theta) for _ in range(2)]
+                      cfg) for _ in range(2)]
         assert np.array_equal(runs[0][0].log_theta, runs[1][0].log_theta)
         assert len(runs[0][2].rows) == len(runs[1][2].rows)
         for a, b in zip(runs[0][2].rows, runs[1][2].rows):
