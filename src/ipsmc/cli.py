@@ -19,6 +19,7 @@ import sys
 import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -246,14 +247,22 @@ def cmd_oracle(cfg: OracleConfig, threads=1, emit_svg=False):
     marg, logz = orc.exact_posterior_marginals(model, ds.spec, ds.params, p0, obs, grid)
     meta = _meta(dataclasses.asdict(cfg), cfg.seed)
     os.makedirs(cfg.out, exist_ok=True)
-    # the rows _write_rows would write, formatted one grid row at a time
     with open(os.path.join(cfg.out, "marginals.csv"), "w") as f:
         _write_header(f, ["time", "state", "probability"], meta)
-        for t, probs in zip(grid.tolist(), marg):
-            t = repr(t)
-            f.write("".join([f"{t},{s},{p!r}\n" for s, p in enumerate(probs.tolist())]))
+        _write_marginal_rows(f, grid, marg)
     _write_rows(os.path.join(cfg.out, "logz.csv"), ["logz"], [(float(logz),)], meta)
     _write_manifest(cfg.out, meta, "oracle")
+
+
+def _write_marginal_rows(f, grid, marg):
+    """The (time, state, probability) rows _write_rows would write for an
+    (M+1, n) table on the grid, formatted one grid row at a time: the repr
+    of a list of floats is the reprs of its entries joined by ", "."""
+    cells = [f",{s}," for s in range(marg.shape[1])]
+    for t, probs in zip(grid.tolist(), marg):
+        reprs = repr(probs.tolist())[1:-1].split(", ")
+        f.write("".join(map("".join, zip(repeat(repr(t)), cells, reprs,
+                                         repeat("\n")))))
 
 
 def _split(ds: BenchmarkDataset, split):

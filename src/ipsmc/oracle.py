@@ -52,6 +52,7 @@ def state_index(spec, z):
 class DenseGenerator:
     Q: np.ndarray
     _ops: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _props: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         Q = np.asarray(self.Q, dtype=float)
@@ -80,6 +81,14 @@ class DenseGenerator:
         the same matrix, so the same bits."""
         _check_step(delta)
         return _propagate(self.uniformization(transpose), delta, x)
+
+    def propagator(self, delta):
+        """The transition matrix exp(Q delta), expm_action on eye(n), formed
+        once per step length and kept."""
+        delta = float(delta)
+        if delta not in self._props:
+            self._props[delta] = self.expm_action(delta, np.eye(self.n))
+        return self._props[delta]
 
 
 def build_dense_generator(model: RateModel, spec, theta) -> DenseGenerator:
@@ -139,22 +148,45 @@ def _propagate(op, delta, x):
 def _uniformized_sum(M, rho, x0):
     """sum_k Poisson(rho)(k) M^k x0, truncated when the remaining Poisson
     mass drops below 1e-12."""
-    log_w = -rho  # log Poisson(rho) weight at k=0
-    log_rho = np.log(rho)
-    acc = np.exp(log_w) * x0
+    w, covered = _poisson_weights(rho)
+    acc = w[0] * x0
     term = x0
-    covered = np.exp(log_w)
-    k = 0
-    while covered < 1.0 - 1e-12:
-        k += 1
-        term = M @ term
-        log_w += log_rho - np.log(k)
-        w = np.exp(log_w)
-        acc += w * term
-        covered += w
-        if k > 100000:
-            raise CollapseError("uniformization failed to converge")
+    for k in range(1, len(w)):
+        term = M @ term if term.ndim == 1 else _rowwise_product(M, term)
+        acc += w[k] * term
     return acc / covered
+
+
+def _poisson_weights(rho):
+    """The series' weights Poisson(rho)(k), k = 0..K, and their running
+    total at K, the first k where it reaches 1 - 1e-12. The weights follow
+    the recurrence log w_k = log w_(k-1) + (log rho - log k) from log w_0 =
+    -rho, and cumulative sums add in the order of that loop."""
+    # past K at every rho checked up to 3,000 where the total reaches
+    # 1 - 1e-12; from about rho = 1,085 on rounding can keep it short, and
+    # the series collapses at its cap of 100,000 terms
+    size = int(rho + 8 * np.sqrt(rho)) + 8
+    while True:
+        size = min(size, 100001)
+        log_w = np.empty(size)
+        log_w[0] = -rho
+        np.subtract(np.log(rho), np.log(np.arange(1, size)), out=log_w[1:])
+        w = np.exp(log_w.cumsum(out=log_w), out=log_w)
+        covered = w.cumsum()
+        K = int(covered.searchsorted(1.0 - 1e-12))
+        if K < size:
+            return w[:K + 1], covered[K]
+        if size == 100001:
+            raise CollapseError("uniformization failed to converge")
+        size *= 2
+
+
+def _rowwise_product(M, X):
+    """M @ X as one vector-matrix product per row of M, in one matmul call.
+    BLAS runs these on the calling thread's vector kernel; a threaded gemm
+    of n = 243 took about 16 ms per product on a 2-core VM, 20 times its
+    single-threaded time."""
+    return np.matmul(M[:, None, :], X)[:, 0]
 
 
 @dataclass
@@ -170,17 +202,10 @@ class LookaheadTable:
     log_h_left: np.ndarray   # (M+1, n)
     potentials: dict         # grid index -> (n,) log potential
     gen: DenseGenerator
-
-    def _linear_cache(self):
-        # scaled linear-space left limits, built once; log_h_at propagates
-        # them with the generator's cached operator
-        if not hasattr(self, "_lin"):
-            lam, M = self.gen.uniformization()
-            scales = np.array([v[np.isfinite(v)].max() if np.any(np.isfinite(v))
-                               else 0.0 for v in self.log_h_left])
-            vs = np.exp(self.log_h_left - scales[:, None])
-            self._lin = (lam, M, scales, vs)
-        return self._lin
+    # interval j -> (log scale c, power terms M^k exp(log_h_left[j] - c)
+    # of log_h_at's series, as many as used so far)
+    _powers: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     def log_h_at(self, t):
         """Exact log h at an arbitrary time by propagating back from the
@@ -188,25 +213,44 @@ class LookaheadTable:
         grid = self.grid
         if not grid[0] - 1e-12 <= t <= grid[-1] + 1e-12:
             raise ValueError(f"time {t} outside the table grid")
-        j = int(np.searchsorted(grid, t - 1e-12, side="left"))
+        j = int(grid.searchsorted(t - 1e-12, side="left"))
         j = min(j, len(grid) - 1)
         if abs(grid[j] - t) <= 1e-12:
             return self.log_h[j]
         # grid[j-1] < t < grid[j]: propagate the left limit at grid[j] back
-        lam, M, scales, vs = self._linear_cache()
+        lam, M = self.gen.uniformization()
         rho = lam * (grid[j] - t)
         if rho == 0.0:
             return self.log_h_left[j]
+        # the series of _uniformized_sum on the interval's cached terms; the
+        # cumulative sum adds them in its order, so the bits are its own
+        w, covered = _poisson_weights(rho)
+        if j not in self._powers:
+            v = self.log_h_left[j]
+            c = v[np.isfinite(v)].max() if np.any(np.isfinite(v)) else 0.0
+            self._powers[j] = (c, np.exp(v - c)[None])
+        c, powers = self._powers[j]
+        if len(powers) < len(w):
+            more = list(powers)
+            while len(more) < len(w):
+                more.append(M @ more[-1])
+            powers = np.array(more)
+            self._powers[j] = (c, powers)
+        terms = w[:, None] * powers[:len(w)]
+        acc = terms.cumsum(axis=0, out=terms)[-1]
         with np.errstate(divide="ignore"):
-            return np.log(_uniformized_sum(M, rho, vs[j])) + scales[j]
+            return np.log(acc / covered) + c
 
     def twisted_model(self, base_model, spec, theta):
         """Rate model of the conditioned process r * h(z^{i->v}) / h(z).
 
         Time-inhomogeneous; the thinning bound is the tabulated maximum of
         the twisted exit rates times 1.5, re-checked by the
-        thinning loop at every candidate event. Base rates must be
-        time-homogeneous (they are cached per state).
+        thinning loop at every candidate event. A potential with a zero
+        entry is a hard condition, under which the twisted rates grow
+        without bound as its time nears, so the bound is infinite and
+        thinning refuses the model; its rates can still be evaluated. Base
+        rates must be time-homogeneous (they are cached per state).
         """
         if not base_model.time_homogeneous:
             raise ValueError("exact twisting is cached for homogeneous base rates")
@@ -218,24 +262,18 @@ class LookaheadTable:
             s = state_index(spec, Z)
             return base_off[s] * np.exp(lh[nbr[s]] - lh[s][:, None, None])
 
-        worst = 0.0
-        for j in range(len(self.grid)):
-            for lh in (self.log_h[j], self.log_h_left[j]):
-                tilt = np.exp(lh[nbr] - lh[:, None, None])
-                worst = max(worst, float((base_off * tilt).sum(axis=(1, 2)).max()))
-        lam_bar = worst * 1.5
+        if any(np.any(vec == -np.inf) for vec in self.potentials.values()):
+            lam_bar = np.inf
+        else:
+            worst = 0.0
+            for j in range(len(self.grid)):
+                for lh in (self.log_h[j], self.log_h_left[j]):
+                    tilt = np.exp(lh[nbr] - lh[:, None, None])
+                    worst = max(worst, float((base_off * tilt).sum(axis=(1, 2)).max()))
+            lam_bar = worst * 1.5
 
         return RateModel(batch_off_rate_fn=batch_off_rate_fn,
                          lambda_bar_fn=lambda *_: lam_bar, time_homogeneous=False)
-
-
-def _log_expm_action(gen, delta, log_v, transpose=False):
-    """log(exp(A delta) @ exp(log_v)) for A = Q or Q.T, stabilized by
-    factoring out the max."""
-    m = np.max(log_v[np.isfinite(log_v)]) if np.any(np.isfinite(log_v)) else 0.0
-    w = gen.expm_action(delta, np.exp(log_v - m), transpose)
-    with np.errstate(divide="ignore"):
-        return np.log(np.maximum(w, 0.0)) + m
 
 
 def potential_vectors(spec, obs):
@@ -245,10 +283,39 @@ def potential_vectors(spec, obs):
             for k in range(len(obs.times))]
 
 
+def _step_propagators(gen, grid):
+    """Per grid step, gen.propagator of its length or None. A length takes
+    the matrix when the backward and forward passes together step it at
+    least n times: n series on a vector cost the flops of the one series
+    on eye(n)."""
+    steps = np.diff(grid)
+    lengths, counts = np.unique(steps, return_counts=True)
+    dense = set(lengths[2 * counts >= gen.n].tolist())
+    return [gen.propagator(dt) if dt in dense else None for dt in steps.tolist()]
+
+
+def _step(gen, P, delta, v, transpose=False):
+    """exp(Q delta) @ v, or exp(Q.T delta) @ v with transpose, by the
+    matrix P when there is one, else by the series on v."""
+    if P is None:
+        return gen.expm_action(delta, v, transpose)
+    return v @ P if transpose else P @ v
+
+
+def _gain(log_g):
+    """A log potential as (exp(log_g - c), c), c its largest finite entry."""
+    c = log_g[np.isfinite(log_g)].max()
+    return np.exp(log_g - c), c
+
+
 def exact_lookahead(model, spec, theta, potentials, grid) -> LookaheadTable:
     """Backward recursion for the look-ahead on a grid containing every
     potential time: terminal value one, semigroup propagation between
-    potentials, multiplicative reset at each potential."""
+    potentials, multiplicative reset at each potential.
+
+    The recursion runs in linear space: after each step the vector is
+    divided by its maximum, whose log joins a running log scale, and the
+    logs are taken once over the whole table."""
     gen = build_dense_generator(model, spec, theta)
     grid = np.asarray(grid, dtype=float)
     n = gen.n
@@ -263,12 +330,36 @@ def exact_lookahead(model, spec, theta, potentials, grid) -> LookaheadTable:
         if np.any(~np.isfinite(vec)):
             warnings.warn("non-positive potential at some states; propagating -inf")
         pot[j] = vec
-    log_h = np.zeros((M + 1, n))
-    log_h_left = np.zeros((M + 1, n))
-    log_h_left[M] = pot[M] if M in pot else 0.0
-    for j in range(M - 1, -1, -1):
-        log_h[j] = _log_expm_action(gen, grid[j + 1] - grid[j], log_h_left[j + 1])
-        log_h_left[j] = log_h[j] + pot[j] if j in pot else log_h[j]
+    gains = {j: _gain(vec) for j, vec in pot.items()}
+    props = _step_propagators(gen, grid)
+    # row j is h at grid[j] divided by exp(log_scale[j]); rows left at
+    # zero, once the look-ahead vanishes, become -inf
+    h = np.zeros((M + 1, n))
+    log_scale = np.zeros(M + 1)
+    h[M] = 1.0
+    v, s = h[M], 0.0
+    for j in range(M, 0, -1):
+        if j in gains:
+            g, c = gains[j]
+            v = v * g
+            m = v.max()
+            if m == 0:
+                break
+            v /= m
+            s += c + np.log(m)
+        w = _step(gen, props[j - 1], grid[j] - grid[j - 1], v)
+        m = w.max()
+        if m == 0:
+            break
+        v = np.divide(w, m, out=h[j - 1])
+        s += np.log(m)
+        log_scale[j - 1] = s
+    with np.errstate(divide="ignore"):
+        log_h = np.log(h, out=h)
+    log_h += log_scale[:, None]
+    log_h_left = log_h.copy()
+    for j, vec in pot.items():
+        log_h_left[j] += vec
     return LookaheadTable(grid=grid, log_h=log_h, log_h_left=log_h_left,
                           potentials=pot, gen=gen)
 
@@ -277,31 +368,51 @@ def exact_posterior_marginals(model, spec, theta, p0, obs, grid):
     """Posterior state marginals on the grid: forward filter times
     look-ahead, normalized. Returns the (M+1, n) marginals and log Z, the
     normalizer at grid index 0 (equal to exact_log_marginal_likelihood on
-    the same grid)."""
+    the same grid).
+
+    The filter runs in scaled linear space like the look-ahead; the
+    product with the look-ahead and its normalization are one pass over
+    the log tables, so it cannot underflow."""
     la = exact_lookahead(model, spec, theta, potential_vectors(spec, obs), grid)
     gen = la.gen
     grid = la.grid
-    n = gen.n
+    M = len(grid) - 1
+    gains = {j: _gain(vec) for j, vec in la.potentials.items()}
+    props = _step_propagators(gen, grid)
+    # row j is the filter at grid[j] divided by exp(log_scale[j]); row 0
+    # is p0 itself, so log Z is the sum exact_log_marginal_likelihood takes
+    alpha = np.zeros((M + 1, gen.n))
+    log_scale = np.zeros(M + 1)
+    alpha[0] = p0
+    v, s = alpha[0], 0.0
+    for j in range(1, M + 1):
+        w = _step(gen, props[j - 1], grid[j] - grid[j - 1], v, transpose=True)
+        if j in gains:
+            g, c = gains[j]
+            w *= g
+            s += c
+        m = w.max()
+        if m == 0:
+            break
+        v = np.divide(w, m, out=alpha[j])
+        s += np.log(m)
+        log_scale[j] = s
     with np.errstate(divide="ignore"):
-        log_alpha = np.log(np.asarray(p0, dtype=float))
-    out = np.empty((len(grid), n))
-    log_z = None
-    for j in range(len(grid)):
-        if j > 0:
-            log_alpha = _log_expm_action(gen, grid[j] - grid[j - 1], log_alpha,
-                                         transpose=True)
-            if j in la.potentials:
-                log_alpha = log_alpha + la.potentials[j]
-        log_post = log_alpha + la.log_h[j]
-        norm = logsumexp(log_post)
-        if not np.isfinite(norm):
-            raise InconsistentObservationsError(
-                f"posterior mass vanished at grid time {grid[j]}"
-            )
-        out[j] = np.exp(log_post - norm)
-        if j == 0:
-            log_z = float(norm)
-    return out, log_z
+        post = np.log(alpha, out=alpha)
+    post += log_scale[:, None]
+    post += la.log_h
+    top = post.max(axis=1)
+    vanished = top == -np.inf
+    if vanished.any():
+        raise InconsistentObservationsError(
+            f"posterior mass vanished at grid time {grid[np.argmax(vanished)]}"
+        )
+    log_z = float(logsumexp(post[0]))
+    # normalized in place: the table is the one full-size array
+    post -= top[:, None]
+    np.exp(post, out=post)
+    post /= post.sum(axis=1)[:, None]
+    return post, log_z
 
 
 def exact_log_marginal_likelihood(model, spec, theta, p0, obs, grid=None):
@@ -359,7 +470,7 @@ def sample_posterior_skeleton(model, spec, theta, p0, obs, grid, n_paths, rng):
     out = np.empty((n_paths, len(grid)), dtype=np.min_scalar_type(n - 1))
     out[:, 0] = rng.choice(n, size=n_paths, p=p_init)
     for j in range(len(grid) - 1):
-        P = gen.expm_action(grid[j + 1] - grid[j], np.eye(n))
+        P = gen.propagator(grid[j + 1] - grid[j])
         with np.errstate(divide="ignore"):
             logK = np.log(np.maximum(P, 0.0)) + la.log_h_left[j + 1][None, :]
         K = np.exp(logK - logsumexp(logK, axis=1, keepdims=True))

@@ -295,30 +295,6 @@ class TableWorkspace:
         return buf[:size].reshape(shape)
 
 
-def twist_table(params, Phi, Z):
-    """(S, d, V) tables of log twist values after single swaps of each
-    state of Z (S, d), entry [s, i, Z[s, i]] being the log twist of Z[s]
-    itself, from a shared (d, V, m) Phi or one (S, d, V, m) Phi per row,
-    with its (S, d, V, m) hidden layer: the dense reference of
-    twist_score_table. The pooled sum excluding node i is a cumulative sum
-    in a fixed prefix/suffix order, so row i is bitwise equal for states
-    that agree off node i."""
-    own = _own(Phi, Z)  # (S, d, m)
-    excl = np.zeros_like(own)
-    np.cumsum(own[:, :-1], axis=1, out=excl[:, 1:])
-    # suffix sums in place: own[:, i] becomes the sum over j >= i
-    np.cumsum(own[:, ::-1], axis=1, out=own[:, ::-1])
-    excl[:, :-1] += own[:, 1:]
-    proj = np.matmul(excl, params.W2, out=own)
-    rows = Phi if Phi.ndim == 4 else Phi[None]  # a shared Phi is one row
-    hidden = _stacked(rows, params.W2)
-    hidden += params.b2
-    hidden = np.add(hidden, proj[:, :, None, :],
-                    out=hidden if len(rows) == len(Z) else None)
-    TANH(hidden, out=hidden)
-    return _stacked(hidden, params.w3) + params.b3, hidden
-
-
 def twist_score_table(params, Phi, Z, cells=None, ws=None, P=None):
     """(S, d, V) log score ratios log h(z^{i->v}) - log h(z) of each state
     of Z (S, d) under a shared (d, V, m) Phi or one (S, d, V, m) Phi per

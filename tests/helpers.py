@@ -1,4 +1,5 @@
-"""Shared oracle-backed helpers for unit and acceptance tests."""
+"""Shared oracle-backed helpers and references for unit and acceptance
+tests."""
 
 import numpy as np
 
@@ -48,23 +49,78 @@ def exact_twist_ess_values(spec, model, theta, obs, dt, times=None):
     return np.array(vals)
 
 
+def propagator_lengths(grid, n):
+    """The step lengths of a grid that the oracle's passes take by a
+    transition matrix: those the backward and forward passes together step
+    at least n times."""
+    lengths, counts = np.unique(np.diff(grid), return_counts=True)
+    return set(lengths[2 * counts >= n].tolist())
+
+
 def lookahead_by_expm_action(gen, potentials, grid):
-    """(log_h, log_h_left) of exact_lookahead's backward recursion, with
-    one expm_action call per grid interval (forming I + Q/lam afresh each
-    time) in place of the generator's cached operator. potentials maps a
-    grid index to its (n,) log potential."""
+    """(log_h, log_h_left) of exact_lookahead's scaled linear-space
+    recursion, with every operator formed afresh by expm_action in place of
+    the generator's cached ones: exp(Q delta) = expm_action(Q, delta,
+    eye(n)) for a propagator length, the series on the vector elsewhere.
+    potentials maps a grid index to its (n,) log potential."""
     M = len(grid) - 1
-    log_h = np.zeros((M + 1, gen.n))
-    log_h_left = np.zeros((M + 1, gen.n))
-    log_h_left[M] = potentials.get(M, 0.0)
-    for j in range(M - 1, -1, -1):
-        v = log_h_left[j + 1]
-        m = np.max(v[np.isfinite(v)]) if np.any(np.isfinite(v)) else 0.0
-        w = orc.expm_action(gen.Q, grid[j + 1] - grid[j], np.exp(v - m))
-        with np.errstate(divide="ignore"):
-            log_h[j] = np.log(np.maximum(w, 0.0)) + m
-        log_h_left[j] = log_h[j] + potentials[j] if j in potentials else log_h[j]
+    n = gen.n
+    dense = propagator_lengths(grid, n)
+    h = np.zeros((M + 1, n))
+    log_scale = np.zeros(M + 1)
+    h[M] = 1.0
+    v, s = h[M], 0.0
+    for j in range(M, 0, -1):
+        if j in potentials:
+            g = potentials[j]
+            c = g[np.isfinite(g)].max()
+            v = v * np.exp(g - c)
+            m = v.max()
+            if m == 0:
+                break
+            v = v / m
+            s += c + np.log(m)
+        delta = grid[j] - grid[j - 1]
+        if delta in dense:
+            w = orc.expm_action(gen.Q, delta, np.eye(n)) @ v
+        else:
+            w = orc.expm_action(gen.Q, delta, v)
+        m = w.max()
+        if m == 0:
+            break
+        h[j - 1] = v = w / m
+        s += np.log(m)
+        log_scale[j - 1] = s
+    with np.errstate(divide="ignore"):
+        log_h = np.log(h) + log_scale[:, None]
+    log_h_left = log_h.copy()
+    for j, vec in potentials.items():
+        log_h_left[j] = log_h[j] + vec
     return log_h, log_h_left
+
+
+def twist_table(params, Phi, Z):
+    """(S, d, V) tables of log twist values after single swaps of each
+    state of Z (S, d), entry [s, i, Z[s, i]] being the log twist of Z[s]
+    itself, from a shared (d, V, m) Phi or one (S, d, V, m) Phi per row,
+    with its (S, d, V, m) hidden layer: the dense reference of
+    twistnet.twist_score_table. The pooled sum excluding node i is a
+    cumulative sum in a fixed prefix/suffix order, so row i is bitwise
+    equal for states that agree off node i."""
+    own = tn._own(Phi, Z)  # (S, d, m)
+    excl = np.zeros_like(own)
+    np.cumsum(own[:, :-1], axis=1, out=excl[:, 1:])
+    # suffix sums in place: own[:, i] becomes the sum over j >= i
+    np.cumsum(own[:, ::-1], axis=1, out=own[:, ::-1])
+    excl[:, :-1] += own[:, 1:]
+    proj = np.matmul(excl, params.W2, out=own)
+    rows = Phi if Phi.ndim == 4 else Phi[None]  # a shared Phi is one row
+    hidden = tn._stacked(rows, params.W2)
+    hidden += params.b2
+    hidden = np.add(hidden, proj[:, :, None, :],
+                    out=hidden if len(rows) == len(Z) else None)
+    tn.TANH(hidden, out=hidden)
+    return tn._stacked(hidden, params.w3) + params.b3, hidden
 
 
 def skeleton_score(model, spec, theta, skeletons, grid):

@@ -22,7 +22,8 @@ from ipsmc.smc import (DenseInitial, SMCConfig, bpf_run, doob_initial,
 from ipsmc.twisting import ExactTwist, ObservationSequence
 
 from conftest import chain_spec, make_flip_model
-from helpers import exact_twist_ess_values, kernel_pmf, skeleton_score
+from helpers import (exact_twist_ess_values, kernel_pmf, skeleton_score,
+                     twist_table)
 from test_oracle import _obs
 
 
@@ -269,8 +270,8 @@ def test_criterion_7_twist_table_algebra():
         worst_naive = max(worst_naive, abs(table[i, v] - naive))
         z2 = z.copy()
         z2[i] = u
-        H1, _ = tn.twist_table(params, Phi, z[None])
-        H2, _ = tn.twist_table(params, Phi, z2[None])
+        H1, _ = twist_table(params, Phi, z[None])
+        H2, _ = twist_table(params, Phi, z2[None])
         invariance_exact &= bool(np.array_equal(H1[0, i], H2[0, i]))
     ok = worst_naive <= 1e-10 and invariance_exact
     _report(7, "shifted-sum table algebra", ok,

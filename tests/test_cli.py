@@ -223,6 +223,23 @@ class TestOracle:
             ct, cs, cp = line.split(",")
             assert (float(ct), int(cs), float(cp)) == (t, s, p)
 
+    def test_marginal_rows_match_f_string(self):
+        # the row writer against the per-cell f-string it replaced, on
+        # zeros, subnormals, tiny, inexact and unit probabilities
+        import io
+
+        from ipsmc import cli
+
+        grid = np.array([0.0, 0.1, 1 / 3])
+        marg = np.array([[0.0, 5e-324, 1e-300, 1 / 3, 1.0],
+                         [1.0, 0.0, 0.0, 0.0, 0.0],
+                         [1 / 3, 1e-300, 5e-324, 2 / 3, 0.0]])
+        f = io.StringIO()
+        cli._write_marginal_rows(f, grid, marg)
+        old = "".join(f"{t!r},{s},{p!r}\n" for t, probs in zip(grid.tolist(), marg)
+                      for s, p in enumerate(probs.tolist()))
+        assert f.getvalue() == old
+
     def test_no_observation_logz_zero(self, tmp_path):
         gen = dict(TINY_GEN, K=0, out=str(tmp_path / "ds0"))
         gpath = write_cfg(tmp_path, "gen0.json", gen)

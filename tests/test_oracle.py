@@ -12,7 +12,7 @@ from ipsmc import oracle as orc
 from ipsmc.twisting import ObservationSequence
 
 from conftest import chain_spec, make_flip_model
-from helpers import lookahead_by_expm_action
+from helpers import lookahead_by_expm_action, propagator_lengths
 
 
 def two_state_model(r01=0.5, r10=0.3):
@@ -171,6 +171,10 @@ class TestCachedOperator:
         grid = make_grid(2.0, 0.07, obs.times)
         la = orc.exact_lookahead(sirs_model(), pair_spec, p,
                                  orc.potential_vectors(pair_spec, obs), grid)
+        # both paths run: most steps by a cached matrix, the steps next to
+        # the snapshots by the series
+        dense = propagator_lengths(grid, 9)
+        assert 0 < sum(dt in dense for dt in np.diff(grid)) < len(grid) - 1
         log_h, log_h_left = lookahead_by_expm_action(la.gen, la.potentials, la.grid)
         assert np.array_equal(la.log_h, log_h)
         assert np.array_equal(la.log_h_left, log_h_left)
@@ -351,6 +355,72 @@ class TestPosterior:
             with pytest.warns(UserWarning):
                 orc.exact_posterior_marginals(sirs_model(), pair_spec, p, p0,
                                               obs, grid)
+
+
+class TestScaledPasses:
+    """The linear-space passes, with their cached propagators, against an
+    independent forward-backward pass with SciPy's expm."""
+
+    def test_matches_expm_forward_backward(self, pair_spec):
+        # noiseless snapshots give potentials with zero entries, and p0
+        # leaves four states without mass
+        p = SIRSParams(0.3, 1.0, 0.5, 0.3)
+        model = sirs_model()
+        obs = _obs(pair_spec, 2.0, [0.7, 1.4], [[1, 3], [3, 2]], delta=0.0)
+        grid = make_grid(2.0, 0.05, obs.times)
+        p0 = np.array([0.3, 0.0, 0.1, 0.2, 0.0, 0.0, 0.25, 0.15, 0.0])
+        pots = {float(t): np.exp(v) for t, v in orc.potential_vectors(pair_spec, obs)}
+        assert all(np.any(g == 0.0) for g in pots.values())
+        dense = propagator_lengths(grid, 9)
+        assert 0 < sum(dt in dense for dt in np.diff(grid)) < len(grid) - 1
+        with pytest.warns(UserWarning, match="non-positive potential"):
+            marg, log_z = orc.exact_posterior_marginals(model, pair_spec, p, p0,
+                                                        obs, grid)
+
+        Q = orc.build_dense_generator(model, pair_spec, p).Q
+        M = len(grid) - 1
+        alphas = [p0]
+        for j in range(1, M + 1):
+            a = expm(Q * (grid[j] - grid[j - 1])).T @ alphas[-1]
+            alphas.append(a * pots.get(float(grid[j]), 1.0))
+        betas = [np.ones(9)]
+        for j in range(M - 1, -1, -1):
+            b = betas[0] * pots.get(float(grid[j + 1]), 1.0)
+            betas.insert(0, expm(Q * (grid[j + 1] - grid[j])) @ b)
+        ref = np.array(alphas) * np.array(betas)
+        ref /= ref.sum(axis=1, keepdims=True)
+        # each step's series leaves out under 1e-12 of Poisson mass, so the
+        # 40 steps of each pass may drift from expm by 1e-12 per step (the
+        # log-space passes before these read 6.5e-12 here)
+        assert np.abs(marg - ref).max() < 1e-12 * M
+        ref_log_z = math.log(p0 @ betas[0])
+        assert abs(log_z - ref_log_z) < 1e-12 * abs(ref_log_z)
+
+    def test_cached_log_h_at_matches_series_bitwise(self, pair_spec):
+        # one interval, 50 times in random order, so the cached power terms
+        # are both reused and extended; each value has the bits of a fresh
+        # series from the scaled left limit
+        p = SIRSParams(0.3, 1.0, 0.5, 0.3)
+        obs = _obs(pair_spec, 2.0, [1.0], [[1, 3]], delta=0.0)
+        grid = make_grid(2.0, 0.4, obs.times)
+        with pytest.warns(UserWarning):
+            la = orc.exact_lookahead(sirs_model(), pair_spec, p,
+                                     orc.potential_vectors(pair_spec, obs), grid)
+        lam, M = la.gen.uniformization()
+        j = int(np.flatnonzero(grid == 1.0)[0])
+        v = la.log_h_left[j]  # the snapshot's left limit, with -inf entries
+        assert np.any(np.isneginf(v))
+        c = v[np.isfinite(v)].max()
+        ts = grid[j - 1] + (grid[j] - grid[j - 1]) * np.random.default_rng(3).uniform(
+            0.01, 0.99, size=50)
+        lengths = set()
+        for t in ts:
+            rho = lam * (grid[j] - t)
+            with np.errstate(divide="ignore"):
+                ref = np.log(orc._uniformized_sum(M, rho, np.exp(v - c))) + c
+            lengths.add(len(orc._poisson_weights(rho)[0]))
+            assert np.array_equal(la.log_h_at(t), ref)
+        assert len(lengths) > 2
 
 
 class TestLogMarginalLikelihood:

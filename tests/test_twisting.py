@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from ipsmc.ips import (RateModel, SIRSParams, euler_simulate_batch, make_grid,
-                       sirs_model)
+from ipsmc.ips import (RateModel, SIRSParams, euler_simulate_batch,
+                       gillespie_simulate, make_grid, sirs_model)
 from ipsmc import oracle as orc
 from ipsmc.smc import _propose_step
 from ipsmc.twisting import (ConstantTwist, ExactTwist, ObservationSequence,
@@ -179,6 +179,24 @@ class TestTwistRateField:
             off = twisted.off_rates_batch(t, np.array([[0]]), spec, None)
             expected = 0.8 * P[1, 1] / P[0, 1]
             assert off[0, 0, 1] == pytest.approx(expected, rel=1e-6)
+
+    def test_hard_endpoint_refuses_thinning(self):
+        # the same bridge: its twisted exit rate from 0 grows without bound
+        # as t -> T (about 100 at t = 1.49), so no finite thinning bound
+        # exists and simulation refuses before its first event
+        spec = chain_spec(1, V=2)
+        model = two_state_model(0.8, 0.6)
+        T = 1.5
+        with np.errstate(divide="ignore"):
+            g = np.log(np.array([0.0, 1.0]))
+        with pytest.warns(UserWarning):
+            la = orc.exact_lookahead(model, spec, None, [(T, g)], make_grid(T, 0.05))
+        twisted = la.twisted_model(model, spec, None)
+        assert twisted.lambda_bar(spec, None) == np.inf
+        assert twisted.off_rates_batch(1.49, np.array([[0]]), spec, None)[0, 0, 1] > 100
+        with pytest.raises(ValueError, match="finite total-rate bound"):
+            gillespie_simulate(twisted, spec, None, np.array([0]), T,
+                               np.random.default_rng(0))
 
 
 class TestTwistedKernel:

@@ -13,6 +13,7 @@ from ipsmc.smc import FactorizedInitial
 from ipsmc.twisting import ObservationSequence
 
 from conftest import chain_spec, make_flip_model
+from helpers import twist_table
 
 
 def _obs3(d=4, T=2.0):
@@ -216,8 +217,8 @@ class TestTableAlgebra:
             u = int(rng.integers(3))
             z2 = z.copy()
             z2[i] = u
-            H1, _ = tn.twist_table(params, Phi, z[None])
-            H2, _ = tn.twist_table(params, Phi, z2[None])
+            H1, _ = twist_table(params, Phi, z[None])
+            H2, _ = twist_table(params, Phi, z2[None])
             assert np.array_equal(H1[0, i], H2[0, i])
 
     def test_score_diagonal_exact_zero(self):
@@ -251,14 +252,14 @@ class TestProjectedTable:
 
     def test_forward_matches_materialized_sums(self):
         _, params, Phi, Z, A = self._case()
-        H, _ = tn.twist_table(params, Phi, Z)
+        H, _ = twist_table(params, Phi, Z)
         ref, _ = tn.rho_forward(params, A)
         assert H.shape == (self.S, self.d, self.V)
         assert np.abs(H - ref).max() <= 1e-12
 
     def test_per_row_forward_matches_materialized_sums(self):
         _, params, Phi, Z, A = self._case(per_row=True)
-        H, _ = tn.twist_table(params, Phi, Z)
+        H, _ = twist_table(params, Phi, Z)
         ref, _ = tn.rho_forward(params, A)
         assert np.abs(H - ref).max() <= 1e-12
 
@@ -321,7 +322,7 @@ class TestTableWorkspace:
         fresh = tn.TableWorkspace()
         scores = tn.twist_score_table(params, Phi, Z, cells, ws)
         assert np.array_equal(scores, tn.twist_score_table(params, Phi, Z, cells, fresh))
-        H, _ = tn.twist_table(params, Phi, Z)
+        H, _ = twist_table(params, Phi, Z)
         ref = H - H[np.arange(len(Z))[:, None], np.arange(Z.shape[1]), Z][..., None]
         assert np.abs(scores - ref)[cells].max(initial=0.0) <= 1e-12
         assert np.all(scores[~cells] == 0.0)
@@ -388,7 +389,7 @@ class TestScoreCells:
         return rng, lt, Z
 
     def _reference(self, lt, t, Z):
-        H, _ = tn.twist_table(lt.params, lt._embed(t)[0], Z)
+        H, _ = twist_table(lt.params, lt._embed(t)[0], Z)
         return H - H[np.arange(len(Z))[:, None], np.arange(self.d), Z][..., None]
 
     def _off_diagonal(self, Z):
@@ -500,7 +501,7 @@ class TestSleepLoss:
         ref = -logp[np.arange(3), states[0]].sum()
         for j in range(2):
             z, zn = states[j], states[j + 1]
-            H, _ = tn.twist_table(params, tn.encode_context(params, ctx, grid[j])[0],
+            H, _ = twist_table(params, tn.encode_context(params, ctx, grid[j])[0],
                                   z[None])
             score = H[0] - H[0, np.arange(3), z][:, None]
             off = model.off_rates_batch(0.0, z[None], spec, None)[0]
