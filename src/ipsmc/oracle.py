@@ -85,10 +85,25 @@ class DenseGenerator:
     def propagator(self, delta):
         """The transition matrix exp(Q delta), expm_action on eye(n), formed
         once per step length and kept."""
-        delta = float(delta)
-        if delta not in self._props:
-            self._props[delta] = self.expm_action(delta, np.eye(self.n))
-        return self._props[delta]
+        return self.propagators([delta])[0]
+
+    def propagators(self, deltas):
+        """propagator of each step length; the lengths formed in one call
+        share the series' matrix powers, and each keeps the bits of
+        expm_action on eye(n)."""
+        lam, M = self.uniformization()
+        series = []
+        for d in dict.fromkeys(map(float, deltas)):
+            _check_step(d)
+            if d not in self._props:
+                if d == 0 or lam == 0:
+                    self._props[d] = np.eye(self.n)
+                else:
+                    series.append(d)
+        if series:
+            sums = _uniformized_sums(M, [lam * d for d in series], np.eye(self.n))
+            self._props.update(zip(series, sums))
+        return [self._props[float(d)] for d in deltas]
 
 
 def build_dense_generator(model: RateModel, spec, theta) -> DenseGenerator:
@@ -148,13 +163,21 @@ def _propagate(op, delta, x):
 def _uniformized_sum(M, rho, x0):
     """sum_k Poisson(rho)(k) M^k x0, truncated when the remaining Poisson
     mass drops below 1e-12."""
-    w, covered = _poisson_weights(rho)
-    acc = w[0] * x0
+    return _uniformized_sums(M, [rho], x0)[0]
+
+
+def _uniformized_sums(M, rhos, x0):
+    """_uniformized_sum(M, rho, x0) at each rho of rhos, the series sharing
+    the powers M^k x0."""
+    weights = [_poisson_weights(rho) for rho in rhos]
+    accs = [w[0] * x0 for w, _ in weights]
     term = x0
-    for k in range(1, len(w)):
+    for k in range(1, max(len(w) for w, _ in weights)):
         term = M @ term if term.ndim == 1 else _rowwise_product(M, term)
-        acc += w[k] * term
-    return acc / covered
+        for (w, _), acc in zip(weights, accs):
+            if k < len(w):
+                acc += w[k] * term
+    return [acc / covered for (_, covered), acc in zip(weights, accs)]
 
 
 def _poisson_weights(rho):
@@ -290,8 +313,9 @@ def _step_propagators(gen, grid):
     on eye(n)."""
     steps = np.diff(grid)
     lengths, counts = np.unique(steps, return_counts=True)
-    dense = set(lengths[2 * counts >= gen.n].tolist())
-    return [gen.propagator(dt) if dt in dense else None for dt in steps.tolist()]
+    dense = lengths[2 * counts >= gen.n].tolist()
+    dense = dict(zip(dense, gen.propagators(dense)))
+    return [dense.get(dt) for dt in steps.tolist()]
 
 
 def _step(gen, P, delta, v, transpose=False):

@@ -154,6 +154,20 @@ class TestCachedOperator:
                                       orc.expm_action(A, delta, x))
         assert gen.uniformization(transpose) is gen.uniformization(transpose)
 
+    def test_propagators_match_expm_action_bitwise(self, pair_spec):
+        # lengths formed together share the series' powers, one at a time
+        # they do not; both give expm_action's bits, and each is kept
+        gen = orc.build_dense_generator(sirs_model(), pair_spec,
+                                        SIRSParams(0.4, 0.8, 0.6, 0.2))
+        deltas = [0.05, 0.0, 1e-3, 0.05, 2.5]
+        together = gen.propagators(deltas)
+        for delta, P in zip(deltas, together):
+            assert np.array_equal(P, orc.expm_action(gen.Q, delta, np.eye(9)))
+            assert gen.propagator(delta) is P
+        alone = orc.build_dense_generator(sirs_model(), pair_spec,
+                                          SIRSParams(0.4, 0.8, 0.6, 0.2))
+        assert np.array_equal(alone.propagator(2.5), together[-1])
+
     @pytest.mark.parametrize("transpose", [False, True])
     def test_zero_generator(self, transpose):
         gen = orc.build_dense_generator(make_flip_model(0.0, 0.0), chain_spec(2, V=2),
@@ -390,8 +404,8 @@ class TestScaledPasses:
         ref = np.array(alphas) * np.array(betas)
         ref /= ref.sum(axis=1, keepdims=True)
         # each step's series leaves out under 1e-12 of Poisson mass, so the
-        # 40 steps of each pass may drift from expm by 1e-12 per step (the
-        # log-space passes before these read 6.5e-12 here)
+        # marginals may drift from expm by 1e-12 per step: 6.5e-12 over
+        # these 40 steps
         assert np.abs(marg - ref).max() < 1e-12 * M
         ref_log_z = math.log(p0 @ betas[0])
         assert abs(log_z - ref_log_z) < 1e-12 * abs(ref_log_z)
