@@ -2,8 +2,9 @@
 
 Everything here is a test instrument: dense generators, transition
 matrices by uniformization, exact look-ahead tables with multiplicative
-resets, exact posterior marginals and marginal likelihoods, and exact
-sampling from the conditioned process. Guarded to small state spaces.
+resets (the exact twist), exact posterior marginals and marginal
+likelihoods, and exact sampling from the conditioned process. Guarded to
+small state spaces; no other module indexes the dense state space.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from .errors import (CollapseError, InconsistentObservationsError,
                      StateSpaceTooLargeError)
 from .ips import RateModel, make_grid
 from .smc import logsumexp
-from .twisting import emission_log_potential
+from .twisting import TwistOracle, emission_log_potential
 
 GENERATOR_BYTES_GUARD = 2**29  # dense float64 generator of at most 8192 states
 
@@ -76,21 +77,11 @@ class DenseGenerator:
             self._ops[transpose] = uniformization(self.Q.T if transpose else self.Q)
         return self._ops[transpose]
 
-    def expm_action(self, delta, x, transpose=False):
-        """expm_action(Q, delta, x), or with Q.T, on the cached operator:
-        the same matrix, so the same bits."""
-        _check_step(delta)
-        return _propagate(self.uniformization(transpose), delta, x)
-
-    def propagator(self, delta):
-        """The transition matrix exp(Q delta), expm_action on eye(n), formed
-        once per step length and kept."""
-        return self.propagators([delta])[0]
-
     def propagators(self, deltas):
-        """propagator of each step length; the lengths formed in one call
-        share the series' matrix powers, and each keeps the bits of
-        expm_action on eye(n)."""
+        """The transition matrix exp(Q delta) of each step length, formed
+        once per length and kept; the lengths formed in one call share the
+        series' matrix powers, and each keeps the bits of expm_action on
+        eye(n)."""
         lam, M = self.uniformization()
         series = []
         for d in dict.fromkeys(map(float, deltas)):
@@ -135,7 +126,6 @@ def expm_action(A, delta, x):
     magnitude. A is an intensity matrix Q or its transpose, so every term
     is nonnegative and, unlike scaling-and-squaring, the series keeps
     nonnegativity and (for x = eye(n)) row sums in floating point."""
-    _check_step(delta)
     return _propagate(uniformization(A), delta, x)
 
 
@@ -153,6 +143,7 @@ def _check_step(delta):
 
 def _propagate(op, delta, x):
     """exp(A delta) @ x from A's uniformization op = (lam, M)."""
+    _check_step(delta)
     lam, M = op
     x = np.asarray(x, dtype=float)
     if delta == 0 or lam == 0:
@@ -182,12 +173,12 @@ def _uniformized_sums(M, rhos, x0):
 
 def _poisson_weights(rho):
     """The series' weights Poisson(rho)(k), k = 0..K, and their running
-    total at K, the first k where it reaches 1 - 1e-12. The weights follow
-    the recurrence log w_k = log w_(k-1) + (log rho - log k) from log w_0 =
-    -rho, and cumulative sums add in the order of that loop."""
-    # past K at every rho checked up to 3,000 where the total reaches
-    # 1 - 1e-12; from about rho = 1,085 on rounding can keep it short, and
-    # the series collapses at its cap of 100,000 terms
+    total at K, the first k where it reaches 1 - 1e-12. From about rho =
+    1,100 on rounding can stop the total short of that; K is then the
+    first k where it stops growing, if that is within 1e-10 of 1. The
+    weights follow the recurrence log w_k = log w_(k-1) + (log rho - log k)
+    from log w_0 = -rho, and cumulative sums add in the order of that
+    loop."""
     size = int(rho + 8 * np.sqrt(rho)) + 8
     while True:
         size = min(size, 100001)
@@ -197,6 +188,10 @@ def _poisson_weights(rho):
         w = np.exp(log_w.cumsum(out=log_w), out=log_w)
         covered = w.cumsum()
         K = int(covered.searchsorted(1.0 - 1e-12))
+        # past the mode the weights fall, so a last one that adds nothing
+        # leaves the total final
+        if K == size and covered[-2] == covered[-1] > 1.0 - 1e-10:
+            K = int(covered.searchsorted(covered[-1]))
         if K < size:
             return w[:K + 1], covered[K]
         if size == 100001:
@@ -212,23 +207,52 @@ def _rowwise_product(M, X):
     return np.matmul(M[:, None, :], X)[:, 0]
 
 
+class DenseInitial:
+    """Explicit distribution over the enumerated state space (tiny systems)."""
+
+    def __init__(self, spec, probs):
+        self.spec = spec
+        self.table = state_table(spec)
+        probs = np.asarray(probs, dtype=float)
+        self.probs = probs / probs.sum()
+        with np.errstate(divide="ignore"):
+            self.log_probs = np.log(self.probs)
+
+    def sample(self, rng, S):
+        return self.table[rng.choice(len(self.probs), size=S, p=self.probs)]
+
+    def log_pmf_batch(self, Z):
+        return self.log_probs[state_index(self.spec, Z)]
+
+
 @dataclass
-class LookaheadTable:
-    """Conditional expectation of future potentials on a time grid, stored
-    in log space. Right-continuous: log_h[j] is the value at grid[j] with
-    the potential at grid[j] (if any) already absorbed; log_h_left[j] is
-    the left limit, differing only at potential times, where it is
-    log_h[j] + potentials[j]."""
+class LookaheadTable(TwistOracle):
+    """The exact twist: the conditional expectation of future potentials on
+    a time grid, stored in log space. Right-continuous: log_h[j] is the
+    value at grid[j] with the potential at grid[j] (if any) already
+    absorbed; log_h_left[j] is the left limit, differing only at potential
+    times, where it is log_h[j] + potentials[j].
+
+    As a twist it keeps log_h_at's value per time it is asked for, and
+    scores every cell: each entry is one gather, so the mask saves
+    nothing."""
 
     grid: np.ndarray
     log_h: np.ndarray        # (M+1, n)
     log_h_left: np.ndarray   # (M+1, n)
     potentials: dict         # grid index -> (n,) log potential
     gen: DenseGenerator
+    spec: object
     # interval j -> (log scale c, power terms M^k exp(log_h_left[j] - c)
     # of log_h_at's series, as many as used so far)
     _powers: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)
+    # time -> log_h_at(time), as log_h_batch and score_table_batch ask
+    _at: dict = field(default_factory=dict, init=False, repr=False,
+                      compare=False)
+
+    def __post_init__(self):
+        self._nbr = neighbor_index_table(self.spec)
 
     def log_h_at(self, t):
         """Exact log h at an arbitrary time by propagating back from the
@@ -264,8 +288,36 @@ class LookaheadTable:
         with np.errstate(divide="ignore"):
             return np.log(acc / covered) + c
 
-    def twisted_model(self, base_model, spec, theta):
-        """Rate model of the conditioned process r * h(z^{i->v}) / h(z).
+    def _log_h_kept(self, t):
+        key = float(t)
+        if key not in self._at:
+            self._at[key] = self.log_h_at(t)
+        return self._at[key]
+
+    def log_h_batch(self, t, Z):
+        return self._log_h_kept(t)[state_index(self.spec, Z)]
+
+    def score_table_batch(self, t, Z, cells=None):
+        out = self._gather(self._log_h_kept(t), state_index(self.spec, Z))
+        out[np.arange(len(Z))[:, None], np.arange(self.spec.d)[None, :], Z] = 0.0
+        return out
+
+    def _gather(self, lh, s):
+        """The (S, d, V) log ratios lh(z^{i->v}) - lh(z) of the states of
+        indices s (S,) under a log look-ahead lh (n,); zero at v = z_i
+        where lh(z) is finite."""
+        return lh[self._nbr[s]] - lh[s][:, None, None]
+
+    def q0_dist(self, p0_vec):
+        """The exact twisted initial distribution: prior mass times the
+        look-ahead at time zero."""
+        with np.errstate(divide="ignore"):
+            logq = np.log(np.asarray(p0_vec, dtype=float)) + self.log_h[0]
+        return DenseInitial(self.spec, np.exp(logq - logq.max()))
+
+    def twisted_model(self, base_model, theta):
+        """Rate model of the conditioned process r * h(z^{i->v}) / h(z):
+        the base rates times exp of score_table_batch's gather.
 
         Time-inhomogeneous; the thinning bound is the tabulated maximum of
         the twisted exit rates times 1.5, re-checked by the
@@ -277,13 +329,12 @@ class LookaheadTable:
         """
         if not base_model.time_homogeneous:
             raise ValueError("exact twisting is cached for homogeneous base rates")
-        nbr = neighbor_index_table(spec)
-        base_off = base_model.off_rates_batch(0.0, state_table(spec), spec, theta)
+        base_off = base_model.off_rates_batch(0.0, state_table(self.spec),
+                                              self.spec, theta)
 
         def batch_off_rate_fn(t, Z, spec_, theta_):
-            lh = self.log_h_at(t)
-            s = state_index(spec, Z)
-            return base_off[s] * np.exp(lh[nbr[s]] - lh[s][:, None, None])
+            s = state_index(self.spec, Z)
+            return base_off[s] * np.exp(self._gather(self.log_h_at(t), s))
 
         if any(np.any(vec == -np.inf) for vec in self.potentials.values()):
             lam_bar = np.inf
@@ -291,7 +342,7 @@ class LookaheadTable:
             worst = 0.0
             for j in range(len(self.grid)):
                 for lh in (self.log_h[j], self.log_h_left[j]):
-                    tilt = np.exp(lh[nbr] - lh[:, None, None])
+                    tilt = np.exp(self._gather(lh, np.arange(len(lh))))
                     worst = max(worst, float((base_off * tilt).sum(axis=(1, 2)).max()))
             lam_bar = worst * 1.5
 
@@ -306,44 +357,70 @@ def potential_vectors(spec, obs):
             for k in range(len(obs.times))]
 
 
-def _step_propagators(gen, grid):
-    """Per grid step, gen.propagator of its length or None. A length takes
-    the matrix when the backward and forward passes together step it at
-    least n times: n series on a vector cost the flops of the one series
-    on eye(n)."""
-    steps = np.diff(grid)
+def _log_pass(gen, grid, potentials, start, forward):
+    """One pass of the forward-backward recursion in scaled linear space:
+    the (M+1, n) log table of the filter from start at grid[0] (forward,
+    by Q.T) or of the look-ahead from start at grid[-1] (backward, by Q).
+    potentials maps a grid index to its (n,) log potential; the potential
+    at a step's right end is taken after the step going forward, and
+    before it going backward with a normalization of its own.
+
+    After each step the vector is divided by its maximum, whose log joins
+    a running log scale, and the logs are taken once over the table; rows
+    left at zero, once the vector vanishes, become -inf. A step length
+    that the two passes together take at least n times goes by its
+    transition matrix, since n series on a vector cost the flops of the
+    one series on eye(n); every other step by the series on the vector."""
+    steps = np.diff(grid).tolist()
     lengths, counts = np.unique(steps, return_counts=True)
     dense = lengths[2 * counts >= gen.n].tolist()
-    dense = dict(zip(dense, gen.propagators(dense)))
-    return [dense.get(dt) for dt in steps.tolist()]
-
-
-def _step(gen, P, delta, v, transpose=False):
-    """exp(Q delta) @ v, or exp(Q.T delta) @ v with transpose, by the
-    matrix P when there is one, else by the series on v."""
-    if P is None:
-        return gen.expm_action(delta, v, transpose)
-    return v @ P if transpose else P @ v
-
-
-def _gain(log_g):
-    """A log potential as (exp(log_g - c), c), c its largest finite entry."""
-    c = log_g[np.isfinite(log_g)].max()
-    return np.exp(log_g - c), c
+    props = dict(zip(dense, gen.propagators(dense)))
+    gains = {}
+    for j, log_g in potentials.items():
+        c = log_g[np.isfinite(log_g)].max()
+        gains[j] = np.exp(log_g - c), c
+    M = len(steps)
+    out = np.zeros((M + 1, gen.n))
+    log_scale = np.zeros(M + 1)
+    out[0 if forward else M] = start
+    v, s = out[0 if forward else M], 0.0
+    for i in range(M) if forward else range(M - 1, -1, -1):
+        # step i runs between grid[i] and grid[i + 1] and writes row b
+        b = i + 1 if forward else i
+        gain = gains.get(i + 1)
+        if gain and not forward:
+            v = v * gain[0]
+            m = v.max()
+            if m == 0:
+                break
+            v /= m
+            s += gain[1] + np.log(m)
+        P = props.get(steps[i])
+        if P is None:
+            w = _propagate(gen.uniformization(forward), steps[i], v)
+        else:
+            w = v @ P if forward else P @ v
+        if gain and forward:
+            w *= gain[0]
+            s += gain[1]
+        m = w.max()
+        if m == 0:
+            break
+        v = np.divide(w, m, out=out[b])
+        s += np.log(m)
+        log_scale[b] = s
+    with np.errstate(divide="ignore"):
+        out = np.log(out, out=out)
+    out += log_scale[:, None]
+    return out
 
 
 def exact_lookahead(model, spec, theta, potentials, grid) -> LookaheadTable:
     """Backward recursion for the look-ahead on a grid containing every
     potential time: terminal value one, semigroup propagation between
-    potentials, multiplicative reset at each potential.
-
-    The recursion runs in linear space: after each step the vector is
-    divided by its maximum, whose log joins a running log scale, and the
-    logs are taken once over the whole table."""
+    potentials, multiplicative reset at each potential (_log_pass)."""
     gen = build_dense_generator(model, spec, theta)
     grid = np.asarray(grid, dtype=float)
-    n = gen.n
-    M = len(grid) - 1
     pot = {}
     for tau, vec in potentials:
         j = int(np.argmin(np.abs(grid - tau)))
@@ -354,38 +431,12 @@ def exact_lookahead(model, spec, theta, potentials, grid) -> LookaheadTable:
         if np.any(~np.isfinite(vec)):
             warnings.warn("non-positive potential at some states; propagating -inf")
         pot[j] = vec
-    gains = {j: _gain(vec) for j, vec in pot.items()}
-    props = _step_propagators(gen, grid)
-    # row j is h at grid[j] divided by exp(log_scale[j]); rows left at
-    # zero, once the look-ahead vanishes, become -inf
-    h = np.zeros((M + 1, n))
-    log_scale = np.zeros(M + 1)
-    h[M] = 1.0
-    v, s = h[M], 0.0
-    for j in range(M, 0, -1):
-        if j in gains:
-            g, c = gains[j]
-            v = v * g
-            m = v.max()
-            if m == 0:
-                break
-            v /= m
-            s += c + np.log(m)
-        w = _step(gen, props[j - 1], grid[j] - grid[j - 1], v)
-        m = w.max()
-        if m == 0:
-            break
-        v = np.divide(w, m, out=h[j - 1])
-        s += np.log(m)
-        log_scale[j - 1] = s
-    with np.errstate(divide="ignore"):
-        log_h = np.log(h, out=h)
-    log_h += log_scale[:, None]
+    log_h = _log_pass(gen, grid, pot, 1.0, forward=False)
     log_h_left = log_h.copy()
     for j, vec in pot.items():
         log_h_left[j] += vec
     return LookaheadTable(grid=grid, log_h=log_h, log_h_left=log_h_left,
-                          potentials=pot, gen=gen)
+                          potentials=pot, gen=gen, spec=spec)
 
 
 def exact_posterior_marginals(model, spec, theta, p0, obs, grid):
@@ -394,42 +445,17 @@ def exact_posterior_marginals(model, spec, theta, p0, obs, grid):
     normalizer at grid index 0 (equal to exact_log_marginal_likelihood on
     the same grid).
 
-    The filter runs in scaled linear space like the look-ahead; the
-    product with the look-ahead and its normalization are one pass over
-    the log tables, so it cannot underflow."""
+    The product of the two log tables and its normalization are one pass
+    over them, so it cannot underflow. Row 0 of the filter is p0 itself,
+    so log Z is the sum exact_log_marginal_likelihood takes."""
     la = exact_lookahead(model, spec, theta, potential_vectors(spec, obs), grid)
-    gen = la.gen
-    grid = la.grid
-    M = len(grid) - 1
-    gains = {j: _gain(vec) for j, vec in la.potentials.items()}
-    props = _step_propagators(gen, grid)
-    # row j is the filter at grid[j] divided by exp(log_scale[j]); row 0
-    # is p0 itself, so log Z is the sum exact_log_marginal_likelihood takes
-    alpha = np.zeros((M + 1, gen.n))
-    log_scale = np.zeros(M + 1)
-    alpha[0] = p0
-    v, s = alpha[0], 0.0
-    for j in range(1, M + 1):
-        w = _step(gen, props[j - 1], grid[j] - grid[j - 1], v, transpose=True)
-        if j in gains:
-            g, c = gains[j]
-            w *= g
-            s += c
-        m = w.max()
-        if m == 0:
-            break
-        v = np.divide(w, m, out=alpha[j])
-        s += np.log(m)
-        log_scale[j] = s
-    with np.errstate(divide="ignore"):
-        post = np.log(alpha, out=alpha)
-    post += log_scale[:, None]
+    post = _log_pass(la.gen, la.grid, la.potentials, p0, forward=True)
     post += la.log_h
     top = post.max(axis=1)
     vanished = top == -np.inf
     if vanished.any():
         raise InconsistentObservationsError(
-            f"posterior mass vanished at grid time {grid[np.argmax(vanished)]}"
+            f"posterior mass vanished at grid time {la.grid[np.argmax(vanished)]}"
         )
     log_z = float(logsumexp(post[0]))
     # normalized in place: the table is the one full-size array
@@ -493,8 +519,7 @@ def sample_posterior_skeleton(model, spec, theta, p0, obs, grid, n_paths, rng):
     p_init = np.exp(w0 - logsumexp(w0))
     out = np.empty((n_paths, len(grid)), dtype=np.min_scalar_type(n - 1))
     out[:, 0] = rng.choice(n, size=n_paths, p=p_init)
-    for j in range(len(grid) - 1):
-        P = gen.propagator(grid[j + 1] - grid[j])
+    for j, P in enumerate(gen.propagators(np.diff(grid).tolist())):
         with np.errstate(divide="ignore"):
             logK = np.log(np.maximum(P, 0.0)) + la.log_h_left[j + 1][None, :]
         K = np.exp(logK - logsumexp(logK, axis=1, keepdims=True))

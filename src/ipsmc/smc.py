@@ -132,35 +132,6 @@ class FactorizedInitial:
         return self.log_probs[np.arange(d)[None, :], Z].sum(axis=1)
 
 
-class DenseInitial:
-    """Explicit distribution over the enumerated state space (tiny systems)."""
-
-    def __init__(self, spec, probs):
-        from .oracle import state_index, state_table
-
-        self._index = lambda Z: state_index(spec, Z)
-        self.table = state_table(spec)
-        probs = np.asarray(probs, dtype=float)
-        self.probs = probs / probs.sum()
-        with np.errstate(divide="ignore"):
-            self.log_probs = np.log(self.probs)
-
-    def sample(self, rng, S):
-        idx = rng.choice(len(self.probs), size=S, p=self.probs)
-        return self.table[idx]
-
-    def log_pmf_batch(self, Z):
-        return self.log_probs[self._index(Z)]
-
-
-def doob_initial(spec, p0_vec, lookahead):
-    """Exact twisted initial distribution: prior mass times look-ahead."""
-    with np.errstate(divide="ignore"):
-        logq = np.log(np.asarray(p0_vec, dtype=float)) + lookahead.log_h[0]
-    m = logq.max()
-    return DenseInitial(spec, np.exp(logq - m))
-
-
 def _potential_lookup(obs, grid):
     """Map grid index -> observation index for grid points that carry one."""
     out = {}

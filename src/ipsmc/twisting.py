@@ -129,37 +129,6 @@ class ConstantTwist(TwistOracle):
         return self._zero_scores(len(Z), self.d, self.V)
 
 
-class ExactTwist(TwistOracle):
-    """Twist backed by an exact look-ahead table on the dense state space."""
-
-    def __init__(self, table, spec):
-        from .oracle import neighbor_index_table, state_index
-
-        self._table = table
-        self._spec = spec
-        self._index = lambda Z: state_index(spec, Z)
-        self._nbr = neighbor_index_table(spec)
-        self._cache = {}
-
-    def _log_h_vec(self, t):
-        key = float(t)
-        if key not in self._cache:
-            self._cache[key] = self._table.log_h_at(t)
-        return self._cache[key]
-
-    def log_h_batch(self, t, Z):
-        return self._log_h_vec(t)[self._index(Z)]
-
-    def score_table_batch(self, t, Z, cells=None):
-        """The full table: every entry is one gather, so the mask saves
-        nothing."""
-        lh = self._log_h_vec(t)
-        idx = self._index(Z)
-        out = lh[self._nbr[idx]] - lh[idx, None, None]
-        out[np.arange(len(Z))[:, None], np.arange(self._spec.d)[None, :], Z] = 0.0
-        return out
-
-
 SCORE_CLIP = 35.0  # numerical guard on exp(score); far beyond trained values
 
 

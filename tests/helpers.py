@@ -7,7 +7,7 @@ from ipsmc.ips import euler_step_table, make_grid, sample_values, sum_values
 from ipsmc import oracle as orc
 from ipsmc import smc
 from ipsmc import twistnet as tn
-from ipsmc.twisting import (SCORE_CLIP, ExactTwist, ObservationSequence,
+from ipsmc.twisting import (SCORE_CLIP, ObservationSequence,
                             emission_log_potential, incremental_ess)
 from ipsmc.wakesleep import wake_loss_and_grad
 
@@ -30,7 +30,6 @@ def exact_twist_ess_values(spec, model, theta, obs, dt, times=None):
     grid = make_grid(obs.horizon, dt, obs.times)
     pots = orc.potential_vectors(spec, obs)
     la = orc.exact_lookahead(model, spec, theta, pots, grid)
-    twist = ExactTwist(la, spec)
     gen = la.gen
     table = orc.state_table(spec)
     if times is None:
@@ -41,7 +40,7 @@ def exact_twist_ess_values(spec, model, theta, obs, dt, times=None):
         P = orc.expm_action(gen.Q, t1 - t, np.eye(gen.n))
         tilt = la.log_h_left[m + 1]
         q = kernel_pmf(model.off_rates_batch(t, table, spec, theta), table,
-                       t1 - t, table, twist.score_table_batch(t, table))
+                       t1 - t, table, la.score_table_batch(t, table))
         for s in range(len(table)):
             target = P[s] * np.exp(tilt - tilt.max())
             target /= target.sum()

@@ -17,9 +17,8 @@ from ipsmc.ips import (SIRSParams, StateSpaceSpec, gillespie_simulate,
 from ipsmc import oracle as orc
 from ipsmc import twistnet as tn
 from ipsmc.cli import main as cli_main
-from ipsmc.smc import (DenseInitial, SMCConfig, bpf_run, doob_initial,
-                       run_smc)
-from ipsmc.twisting import ExactTwist, ObservationSequence
+from ipsmc.smc import SMCConfig, bpf_run, run_smc
+from ipsmc.twisting import ObservationSequence
 
 from conftest import chain_spec, make_flip_model
 from helpers import (exact_twist_ess_values, kernel_pmf, skeleton_score,
@@ -69,7 +68,7 @@ def test_criterion_2_doob_consistency(pair_spec):
     p0_vec[orc.state_index(pair_spec, [1, 0])] = 1.0
     marg, _ = orc.exact_posterior_marginals(model, pair_spec, theta, p0_vec, obs,
                                             grid)
-    twisted = la.twisted_model(model, pair_spec, theta)
+    twisted = la.twisted_model(model, theta)
     n = 10_000
     rng = np.random.default_rng(2024)
     check = [int(np.argmin(np.abs(grid - t)))
@@ -130,10 +129,9 @@ def test_criterion_4_log_normalizer():
                                               grid)
     la = orc.exact_lookahead(model, spec, None,
                              orc.potential_vectors(spec, obs), grid)
-    twist = ExactTwist(la, spec)
-    q0 = doob_initial(spec, p0_vec, la)
-    p0 = DenseInitial(spec, p0_vec)
-    tz = [run_smc(model, spec, None, twist, q0, p0, obs,
+    q0 = la.q0_dist(p0_vec)
+    p0 = orc.DenseInitial(spec, p0_vec)
+    tz = [run_smc(model, spec, None, la, q0, p0, obs,
                   SMCConfig(S=256, dt=0.01, seed=s), grid=grid)[1]
           for s in range(20)]
     bz = [bpf_run(model, spec, None, p0, obs,

@@ -8,7 +8,7 @@ from ipsmc.bench import (BenchmarkDataset, brier_metric, cross_entropy_metric,
                          load_dataset, relative_parameter_error, save_dataset)
 from ipsmc.ips import SIRSParams, make_grid, sirs_model
 from ipsmc import oracle as orc
-from ipsmc.smc import SMCConfig, bpf_run, posterior_marginals_from_ensemble, DenseInitial
+from ipsmc.smc import SMCConfig, bpf_run, posterior_marginals_from_ensemble
 
 
 class TestGraphGeneration:
@@ -175,7 +175,7 @@ def test_oracle_posterior_ce_beats_bootstrap(pair_spec):
         node = (1 - 1e-3) * node + 1e-3 / 3
         truth = path.states_at(grid)
         ce_oracle.append(cross_entropy_metric(node, truth))
-        ens, _ = bpf_run(model, pair_spec, params, DenseInitial(pair_spec, p0_vec),
+        ens, _ = bpf_run(model, pair_spec, params, orc.DenseInitial(pair_spec, p0_vec),
                          obs, SMCConfig(S=24, dt=0.1, seed=1000 + idx),
                          grid=grid)
         emp = posterior_marginals_from_ensemble(ens, V=3, eps=1e-3)

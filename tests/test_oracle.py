@@ -1,4 +1,7 @@
+import ast
 import math
+from importlib.util import resolve_name
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from ipsmc.errors import CollapseError, StateSpaceTooLargeError
 from ipsmc.ips import (RateModel, SIRSParams, gillespie_simulate, make_grid,
                        sirs_model)
 from ipsmc import oracle as orc
+from ipsmc import smc, twisting
 from ipsmc.twisting import ObservationSequence
 
 from conftest import chain_spec, make_flip_model
@@ -126,6 +130,22 @@ class TestTransitionMatrix:
         with pytest.raises(CollapseError, match="failed to converge"):
             orc.expm_action(gen.Q, 1.5, np.array([1.0, 0.0]))
 
+    def test_series_converges_at_large_rho(self):
+        # from about rho = 1,100 on, rounding can stop the running Poisson
+        # total short of 1 - 1e-12; the series then ends where it stops
+        # growing
+        for rho in np.random.default_rng(0).uniform(100, 3000, size=500):
+            _, covered = orc._poisson_weights(rho)
+            assert abs(covered - 1.0) < 1e-10
+
+    def test_two_state_long_step_closed_form(self):
+        # rho = 500 * 3.5 = 1,750, where the total stops short of 1 - 1e-12;
+        # exp(-800 * 3.5) vanishes, so P is the stationary law in each row
+        gen = orc.build_dense_generator(two_state_model(500.0, 300.0),
+                                        chain_spec(1, V=2), None)
+        P = orc.expm_action(gen.Q, 3.5, np.eye(2))
+        assert np.abs(P - [[0.375, 0.625], [0.375, 0.625]]).max() < 1e-10
+
     @pytest.mark.parametrize("delta", [np.nan, np.inf, -np.inf, -0.1])
     def test_rejects_non_finite_or_negative_step(self, pair_spec, delta):
         gen = orc.build_dense_generator(sirs_model(), pair_spec,
@@ -133,13 +153,13 @@ class TestTransitionMatrix:
         v = np.ones(9)
         with pytest.raises(ValueError, match="delta must be finite and >= 0"):
             orc.expm_action(gen.Q, delta, v)
-        for transpose in (False, True):
-            with pytest.raises(ValueError, match="delta must be finite and >= 0"):
-                gen.expm_action(delta, v, transpose)
+        # the passes' cached transition matrices check their lengths too
+        with pytest.raises(ValueError, match="delta must be finite and >= 0"):
+            gen.propagators([delta])
 
 
 class TestCachedOperator:
-    """DenseGenerator.expm_action forms I + A/lam once per direction and
+    """DenseGenerator forms I + A/lam once per direction; a product on it
     must give exactly the bits of a fresh expm_action call."""
 
     @pytest.mark.parametrize("transpose", [False, True])
@@ -150,8 +170,8 @@ class TestCachedOperator:
         rng = np.random.default_rng(5)
         for x in (rng.uniform(size=9), rng.uniform(size=(9, 4)), np.eye(9)):
             for delta in (0.0, 1e-3, 0.05, 0.6, 2.5):
-                assert np.array_equal(gen.expm_action(delta, x, transpose),
-                                      orc.expm_action(A, delta, x))
+                out = orc._propagate(gen.uniformization(transpose), delta, x)
+                assert np.array_equal(out, orc.expm_action(A, delta, x))
         assert gen.uniformization(transpose) is gen.uniformization(transpose)
 
     def test_propagators_match_expm_action_bitwise(self, pair_spec):
@@ -163,10 +183,10 @@ class TestCachedOperator:
         together = gen.propagators(deltas)
         for delta, P in zip(deltas, together):
             assert np.array_equal(P, orc.expm_action(gen.Q, delta, np.eye(9)))
-            assert gen.propagator(delta) is P
+            assert gen.propagators([delta])[0] is P
         alone = orc.build_dense_generator(sirs_model(), pair_spec,
                                           SIRSParams(0.4, 0.8, 0.6, 0.2))
-        assert np.array_equal(alone.propagator(2.5), together[-1])
+        assert np.array_equal(alone.propagators([2.5])[0], together[-1])
 
     @pytest.mark.parametrize("transpose", [False, True])
     def test_zero_generator(self, transpose):
@@ -175,7 +195,7 @@ class TestCachedOperator:
         assert gen.uniformization(transpose) == (0.0, None)
         x = np.random.default_rng(6).uniform(size=4)
         for delta in (0.0, 0.7):
-            out = gen.expm_action(delta, x, transpose)
+            out = orc._propagate(gen.uniformization(transpose), delta, x)
             assert np.array_equal(out, x) and out is not x
             assert np.array_equal(out, orc.expm_action(gen.Q, delta, x))
 
@@ -243,7 +263,8 @@ class TestLookahead:
                                         chain_spec(1, V=2), None)
         zeros = np.zeros((2, 2))
         la = orc.LookaheadTable(grid=np.array([0.0, 3.0]), log_h=zeros,
-                                log_h_left=zeros, potentials={}, gen=gen)
+                                log_h_left=zeros, potentials={}, gen=gen,
+                                spec=chain_spec(1, V=2))
         with pytest.raises(CollapseError, match="failed to converge"):
             la.log_h_at(1.5)
 
@@ -528,7 +549,7 @@ class TestPosteriorSampling:
         p0 = np.zeros(9)
         p0[orc.state_index(pair_spec, [1, 0])] = 1.0
         marg, _ = orc.exact_posterior_marginals(model, pair_spec, p, p0, obs, grid)
-        twisted = la.twisted_model(model, pair_spec, p)
+        twisted = la.twisted_model(model, p)
         rng = np.random.default_rng(21)
         n = 4000
         check = [len(grid) // 3, 2 * len(grid) // 3, len(grid) - 1]
@@ -542,6 +563,22 @@ class TestPosteriorSampling:
             emp = counts[c] / n
             band = 3 * np.sqrt(marg[j] * (1 - marg[j]) / n) + 2e-3
             assert np.all(np.abs(emp - marg[j]) <= band)
+
+
+@pytest.mark.parametrize("module", [smc, twisting])
+def test_dense_state_space_stays_in_the_oracle(module):
+    # the sampler and the twist interface import nothing from the oracle,
+    # at module level or inside a function
+    tree = ast.parse(Path(module.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            base = resolve_name("." * node.level + (node.module or ""), "ipsmc")
+            names = [base] + [f"{base}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        assert "ipsmc.oracle" not in names, ast.unparse(node)
 
 
 def test_nodewise_marginals_collapse(pair_spec):

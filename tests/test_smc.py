@@ -10,11 +10,11 @@ from ipsmc.ips import RateModel, SIRSParams, make_grid, sirs_model
 from ipsmc import oracle as orc
 from ipsmc import smc
 from ipsmc import twistnet as tn
-from ipsmc.smc import (DenseInitial, FactorizedInitial, SMCConfig, bpf_run,
-                       doob_initial, effective_sample_size, logsumexp,
+from ipsmc.smc import (FactorizedInitial, SMCConfig, bpf_run,
+                       effective_sample_size, logsumexp,
                        posterior_marginals_from_ensemble, sample_path_index,
                        run_smc, systematic_resample, _propose_step)
-from ipsmc.twisting import ConstantTwist, ExactTwist, ObservationSequence
+from ipsmc.twisting import ConstantTwist, ObservationSequence
 
 from conftest import chain_spec, make_flip_model
 from helpers import reference_marginals, reference_run_smc
@@ -151,7 +151,7 @@ class TestInitialDistributions:
     def test_dense_initial_matches_table(self, pair_spec):
         p = np.zeros(9)
         p[4] = 1.0
-        init = DenseInitial(pair_spec, p)
+        init = orc.DenseInitial(pair_spec, p)
         Z = init.sample(np.random.default_rng(0), 5)
         assert np.all(Z == orc.state_table(pair_spec)[4])
 
@@ -197,14 +197,13 @@ class TestAgainstOracle:
         grid = make_grid(1.0, 0.02, obs.times)
         la = orc.exact_lookahead(model, spec, None,
                                  orc.potential_vectors(spec, obs), grid)
-        twist = ExactTwist(la, spec)
-        q0 = doob_initial(spec, p0_vec, la)
-        p0 = DenseInitial(spec, p0_vec)
+        q0 = la.q0_dist(p0_vec)
+        p0 = orc.DenseInitial(spec, p0_vec)
         exact = self._exact(spec, model, obs, p0_vec, grid)
         vals = []
         for seed in range(8):
             cfg = SMCConfig(S=128, dt=0.02, seed=seed)
-            _, logz = run_smc(model, spec, None, twist, q0, p0, obs, cfg,
+            _, logz = run_smc(model, spec, None, la, q0, p0, obs, cfg,
                               grid=grid)
             vals.append(logz)
         assert abs(np.mean(vals) - exact) < 0.01 * abs(exact) + 0.01
@@ -212,7 +211,7 @@ class TestAgainstOracle:
     def test_bpf_logz_within_replicate_band(self):
         spec, model, obs, p0_vec = _flip_setup()
         grid = make_grid(1.0, 0.02, obs.times)
-        p0 = DenseInitial(spec, p0_vec)
+        p0 = orc.DenseInitial(spec, p0_vec)
         exact = self._exact(spec, model, obs, p0_vec, grid)
         vals = [bpf_run(model, spec, None, p0, obs,
                         SMCConfig(S=512, dt=0.02, seed=s), grid=grid)[1]
@@ -225,11 +224,10 @@ class TestAgainstOracle:
         grid = make_grid(1.0, 0.01, obs.times)
         la = orc.exact_lookahead(model, spec, None,
                                  orc.potential_vectors(spec, obs), grid)
-        twist = ExactTwist(la, spec)
-        q0 = doob_initial(spec, p0_vec, la)
-        p0 = DenseInitial(spec, p0_vec)
+        q0 = la.q0_dist(p0_vec)
+        p0 = orc.DenseInitial(spec, p0_vec)
         cfg = SMCConfig(S=256, dt=0.01, seed=5)
-        ens, _ = run_smc(model, spec, None, twist, q0, p0, obs, cfg, grid=grid)
+        ens, _ = run_smc(model, spec, None, la, q0, p0, obs, cfg, grid=grid)
         ess = np.array([e for _, e in ens.ess_history])
         assert ess.min() >= 0.99 * cfg.S
 
@@ -238,11 +236,10 @@ class TestAgainstOracle:
         grid = make_grid(1.0, 0.02, obs.times)
         la = orc.exact_lookahead(model, spec, None,
                                  orc.potential_vectors(spec, obs), grid)
-        twist = ExactTwist(la, spec)
-        q0 = doob_initial(spec, p0_vec, la)
-        p0 = DenseInitial(spec, p0_vec)
+        q0 = la.q0_dist(p0_vec)
+        p0 = orc.DenseInitial(spec, p0_vec)
         cfg = SMCConfig(S=4000, dt=0.02, seed=2)
-        ens, _ = run_smc(model, spec, None, twist, q0, p0, obs, cfg, grid=grid)
+        ens, _ = run_smc(model, spec, None, la, q0, p0, obs, cfg, grid=grid)
         marg, _ = orc.exact_posterior_marginals(model, spec, None, p0_vec, obs,
                                                 grid)
         node = orc.nodewise_marginals(spec, marg)
@@ -254,7 +251,7 @@ class TestAgainstOracle:
 class TestBookkeeping:
     def test_trajectories_prefix_consistent(self):
         spec, model, obs, p0_vec = _flip_setup()
-        p0 = DenseInitial(spec, p0_vec)
+        p0 = orc.DenseInitial(spec, p0_vec)
         cfg = SMCConfig(S=32, dt=0.1, seed=9)
         ens, _ = bpf_run(model, spec, None, p0, obs, cfg)
         traj, anc = ens.trajectories, ens.ancestors
@@ -287,7 +284,7 @@ class TestBookkeeping:
 
     def test_seed_determinism(self):
         spec, model, obs, p0_vec = _flip_setup()
-        p0 = DenseInitial(spec, p0_vec)
+        p0 = orc.DenseInitial(spec, p0_vec)
         runs = [bpf_run(model, spec, None, p0, obs,
                         SMCConfig(S=64, dt=0.05, seed=123)) for _ in range(2)]
         assert np.array_equal(runs[0][0].trajectories, runs[1][0].trajectories)
@@ -295,7 +292,7 @@ class TestBookkeeping:
 
     def test_sample_path_index_distribution(self):
         spec, model, obs, p0_vec = _flip_setup()
-        p0 = DenseInitial(spec, p0_vec)
+        p0 = orc.DenseInitial(spec, p0_vec)
         ens, _ = bpf_run(model, spec, None, p0, obs,
                          SMCConfig(S=4, dt=0.25, seed=1))
         rng = np.random.default_rng(0)
@@ -351,7 +348,7 @@ class TestPathStorage:
     def _bpf_case(self, **cfg_kw):
         spec, model, obs, p0_vec = _flip_setup(obs_times=(0.3, 0.6),
                                                values=((1, 0), (0, 1)))
-        p0 = DenseInitial(spec, p0_vec)
+        p0 = orc.DenseInitial(spec, p0_vec)
         grid = make_grid(1.0, 0.05, obs.times)
         cfg = SMCConfig(S=64, dt=0.05, seed=3, **cfg_kw)
         ens, log_z = bpf_run(model, spec, None, p0, obs, cfg, grid=grid)
@@ -369,9 +366,9 @@ class TestPathStorage:
         grid = make_grid(1.0, 0.1, obs.times)
         la = orc.exact_lookahead(model, spec, None,
                                  orc.potential_vectors(spec, obs), grid)
-        twist = _CountingTwist(ExactTwist(la, spec))
-        q0 = doob_initial(spec, p0_vec, la)
-        p0 = DenseInitial(spec, p0_vec)
+        twist = _CountingTwist(la)
+        q0 = la.q0_dist(p0_vec)
+        p0 = orc.DenseInitial(spec, p0_vec)
         cfg = SMCConfig(S=64, dt=0.1, seed=4)
         ens, log_z = run_smc(model, spec, None, twist, q0, p0, obs, cfg,
                              grid=grid)
@@ -547,12 +544,11 @@ class TestAdaptiveSubstepping:
         grid = make_grid(1.0, 0.1, obs.times)
         la = orc.exact_lookahead(model, spec, None,
                                  orc.potential_vectors(spec, obs), grid)
-        twist = ExactTwist(la, spec)
-        q0 = doob_initial(spec, p0_vec, la)
-        p0 = DenseInitial(spec, p0_vec)
+        q0 = la.q0_dist(p0_vec)
+        p0 = orc.DenseInitial(spec, p0_vec)
         exact = orc.exact_log_marginal_likelihood(model, spec, None, p0_vec,
                                                   obs, grid)
-        vals = [run_smc(model, spec, None, twist, q0, p0, obs,
+        vals = [run_smc(model, spec, None, la, q0, p0, obs,
                         SMCConfig(S=256, dt=0.1, seed=s), grid=grid)[1]
                 for s in range(6)]
         se = np.std(vals, ddof=1) / math.sqrt(len(vals))

@@ -11,7 +11,7 @@ from ipsmc.ips import (RateModel, SIRSParams, euler_simulate_batch,
                        gillespie_simulate, make_grid, sirs_model)
 from ipsmc import oracle as orc
 from ipsmc.smc import _propose_step
-from ipsmc.twisting import (ConstantTwist, ExactTwist, ObservationSequence,
+from ipsmc.twisting import (ConstantTwist, ObservationSequence,
                             TwistOracle, emission_log_potential,
                             emission_log_table, incremental_ess,
                             read_observations, sample_emission,
@@ -173,12 +173,29 @@ class TestTwistRateField:
         with pytest.warns(UserWarning):
             la = orc.exact_lookahead(model, spec, None, [(T, g)], grid)
         with np.errstate(invalid="ignore"):  # log h = -inf at the horizon
-            twisted = la.twisted_model(model, spec, None)
+            twisted = la.twisted_model(model, None)
         for t in (0.3, 0.75, 1.2):
             P = expm(gen.Q * (T - t))
             off = twisted.off_rates_batch(t, np.array([[0]]), spec, None)
             expected = 0.8 * P[1, 1] / P[0, 1]
             assert off[0, 0, 1] == pytest.approx(expected, rel=1e-6)
+
+    def test_conditioned_rates_are_the_scored_base_rates(self, pair_spec):
+        # the sampler's twist and the conditioned process tilt the base
+        # rates by the same table, to the bit, at times between grid points
+        p = SIRSParams(0.3, 1.0, 0.5, 0.3)
+        model = sirs_model()
+        obs = _obs(pair_spec, 1.5, [0.8], [[1, 3]], p_mask=0.5, delta=0.02)
+        la = orc.exact_lookahead(model, pair_spec, p,
+                                 orc.potential_vectors(pair_spec, obs),
+                                 make_grid(1.5, 0.25, obs.times))
+        twisted = la.twisted_model(model, p)
+        assert np.isfinite(twisted.lambda_bar(pair_spec, p))
+        Z = orc.state_table(pair_spec)
+        base_off = model.off_rates_batch(0.0, Z, pair_spec, p)
+        for t in (0.1, 0.37, 0.79, 0.81, 1.42):
+            assert np.array_equal(twisted.off_rates_batch(t, Z, pair_spec, p),
+                                  base_off * np.exp(la.score_table_batch(t, Z)))
 
     def test_hard_endpoint_refuses_thinning(self):
         # the same bridge: its twisted exit rate from 0 grows without bound
@@ -191,7 +208,7 @@ class TestTwistRateField:
             g = np.log(np.array([0.0, 1.0]))
         with pytest.warns(UserWarning):
             la = orc.exact_lookahead(model, spec, None, [(T, g)], make_grid(T, 0.05))
-        twisted = la.twisted_model(model, spec, None)
+        twisted = la.twisted_model(model, None)
         assert twisted.lambda_bar(spec, None) == np.inf
         assert twisted.off_rates_batch(1.49, np.array([[0]]), spec, None)[0, 0, 1] > 100
         with pytest.raises(ValueError, match="finite total-rate bound"):
@@ -254,12 +271,11 @@ class TestTwistedKernel:
             # one step anchored at t = 0.4 regardless of resolution
             grid = make_grid(1.0, dt, obs.times)
             la = orc.exact_lookahead(model, pair_spec, p, pots, grid)
-            twist = ExactTwist(la, pair_spec)
             m = int(np.argmin(np.abs(grid - 0.4)))
             t, t1 = grid[m], grid[m + 1]
             P = orc.expm_action(gen.Q, t1 - t, np.eye(gen.n))
             q = kernel_pmf(off, table, t1 - t, table,
-                           twist.score_table_batch(t, table))
+                           la.score_table_batch(t, table))
             target = P * np.exp(la.log_h_at(t1))[None, :]
             target /= target.sum(axis=1, keepdims=True)
             return (0.5 * np.abs(q - target).sum(axis=1)).max()
@@ -321,13 +337,12 @@ class TestScoreAntisymmetry:
         grid = make_grid(1.0, 0.25, obs.times)
         la = orc.exact_lookahead(model, spec, p,
                                  orc.potential_vectors(spec, obs), grid)
-        twist = ExactTwist(la, spec)
         t = float(rng.uniform(0, 1))
         z = rng.integers(0, 3, size=2)
         i = int(rng.integers(2))
         v = int(rng.integers(3))
         z2 = z.copy()
         z2[i] = v
-        s1 = twist.score_table_batch(t, z[None])[0, i, v]
-        s2 = twist.score_table_batch(t, z2[None])[0, i, z[i]]
+        s1 = la.score_table_batch(t, z[None])[0, i, v]
+        s2 = la.score_table_batch(t, z2[None])[0, i, z[i]]
         assert abs(s1 + s2) < 1e-10
