@@ -4,6 +4,7 @@ relative parameter error)."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -93,6 +94,11 @@ class BenchmarkDataset:
     def p0(self):
         return initial_distribution(self.spec, self.infect_prob)
 
+    @property
+    def model(self):
+        """The rate model the data was generated with."""
+        return sirs_model()
+
 
 def generate_dataset(spec, params, T, K, p_mask, delta, n_train, n_test, seed,
                      infect_prob=DEFAULT_INFECT_PROB, mapper=map) -> BenchmarkDataset:
@@ -181,10 +187,8 @@ def save_dataset(ds: BenchmarkDataset, out_dir):
     with open(os.path.join(out_dir, "spec.json"), "w") as f:
         json.dump(spec_payload, f, sort_keys=True)
     with open(os.path.join(out_dir, "params.json"), "w") as f:
-        json.dump({"alpha0": ds.params.alpha0, "alpha1": ds.params.alpha1,
-                   "beta": ds.params.beta, "gamma": ds.params.gamma,
-                   "T": ds.T, "K": ds.K, "p_mask": ds.p_mask,
-                   "label_noise": ds.label_noise,
+        json.dump({**dataclasses.asdict(ds.params), "T": ds.T, "K": ds.K,
+                   "p_mask": ds.p_mask, "label_noise": ds.label_noise,
                    "infect_prob": ds.infect_prob}, f, sort_keys=True)
     for split, paths, obs in (("train", ds.train_paths, ds.train_obs),
                               ("test", ds.test_paths, ds.test_obs)):
@@ -207,7 +211,7 @@ def load_dataset(out_dir) -> BenchmarkDataset:
                           node_features=np.array(sp["node_features"], dtype=float).reshape(sp["d"], -1))
     with open(os.path.join(out_dir, "params.json")) as f:
         pj = json.load(f)
-    params = SIRSParams(pj["alpha0"], pj["alpha1"], pj["beta"], pj["gamma"])
+    params = SIRSParams(*(pj[f.name] for f in dataclasses.fields(SIRSParams)))
 
     def load_split(split):
         pdir = os.path.join(out_dir, "paths", split)

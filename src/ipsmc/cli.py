@@ -25,12 +25,12 @@ import numpy as np
 
 from . import __version__, svg
 from . import twistnet as tn
-from .bench import (BenchmarkDataset, brier_metric, cross_entropy_metric,
-                    generate_dataset, generate_graph, load_dataset,
-                    relative_parameter_error, save_dataset)
+from .bench import (DEFAULT_INFECT_PROB, BenchmarkDataset, brier_metric,
+                    cross_entropy_metric, generate_dataset, generate_graph,
+                    load_dataset, relative_parameter_error, save_dataset)
 from .errors import (CollapseError, ConfigError, InconsistentObservationsError,
                      StateSpaceTooLargeError, StepSizeError)
-from .ips import SIRSParams, make_grid, rng_streams, sirs_model, write_path, PathSample
+from .ips import SIRSParams, rng_streams, write_path, PathSample
 from . import oracle as orc
 from .smc import SMCConfig, bpf_run, posterior_marginals_from_ensemble, run_smc
 from .twisting import ObservationSequence
@@ -81,14 +81,6 @@ def _check_positive(name, value):
 
 
 @dataclass
-class SIRSParamConfig:
-    alpha0: float = 0.1
-    alpha1: float = 1.0
-    beta: float = 0.4
-    gamma: float = 0.05
-
-
-@dataclass
 class GenerateConfig:
     seed: int = 0
     out: str = "dataset"
@@ -101,8 +93,8 @@ class GenerateConfig:
     delta: float = 0.001
     n_train: int = 50
     n_test: int = 50
-    infect_prob: float = 0.1
-    params: SIRSParamConfig = field(default_factory=SIRSParamConfig)
+    infect_prob: float = DEFAULT_INFECT_PROB
+    params: SIRSParams = field(default_factory=SIRSParams)
 
 
 @dataclass
@@ -223,10 +215,8 @@ def _write_manifest(out_dir, meta, command):
 def cmd_generate(cfg: GenerateConfig, threads=1, emit_svg=False):
     rng = np.random.default_rng(cfg.seed)
     spec = generate_graph(cfg.d, cfg.expected_degree, cfg.feature_dim, rng)
-    params = SIRSParams(cfg.params.alpha0, cfg.params.alpha1, cfg.params.beta,
-                        cfg.params.gamma)
     with _mapper(threads) as mapper:
-        ds = generate_dataset(spec, params, cfg.T, cfg.K, cfg.p_mask, cfg.delta,
+        ds = generate_dataset(spec, cfg.params, cfg.T, cfg.K, cfg.p_mask, cfg.delta,
                               cfg.n_train, cfg.n_test, seed=cfg.seed,
                               infect_prob=cfg.infect_prob, mapper=mapper)
     save_dataset(ds, cfg.out)
@@ -240,7 +230,7 @@ def cmd_oracle(cfg: OracleConfig, threads=1, emit_svg=False):
     _, obs_list = _split(ds, cfg.split)
     _check_indices([cfg.index], obs_list, cfg.split)
     obs = obs_list[cfg.index]
-    model = sirs_model()
+    model = ds.model
     orc.n_states(ds.spec)  # guard before any heavy work
     grid = orc.oracle_grid(model, ds.spec, ds.params, obs, target=cfg.grid_target)
     p0 = _dense_p0(ds)
@@ -296,7 +286,7 @@ def cmd_train_twist(cfg: TrainTwistConfig, threads=1, emit_svg=False, resume=Non
     if cfg.checkpoint_every and cfg.checkpoint_every % cfg.reuse:
         raise ConfigError("checkpoint_every must be a multiple of reuse")
     ds = load_dataset(cfg.dataset)
-    model = sirs_model()
+    model = ds.model
     p0 = ds.p0()
     tau_grids = [np.asarray(o.times) for o in ds.train_obs]
     meta = _meta(dataclasses.asdict(cfg), cfg.seed)
@@ -367,26 +357,25 @@ def _save_twist(path, psi, adam, rng, step, cfg, meta):
 def cmd_train(cfg: TrainRunConfig, threads=1, emit_svg=False):
     _check_positive("theta_init", cfg.theta_init)
     ds = load_dataset(cfg.dataset)
-    model = sirs_model()
+    model = ds.model
     wcfg = TrainConfig(global_iters=cfg.G, steps_per_phase=cfg.N, batch=cfg.B,
                        particles=cfg.S, dt=cfg.dt, mc_loss=cfg.mc_loss,
                        reuse=cfg.reuse, lr_psi=cfg.lr_psi, lr_theta=cfg.lr_theta,
                        seed=cfg.seed, loss=cfg.loss, width=cfg.m,
                        ess_threshold=cfg.ess_threshold,
                        pretrain_steps=cfg.pretrain_steps)
-    theta0 = SIRSParams(cfg.theta_init, cfg.theta_init, cfg.theta_init,
-                        cfg.theta_init)
+    names = [f.name for f in dataclasses.fields(ds.params)]
+    theta0 = type(ds.params)(*[cfg.theta_init] * len(names))
     meta = _meta(dataclasses.asdict(cfg), cfg.seed)
     os.makedirs(cfg.out, exist_ok=True)
     with _mapper(threads) as mapper:
         theta_state, psi, telemetry = train(model, ds.spec, ds.p0(), ds.train_obs,
                                             theta0, wcfg, checkpoint_dir=cfg.out,
                                             mapper=mapper)
-    names = list(dataclasses.asdict(ds.params))
-    truth = ds.params.as_array()
+    truth = dataclasses.astuple(ds.params)
     # the relative error divides by every true rate; with a zero rate it
     # is undefined and reported as NaN
-    scored = bool(np.all(truth > 0))
+    scored = min(truth) > 0
 
     def rpe(theta):
         return relative_parameter_error(theta, truth) if scored else float("nan")
@@ -397,7 +386,7 @@ def cmd_train(cfg: TrainRunConfig, threads=1, emit_svg=False):
     _write_rows(os.path.join(cfg.out, "telemetry.csv"), cols + ["rpe"], rows, meta)
     final = theta_state.params()
     with open(os.path.join(cfg.out, "theta.json"), "w") as f:
-        json.dump({**dataclasses.asdict(final), "rpe": rpe(final.as_array()),
+        json.dump({**dataclasses.asdict(final), "rpe": rpe(dataclasses.astuple(final)),
                    **meta}, f, sort_keys=True)
     tn.save_checkpoint(os.path.join(cfg.out, "twist.npz"), psi,
                        meta={"loss": cfg.loss, **meta})
@@ -417,15 +406,17 @@ def cmd_infer(cfg: InferConfig, threads=1, emit_svg=False):
         raise ConfigError(f"epsilon must lie in [0, 1], got {cfg.epsilon}")
     _check_positive("dt", cfg.dt)
     ds = load_dataset(cfg.dataset)
-    model = sirs_model()
+    model = ds.model
     if cfg.method not in ("tsmc-kl", "tsmc-dre", "bpf"):
         raise ConfigError(f"unknown method {cfg.method}")
     paths, obs_list = _split(ds, cfg.split)
     indices = cfg.indices if cfg.indices is not None else list(range(len(obs_list)))
     _check_indices(indices, obs_list, cfg.split)
-    if cfg.theta is not None and np.shape(cfg.theta) != (4,):
-        raise ConfigError("theta must list 4 rates: alpha0, alpha1, beta, gamma")
-    theta = (SIRSParams(*cfg.theta) if cfg.theta is not None else ds.params)
+    names = [f.name for f in dataclasses.fields(ds.params)]
+    if cfg.theta is not None and (len(cfg.theta) != len(names) or not all(
+            _type_ok(x, float) for x in cfg.theta)):
+        raise ConfigError(f"theta must list {len(names)} rates: {', '.join(names)}")
+    theta = (type(ds.params)(*cfg.theta) if cfg.theta is not None else ds.params)
     S = cfg.S or (250 if cfg.method == "bpf" else 25)
     psi = None
     if cfg.method.startswith("tsmc"):
@@ -515,6 +506,8 @@ def _grid_to_path(ens, s):
 def cmd_evaluate(cfg: EvaluateConfig, threads=1, emit_svg=False):
     if not cfg.inputs:
         raise ConfigError("evaluate needs at least one infer output directory")
+    if not all(isinstance(inp, str) for inp in cfg.inputs):
+        raise ConfigError(f"inputs must be directory names, got {cfg.inputs!r}")
     meta = _meta(dataclasses.asdict(cfg), cfg.seed)
     rows = []
     series = []
@@ -588,6 +581,8 @@ def _resolve_config(args):
                 data = json.load(f)
         except json.JSONDecodeError as e:
             raise ConfigError(f"malformed JSON config: {e}") from None
+        if not isinstance(data, dict):
+            raise ConfigError(f"config must be a JSON object, got {data!r}")
     if args.seed is not None:
         data["seed"] = args.seed
     if args.out is not None:

@@ -167,23 +167,18 @@ class RateModel:
 
 @dataclass(frozen=True)
 class SIRSParams:
-    alpha0: float
-    alpha1: float
-    beta: float
-    gamma: float
+    """SIRS rates, in theta's order; the defaults generate the benchmark."""
+
+    alpha0: float = 0.1
+    alpha1: float = 1.0
+    beta: float = 0.4
+    gamma: float = 0.05
 
     def __post_init__(self):
         for name in ("alpha0", "alpha1", "beta", "gamma"):
             value = getattr(self, name)
             if not math.isfinite(value) or value < 0:
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
-
-    def as_array(self):
-        return np.array([self.alpha0, self.alpha1, self.beta, self.gamma])
-
-    @classmethod
-    def from_array(cls, a):
-        return cls(*(float(x) for x in a))
 
 
 def sirs_infection_pressure(spec, Z):

@@ -624,10 +624,16 @@ def save_checkpoint(path, params, adam_state=None, meta=None):
 
 
 def load_checkpoint(path):
-    data = np.load(path)
-    header = json.loads(bytes(data["meta_json"]).decode())
-    arrs = {k[len("param_"):]: data[k] for k in data.files if k.startswith("param_")}
-    params = TwistNetParams(V=header["V"], m=header["m"], **arrs)
+    """(params, Adam state or None, header) of a save_checkpoint file; any
+    other file, or an npz without its header or weights, raises ValueError."""
+    try:
+        data = np.load(path)
+        arrs = {k[len("param_"):]: data[k] for k in data.files
+                if k.startswith("param_")}
+        header = json.loads(bytes(data["meta_json"]).decode())
+        params = TwistNetParams(V=header["V"], m=header["m"], **arrs)
+    except (AttributeError, KeyError, TypeError, ValueError):
+        raise ValueError(f"{path} is not an ipsmc twist checkpoint") from None
     adam = None
     if "adam_step" in data.files:
         adam = AdamState(step=int(data["adam_step"]),

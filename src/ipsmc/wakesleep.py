@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CollapseError
-from .ips import SIRSParams, euler_simulate_batch, make_grid
+from .ips import euler_simulate_batch, make_grid
 from .smc import SMCConfig, run_smc, sample_path_index
 from .twisting import ObservationSequence, emission_log_table, sample_emission
 from . import twistnet as tn
@@ -64,22 +64,24 @@ class TrainConfig:
 
 @dataclass
 class ThetaState:
-    """Rate parameters in unconstrained log space plus optimizer state."""
+    """Rate parameters in unconstrained log space plus optimizer state. kind
+    is theta's dataclass, whose fields, in order, make the vector."""
 
     log_theta: np.ndarray
     adam: tn.AdamState
+    kind: type
 
     @classmethod
-    def init(cls, theta0: SIRSParams):
-        log_theta = np.log(theta0.as_array())
-        return cls(log_theta=log_theta,
+    def init(cls, theta0):
+        log_theta = np.log(dataclasses.astuple(theta0))
+        return cls(log_theta=log_theta, kind=type(theta0),
                    adam=tn.AdamState.init({"log_theta": log_theta}))
 
-    def params(self) -> SIRSParams:
-        return SIRSParams.from_array(np.exp(self.log_theta))
+    def params(self):
+        return self.kind(*np.exp(self.log_theta).tolist())
 
 
-def wake_loss_and_grad(theta: SIRSParams, model, spec, states, obs, grid):
+def wake_loss_and_grad(theta, model, spec, states, obs, grid):
     """Discretized complete-data objective of one grid path (M+1, d) and
     its observations; gradient in the natural (rate) parameterization.
 
@@ -312,7 +314,7 @@ def _wake_sample(model, spec, theta_bar, psi, p0, obs, cfg, seed):
     return ens.trajectories[s], obs, ens.grid, (float(ess.mean()), float(ess.min()))
 
 
-def train(model, spec, p0, dataset_obs, theta0: SIRSParams, cfg: TrainConfig,
+def train(model, spec, p0, dataset_obs, theta0, cfg: TrainConfig,
           checkpoint_dir=None, mapper=map):
     """Alternating wake-sleep (optional sleep-only warm start first).
 
@@ -345,7 +347,7 @@ def train(model, spec, p0, dataset_obs, theta0: SIRSParams, cfg: TrainConfig,
             tn.save_checkpoint(f"{checkpoint_dir}/checkpoint_{g:04d}.npz", psi,
                                psi_adam, meta={"global_iter": g,
                                                "loss": cfg.loss,
-                                               "theta": list(theta_state.params().as_array())})
+                                               "theta": dataclasses.astuple(theta_state.params())})
     if skip_counter["attempted"]:
         rate = skip_counter["skipped"] / skip_counter["attempted"]
         if rate > 0.10:

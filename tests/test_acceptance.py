@@ -3,6 +3,7 @@ prints one pass/fail line. The heavy end-to-end runs (parameter recovery,
 method ordering, command determinism) drive the CLI exactly as an
 operator would."""
 
+import dataclasses
 import json
 import math
 import os
@@ -164,7 +165,7 @@ def test_criterion_5_fisher_identity(pair_spec):
         return orc.exact_log_marginal_likelihood(model, pair_spec, th, p0_vec,
                                                  obs, g)
 
-    base = theta.as_array()
+    base = np.array(dataclasses.astuple(theta))
     fd = np.zeros(4)
     for j in range(4):
         hi = base.copy()

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from ipsmc.bench import relative_parameter_error
-from ipsmc.cli import GenerateConfig, SIRSParamConfig, config_hash, main
+from ipsmc.cli import GenerateConfig, config_hash, main
+from ipsmc.ips import SIRSParams
 
 
 def write_cfg(tmp_path, name, payload):
@@ -80,14 +81,20 @@ class TestConfigHandling:
         out = tmp_path / "ds"
         cfg = dict(TINY_GEN, params={"beta": 0.5}, out=str(out))
         assert main(["generate", "--config", write_cfg(tmp_path, "gen.json", cfg)]) == 0
-        with open(out / "params.json") as f:
-            params = json.load(f)
-        assert [params[k] for k in ("alpha0", "alpha1", "beta", "gamma")] == [
-            0.1, 1.0, 0.5, 0.05]
-        resolved = GenerateConfig(**dict(cfg, params=SIRSParamConfig(beta=0.5)))
+        assert (out / "params.json").read_text() == (
+            '{"K": 3, "T": 2.0, "alpha0": 0.1, "alpha1": 1.0, "beta": 0.5, '
+            '"gamma": 0.05, "infect_prob": 0.1, "label_noise": 0.001, '
+            '"p_mask": 0.5}')
+        resolved = GenerateConfig(**dict(cfg, params=SIRSParams(beta=0.5)))
         with open(out / "manifest.json") as f:
             assert json.load(f)["config_hash"] == config_hash(
                 dataclasses.asdict(resolved))
+
+    @pytest.mark.parametrize("payload", [5, [1, 2], "x", None])
+    def test_non_object_config_rejected(self, tmp_path, capsys, payload):
+        path = write_cfg(tmp_path, "gen.json", payload)
+        assert main(["generate", "--config", path]) == 2
+        assert "config must be a JSON object" in capsys.readouterr().err
 
     @pytest.mark.parametrize("params", [[0.1, 1.0, 0.4, 0.05], 0.4, "fast"])
     def test_non_dict_params_rejected(self, tmp_path, capsys, params):
@@ -541,6 +548,37 @@ class TestTrainTwist:
         assert header["loss"] == "dre"
 
 
+@pytest.mark.parametrize("arrays", [
+    "text", np.zeros(3), {"x": np.zeros(3)},
+    {"meta_json": np.frombuffer(b'{"V": 3, "m": 8}', dtype=np.uint8)}],
+    ids=["text", "npy", "no-header", "no-weights"])
+@pytest.mark.parametrize("command", ["infer", "train-twist"])
+def test_foreign_checkpoint_rejected(dataset, tmp_path, capsys, arrays, command):
+    # a file that save_checkpoint did not write ends in exit 2, named, from
+    # twisted inference and from a resumed twist training alike
+    ckpt = str(tmp_path / "foreign.npz")
+    with open(ckpt, "wb") as f:
+        if isinstance(arrays, dict):
+            np.savez(f, **arrays)
+        elif isinstance(arrays, str):
+            f.write(b"not a checkpoint")
+        else:
+            np.save(f, arrays)
+    out = tmp_path / "out"
+    if command == "infer":
+        cfg = {"dataset": dataset, "out": str(out), "method": "tsmc-kl",
+               "S": 4, "dt": 0.2, "checkpoint": ckpt}
+        argv = ["infer", "--config", write_cfg(tmp_path, "c.json", cfg)]
+    else:
+        cfg = dict(TWIST_CFG, dataset=dataset, out=str(out))
+        argv = ["train-twist", "--config", write_cfg(tmp_path, "c.json", cfg),
+                "--resume", ckpt]
+    assert main(argv) == 2
+    assert (f"{ckpt} is not an ipsmc twist checkpoint"
+            in capsys.readouterr().err)
+    assert not os.path.exists(out)
+
+
 class TestTrain:
     def test_pretrain_only_mode(self, dataset, tmp_path):
         cfg = {"dataset": dataset, "out": str(tmp_path / "pre"), "G": 0,
@@ -728,11 +766,15 @@ class TestInfer:
         assert not os.path.exists(out)
 
     def test_nonfinite_theta_rejected(self, dataset, tmp_path):
-        cfg = {"dataset": dataset, "out": str(tmp_path / "nan"),
-               "method": "bpf", "S": 4, "dt": 0.2,
-               "theta": [float("nan"), 1.0, 0.4, 0.05]}
-        code = main(["infer", "--config", write_cfg(tmp_path, "nan.json", cfg)])
-        assert code == 2
+        # a NaN fails the rates' own check; a string, null or bool is not a
+        # number, as for every float config field
+        for bad in (float("nan"), "a", None, True):
+            out = tmp_path / "bad"
+            cfg = {"dataset": dataset, "out": str(out), "method": "bpf",
+                   "S": 4, "dt": 0.2, "theta": [bad, 1.0, 0.4, 0.05]}
+            code = main(["infer", "--config", write_cfg(tmp_path, "bad.json", cfg)])
+            assert code == 2, bad
+            assert not os.path.exists(out)
 
     @pytest.mark.parametrize("epsilon", [1.5, -0.5, float("nan")])
     def test_rejects_bad_epsilon(self, tmp_path, epsilon):
@@ -786,3 +828,11 @@ class TestEvaluate:
         ev = {"inputs": [], "out": str(tmp_path / "ev")}
         assert main(["evaluate", "--config",
                      write_cfg(tmp_path, "ev.json", ev)]) == 2
+
+    @pytest.mark.parametrize("inputs", [[1], [None], [["inf"]]])
+    def test_non_string_inputs_rejected(self, tmp_path, capsys, inputs):
+        ev = {"inputs": inputs, "out": str(tmp_path / "ev")}
+        assert main(["evaluate", "--config",
+                     write_cfg(tmp_path, "ev.json", ev)]) == 2
+        assert "inputs must be directory names" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "ev")

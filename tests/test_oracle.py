@@ -12,7 +12,7 @@ from ipsmc.errors import CollapseError, StateSpaceTooLargeError
 from ipsmc.ips import (RateModel, SIRSParams, gillespie_simulate, make_grid,
                        sirs_model)
 from ipsmc import oracle as orc
-from ipsmc import smc, twisting
+from ipsmc import cli, smc, twisting, wakesleep
 from ipsmc.twisting import ObservationSequence
 
 from conftest import chain_spec, make_flip_model
@@ -565,20 +565,35 @@ class TestPosteriorSampling:
             assert np.all(np.abs(emp - marg[j]) <= band)
 
 
-@pytest.mark.parametrize("module", [smc, twisting])
-def test_dense_state_space_stays_in_the_oracle(module):
-    # the sampler and the twist interface import nothing from the oracle,
-    # at module level or inside a function
+def _imports(module):
+    """Each import statement of a module's source, at module level or
+    inside a function, with the dotted names it reaches: the module and
+    each module.name."""
     tree = ast.parse(Path(module.__file__).read_text())
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             base = resolve_name("." * node.level + (node.module or ""), "ipsmc")
-            names = [base] + [f"{base}.{a.name}" for a in node.names]
+            yield node, [base] + [f"{base}.{a.name}" for a in node.names]
         elif isinstance(node, ast.Import):
-            names = [a.name for a in node.names]
-        else:
-            continue
+            yield node, [a.name for a in node.names]
+
+
+@pytest.mark.parametrize("module", [smc, twisting])
+def test_dense_state_space_stays_in_the_oracle(module):
+    # the sampler and the twist interface import nothing from the oracle
+    for node, names in _imports(module):
         assert "ipsmc.oracle" not in names, ast.unparse(node)
+
+
+@pytest.mark.parametrize("module, banned", [
+    (wakesleep, ["ipsmc.ips.SIRSParams", "ipsmc.ips.sirs_model"]),
+    (cli, ["ipsmc.ips.sirs_model"])])
+def test_model_stays_out_of_the_generic_layers(module, banned):
+    # the learner takes theta's shape from its dataclass and the commands
+    # take the rate model from the dataset: neither imports sirs_model, and
+    # the learner does not import SIRSParams either
+    for node, names in _imports(module):
+        assert not set(banned) & set(names), ast.unparse(node)
 
 
 def test_nodewise_marginals_collapse(pair_spec):

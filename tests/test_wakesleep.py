@@ -67,7 +67,7 @@ class TestWakeLoss:
     def test_gradient_matches_finite_differences(self):
         spec, theta, model, obs, grid, states = self._setup()
         _, grad = wake_loss_and_grad(theta, model, spec, states, obs, grid)
-        base = theta.as_array()
+        base = np.array(dataclasses.astuple(theta))
         eps = 1e-6
         for j in range(4):
             hi = base.copy()
@@ -166,7 +166,7 @@ def test_fisher_identity_small(pair_spec):
         return orc.exact_log_marginal_likelihood(model, pair_spec, th, p0, obs,
                                                  grid)
 
-    base = theta.as_array()
+    base = np.array(dataclasses.astuple(theta))
     fd = np.zeros(4)
     for j in range(4):
         hi = base.copy()
@@ -202,7 +202,7 @@ class TestThetaState:
     def test_positivity_is_structural(self):
         state = ThetaState.init(SIRSParams(0.2, 0.2, 0.2, 0.2))
         state.log_theta -= 50.0
-        assert np.all(state.params().as_array() > 0)
+        assert np.all(np.array(dataclasses.astuple(state.params())) > 0)
 
 
 def _sleep_setup(d=2, seed=0):
@@ -436,7 +436,8 @@ class TestWakePhase:
         state = ThetaState.init(theta)
         wake_phase(state, psi, model, spec, p0, obs, cfg,
                    np.random.default_rng(4), n_steps=100)
-        rpe = relative_parameter_error(state.params().as_array(), theta.as_array())
+        rpe = relative_parameter_error(np.array(dataclasses.astuple(state.params())),
+                                       np.array(dataclasses.astuple(theta)))
         assert rpe < 0.2
 
 
@@ -448,7 +449,7 @@ class TestTrain:
                           particles=2, dt=0.25, seed=0, pretrain_steps=0)
         state, psi, telemetry = train(model, spec, p0, obs,
                                       SIRSParams(0.2, 0.2, 0.2, 0.2), cfg)
-        assert np.allclose(state.params().as_array(), 0.2)
+        assert np.allclose(np.array(dataclasses.astuple(state.params())), 0.2)
         assert telemetry.rows == []
 
     def test_telemetry_row_count(self):
