@@ -203,15 +203,27 @@ def save_dataset(ds: BenchmarkDataset, out_dir):
                 write_observations(f, o)
 
 
+def _read_json(path, keys):
+    """The JSON object in path; ValueError naming the file and the keys if
+    it lacks any of keys."""
+    with open(path) as f:
+        data = json.load(f)
+    missing = [k for k in keys if k not in data]
+    if missing:
+        raise ValueError(f"{path} lacks keys {missing}")
+    return data
+
+
 def load_dataset(out_dir) -> BenchmarkDataset:
-    with open(os.path.join(out_dir, "spec.json")) as f:
-        sp = json.load(f)
+    sp = _read_json(os.path.join(out_dir, "spec.json"),
+                    ("d", "V", "adjacency", "node_features"))
     spec = StateSpaceSpec(d=sp["d"], V=sp["V"],
                           adjacency=np.array(sp["adjacency"], dtype=np.int8),
                           node_features=np.array(sp["node_features"], dtype=float).reshape(sp["d"], -1))
-    with open(os.path.join(out_dir, "params.json")) as f:
-        pj = json.load(f)
-    params = SIRSParams(*(pj[f.name] for f in dataclasses.fields(SIRSParams)))
+    rates = [f.name for f in dataclasses.fields(SIRSParams)]
+    pj = _read_json(os.path.join(out_dir, "params.json"),
+                    rates + ["T", "K", "p_mask", "label_noise", "infect_prob"])
+    params = SIRSParams(*(pj[name] for name in rates))
 
     def load_split(split):
         pdir = os.path.join(out_dir, "paths", split)

@@ -33,8 +33,7 @@ from .errors import (CollapseError, ConfigError, InconsistentObservationsError,
 from .ips import SIRSParams, rng_streams, write_path, PathSample
 from . import oracle as orc
 from .smc import SMCConfig, bpf_run, posterior_marginals_from_ensemble, run_smc
-from .twisting import ObservationSequence
-from .wakesleep import TrainConfig, q0_support_logmask, sleep_steps, train
+from .wakesleep import TrainConfig, sleep_steps, train
 
 
 def config_hash(resolved: dict) -> str:
@@ -288,7 +287,6 @@ def cmd_train_twist(cfg: TrainTwistConfig, threads=1, emit_svg=False, resume=Non
     ds = load_dataset(cfg.dataset)
     model = ds.model
     p0 = ds.p0()
-    tau_grids = [np.asarray(o.times) for o in ds.train_obs]
     meta = _meta(dataclasses.asdict(cfg), cfg.seed)
 
     rng = np.random.default_rng(cfg.seed)
@@ -305,8 +303,8 @@ def cmd_train_twist(cfg: TrainTwistConfig, threads=1, emit_svg=False, resume=Non
 
     telemetry = []
     step = start
-    steps = sleep_steps(psi, adam, ds.params, model, ds.spec, p0, tau_grids,
-                        ds.train_obs[0], wcfg, rng, cfg.steps - start)
+    steps = sleep_steps(psi, adam, ds.params, model, ds.spec, p0, ds.train_obs,
+                        wcfg, rng, cfg.steps - start)
     for step, (psi, loss) in enumerate(steps, start + 1):
         telemetry.append((step, float(loss)))
         if cfg.checkpoint_every and step % cfg.checkpoint_every == 0 and step < cfg.steps:
@@ -443,9 +441,7 @@ def cmd_infer(cfg: InferConfig, threads=1, emit_svg=False):
             ens, logz = bpf_run(model, ds.spec, theta, p0, obs, smc_cfg)
         else:
             twist = tn.LearnedTwist(psi, ds.spec, obs)
-            ens, logz = run_smc(model, ds.spec, theta, twist,
-                                twist.q0_dist(q0_support_logmask(p0)),
-                                p0, obs, smc_cfg)
+            ens, logz = run_smc(model, ds.spec, theta, twist, p0, obs, smc_cfg)
         marg = posterior_marginals_from_ensemble(ens, ds.spec.V, eps=cfg.epsilon)
         if not cfg.store_particles:
             # the paths are only written out as particles; free them before

@@ -88,7 +88,6 @@ class PathSample:
     jump_times: np.ndarray = field(default_factory=lambda: np.zeros(0))
     jump_nodes: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     jump_values: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    t0: float = 0.0
 
     def __post_init__(self):
         self.initial = np.asarray(self.initial, dtype=np.int64)
@@ -100,8 +99,8 @@ class PathSample:
         if self.horizon <= 0:
             raise ValueError("horizon must be > 0")
         t = self.jump_times
-        if len(t) and (t[0] <= self.t0 or t[-1] >= self.horizon):
-            raise ValueError("jump times must lie in (t0, horizon)")
+        if len(t) and (t[0] <= 0 or t[-1] >= self.horizon):
+            raise ValueError("jump times must lie in (0, horizon)")
         if np.any(np.diff(t) <= 0):
             raise ValueError("jump times must increase, with no ties")
         z = self.initial.copy()
@@ -374,13 +373,14 @@ def _draw_event(off, rng):
     return k // V, k % V
 
 
-def path_log_density(model, spec, theta, path: PathSample, p0_log, quad_step=None):
+def path_log_density(model, spec, theta, path: PathSample, p0_log):
     """Log-density of a path: initial mass, jump intensities, and the
-    survival integral of the exit rate.
-
-    Time-homogeneous models integrate exactly between jumps; otherwise the
-    integral uses midpoint quadrature at quad_step.
-    """
+    survival integral of the exit rate, exact between jumps. The exit rate
+    is read once per segment, so the model must be time homogeneous; any
+    other model raises ValueError."""
+    if not model.time_homogeneous:
+        raise ValueError("the path density reads each segment's exit rate "
+                         "once and needs a time-homogeneous model")
     path.validate()
     z = path.initial.copy()
 
@@ -388,19 +388,11 @@ def path_log_density(model, spec, theta, path: PathSample, p0_log, quad_step=Non
         return model.off_rates_batch(t, z[None], spec, theta)[0]
 
     total = float(p0_log(z))
-    seg_starts = np.concatenate([[path.t0], path.jump_times])
+    seg_starts = np.concatenate([[0.0], path.jump_times])
     seg_ends = np.concatenate([path.jump_times, [path.horizon]])
     for n in range(len(seg_starts)):
         a, b = seg_starts[n], seg_ends[n]
-        if model.time_homogeneous:
-            total -= _exit_rate(off_at(a)) * (b - a)
-        else:
-            if quad_step is None:
-                raise ValueError("inhomogeneous model needs a quadrature step")
-            k = max(1, int(np.ceil((b - a) / quad_step)))
-            ts = a + (np.arange(k) + 0.5) * (b - a) / k
-            acc = sum(_exit_rate(off_at(t)) for t in ts)
-            total -= acc * (b - a) / k
+        total -= _exit_rate(off_at(a)) * (b - a)
         if n < path.n_jumps:
             tj = path.jump_times[n]
             i, v = path.jump_nodes[n], path.jump_values[n]
@@ -435,6 +427,17 @@ def make_grid(T, dt, obs_times=()):
     grid = grid[keep]
     grid[-1] = T
     return grid
+
+
+def grid_indices(grid, times):
+    """Index of the grid point at each time: (len(times),) int64. A time
+    farther than 1e-9 from every grid point raises ValueError."""
+    times = np.asarray(times, dtype=float)
+    idx = np.argmin(np.abs(grid[:, None] - times), axis=0)
+    off = np.abs(grid[idx] - times) > 1e-9
+    if off.any():
+        raise ValueError(f"grid does not contain snapshot time {times[off][0]}")
+    return idx
 
 
 def write_path(f, path: PathSample, V):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import (CollapseError, InconsistentObservationsError,
                      StateSpaceTooLargeError)
-from .ips import RateModel, make_grid
+from .ips import RateModel, grid_indices, make_grid
 from .smc import logsumexp
 from .twisting import TwistOracle, emission_log_potential
 
@@ -308,11 +308,11 @@ class LookaheadTable(TwistOracle):
         where lh(z) is finite."""
         return lh[self._nbr[s]] - lh[s][:, None, None]
 
-    def q0_dist(self, p0_vec):
+    def q0_dist(self, p0):
         """The exact twisted initial distribution: prior mass times the
-        look-ahead at time zero."""
-        with np.errstate(divide="ignore"):
-            logq = np.log(np.asarray(p0_vec, dtype=float)) + self.log_h[0]
+        look-ahead at time zero. p0 is any initial law with
+        log_pmf_batch, read on the whole state table."""
+        logq = p0.log_pmf_batch(state_table(self.spec)) + self.log_h[0]
         return DenseInitial(self.spec, np.exp(logq - logq.max()))
 
     def twisted_model(self, base_model, theta):
@@ -422,10 +422,8 @@ def exact_lookahead(model, spec, theta, potentials, grid) -> LookaheadTable:
     gen = build_dense_generator(model, spec, theta)
     grid = np.asarray(grid, dtype=float)
     pot = {}
-    for tau, vec in potentials:
-        j = int(np.argmin(np.abs(grid - tau)))
-        if abs(grid[j] - tau) > 1e-9:
-            raise ValueError(f"grid does not contain potential time {tau}")
+    js = grid_indices(grid, [tau for tau, _ in potentials]).tolist()
+    for j, (_, vec) in zip(js, potentials):
         if np.all(vec == -np.inf):
             raise InconsistentObservationsError("potential vanishes everywhere")
         if np.any(~np.isfinite(vec)):

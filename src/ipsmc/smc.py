@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CollapseError
-from .ips import euler_step_table, make_grid, sample_values, sum_values
+from .ips import (euler_step_table, grid_indices, make_grid, sample_values,
+                  sum_values)
 from .twisting import ConstantTwist, SCORE_CLIP, emission_log_potential
 
 
@@ -132,29 +133,19 @@ class FactorizedInitial:
         return self.log_probs[np.arange(d)[None, :], Z].sum(axis=1)
 
 
-def _potential_lookup(obs, grid):
-    """Map grid index -> observation index for grid points that carry one."""
-    out = {}
-    for k, tau in enumerate(obs.times):
-        j = int(np.argmin(np.abs(grid - tau)))
-        if abs(grid[j] - tau) > 1e-9:
-            raise ValueError(f"grid does not contain observation time {tau}")
-        out[j] = k
-    return out
-
-
-def run_smc(model, spec, theta, twist, q0, p0, obs, cfg, grid=None):
+def run_smc(model, spec, theta, twist, p0, obs, cfg):
     """Generic twisted SMC (Algorithm: propose with the tilted product
     kernel, weight by prior/proposal times the twist ratio times any
     potential hit at the new grid time, resample adaptively).
 
+    The run steps on make_grid(obs.horizon, cfg.dt, obs.times) and draws
+    its initial particles from the twist's initial law twist.q0_dist(p0).
     Returns (ParticleEnsemble, log normalizer estimate).
     """
-    if grid is None:
-        grid = make_grid(obs.horizon, cfg.dt, obs.times)
-    grid = np.asarray(grid, dtype=float)
+    grid = make_grid(obs.horizon, cfg.dt, obs.times)
     M = len(grid) - 1
-    pot = _potential_lookup(obs, grid)
+    pot = dict(zip(grid_indices(grid, obs.times).tolist(), range(obs.K)))
+    q0 = twist.q0_dist(p0)
     rng = np.random.default_rng(cfg.seed)
     S = cfg.S
 
@@ -287,10 +278,10 @@ def _propose_step(model, spec, theta, twist, Z, t, dt, rng):
     return Z, log_ratio
 
 
-def bpf_run(model, spec, theta, p0, obs, cfg, grid=None):
+def bpf_run(model, spec, theta, p0, obs, cfg):
     """Bootstrap filter: prior proposal, weights only at observation times."""
-    twist = ConstantTwist(spec.d, spec.V)
-    return run_smc(model, spec, theta, twist, p0, p0, obs, cfg, grid=grid)
+    return run_smc(model, spec, theta, ConstantTwist(spec.d, spec.V), p0, obs,
+                   cfg)
 
 
 def posterior_marginals_from_ensemble(ens: ParticleEnsemble, V, eps=1e-3):

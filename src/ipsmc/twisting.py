@@ -92,7 +92,8 @@ def sample_emission(obs_template, z, rng):
 class TwistOracle:
     """Interface on a batch of states Z (S, d): log twist values (S,) and
     the (S, d, V) tables of log score ratios log h(z^{i->v}) - log h(z),
-    zero at v = z_i.
+    zero at v = z_i; and q0_dist(p0), the initial law twisted SMC draws
+    from under the prior's p0 (Whiteley & Lee, Ann. Statist. 2014).
 
     score_table_batch takes a boolean (S, d, V) mask cells of the entries
     the caller reads: the proposal passes the cells of positive base rate,
@@ -104,6 +105,9 @@ class TwistOracle:
         raise NotImplementedError
 
     def score_table_batch(self, t, Z, cells=None):
+        raise NotImplementedError
+
+    def q0_dist(self, p0):
         raise NotImplementedError
 
     def _zero_scores(self, n, d, V):
@@ -127,6 +131,9 @@ class ConstantTwist(TwistOracle):
 
     def score_table_batch(self, t, Z, cells=None):
         return self._zero_scores(len(Z), self.d, self.V)
+
+    def q0_dist(self, p0):
+        return p0
 
 
 SCORE_CLIP = 35.0  # numerical guard on exp(score); far beyond trained values

@@ -378,12 +378,18 @@ def q0_logp(params, F0, support_logmask=None):
     return logits - (m + np.log(np.exp(logits - m).sum(axis=-1, keepdims=True)))
 
 
+def _support_logmask(p0):
+    """(d, V) log-mask of a factorized p0's support: 0 on it, -inf off it."""
+    return np.where(p0.probs > 0, 0.0, -np.inf)
+
+
 class _Q0Dist(FactorizedInitial):
     """Initial proposal: per-node softmax of the q0 head, confined to the
-    support of the prior initial law so importance weights stay finite."""
+    support of the prior initial law p0 so importance weights stay finite."""
 
-    def __init__(self, params, ctx, support_logmask=None):
-        self.log_probs = q0_logp(params, ctx.initial_features, support_logmask)
+    def __init__(self, params, ctx, p0):
+        self.log_probs = q0_logp(params, ctx.initial_features,
+                                 _support_logmask(p0))
         self.probs = np.exp(self.log_probs)
 
 
@@ -441,6 +447,7 @@ def sleep_loss_forward_kl(params, model, spec, theta, items, mc_indices=None,
     tilted exit rate of the held state minus the log score of every
     realized coordinate change. mc_indices picks one step per item and
     scales it by the step count, an unbiased single-term estimate.
+    q0_support (_support_logmask(p0)) confines the initial head to p0.
     Returns (loss, grads) with the gradient exact for the returned loss.
     The (item, step) rows run as one batched pass, all rates read at the
     first row's time. The network and the gradients are in the params'
@@ -604,8 +611,8 @@ class LearnedTwist(TwistOracle):
         Phi, P = self._embed(t)
         return twist_score_table(self.params, Phi, Z, cells, self._ws, P)
 
-    def q0_dist(self, support_logmask=None):
-        return _Q0Dist(self.params, self.ctx, support_logmask)
+    def q0_dist(self, p0):
+        return _Q0Dist(self.params, self.ctx, p0)
 
 
 def save_checkpoint(path, params, adam_state=None, meta=None):

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CollapseError
-from .ips import euler_simulate_batch, make_grid
+from .ips import euler_simulate_batch, grid_indices, make_grid
 from .smc import SMCConfig, run_smc, sample_path_index
-from .twisting import ObservationSequence, emission_log_table, sample_emission
+from .twisting import emission_log_table, sample_emission
 from . import twistnet as tn
 
 # the dtype the sleep losses run the twist network in; the master weights,
@@ -89,7 +89,8 @@ def wake_loss_and_grad(theta, model, spec, states, obs, grid):
     length and earns the log intensity of every realized coordinate
     change; emission and initial terms carry no rate parameters here but
     are included in the value. The rate terms are the exact sum over all M
-    steps, evaluated in one batch.
+    steps, evaluated in one batch. Each snapshot scores the state at its
+    grid point; a grid without some snapshot time raises ValueError.
 
     All steps share one rate evaluation, so the model must be time
     homogeneous; any other model raises ValueError. A realized jump of zero
@@ -102,8 +103,7 @@ def wake_loss_and_grad(theta, model, spec, states, obs, grid):
     grid = np.asarray(grid)
     states = np.asarray(states)
 
-    # each snapshot scores the state at the grid point nearest its time
-    snaps = states[np.argmin(np.abs(grid[:, None] - obs.times), axis=0)]
+    snaps = states[grid_indices(grid, obs.times)]
     tables = emission_log_table(obs, np.arange(obs.K))  # (K, d, V)
     loss = -float(np.take_along_axis(tables, snaps[..., None], axis=2).sum())
 
@@ -137,33 +137,28 @@ class Telemetry:
         })
 
 
-def _simulate_sleep_batch(model, spec, theta, p0, tau_grids, obs_template, cfg, rng,
+def _simulate_sleep_batch(model, spec, theta, p0, seqs, cfg, rng,
                           with_negatives=False):
-    """Prior paths on each item's grid with synthetic observations at the
-    item's snapshot times. The paths, and the decoupled negatives on their
-    item's grid, step in lockstep on grids padded with repeats of the
-    horizon: rng draws every initial state, every step, then the snapshots."""
-    T = obs_template.horizon
-    grids = [make_grid(T, cfg.dt, taus) for taus in tau_grids]
+    """One prior path per sequence of seqs on its grid, with synthetic
+    observations at its snapshot times under its emission law. The paths,
+    and the decoupled negatives on their item's grid, step in lockstep on
+    grids padded with repeats of the horizon: rng draws every initial
+    state, every step, then the snapshots."""
+    grids = [make_grid(obs.horizon, cfg.dt, obs.times) for obs in seqs]
     runs = grids * (2 if with_negatives else 1)
-    padded = np.full((len(runs), max(map(len, grids))), T)
-    for k, g in enumerate(runs):
-        padded[k, :len(g)] = g
+    width = max(map(len, grids))
+    padded = np.stack([np.pad(g, (0, width - len(g)), mode="edge") for g in runs])
     # equal grids run on one shared grid, which any model accepts
     paths = euler_simulate_batch(model, spec, theta, p0.sample(rng, len(runs)),
                                  padded[0] if (padded == padded[0]).all() else padded,
                                  rng)
     items = []
-    for b, (taus, grid) in enumerate(zip(tau_grids, grids)):
+    for b, (obs, grid) in enumerate(zip(seqs, grids)):
         states = paths[b, :len(grid)]
-        tau_idx = [int(np.argmin(np.abs(grid - tau))) for tau in taus]
-        values = np.stack([sample_emission(obs_template, states[j], rng)
-                           for j in tau_idx]) if len(tau_idx) else np.zeros((0, spec.d), dtype=np.int64)
-        obs = ObservationSequence(horizon=T, times=np.asarray(taus),
-                                  values=values, V=spec.V,
-                                  p_mask=obs_template.p_mask,
-                                  label_noise=obs_template.label_noise)
-        ctx = tn.TwistContext(spec, obs)
+        snaps = grid_indices(grid, obs.times)
+        values = (np.stack([sample_emission(obs, states[j], rng) for j in snaps])
+                  if obs.K else np.zeros((0, spec.d), dtype=np.int64))
+        ctx = tn.TwistContext(spec, dataclasses.replace(obs, values=values))
         if with_negatives:
             items.append(tn.DREItem(grid=grid, states_pos=states, ctx=ctx,
                                     states_neg=paths[len(grids) + b, :len(grid)]))
@@ -172,27 +167,27 @@ def _simulate_sleep_batch(model, spec, theta, p0, tau_grids, obs_template, cfg, 
     return items
 
 
-def sleep_steps(psi, adam, theta, model, spec, p0, tau_grids, obs_template,
-                cfg, rng, n_steps):
+def sleep_steps(psi, adam, theta, model, spec, p0, dataset_obs, cfg, rng,
+                n_steps):
     """The sleep loop: n_steps Adam steps on the twist psi at rate
     cfg.lr_psi, yielding (psi, loss) after each.
 
     Every cfg.reuse steps it simulates a fresh batch of cfg.batch prior
-    paths under theta, each on the grid of a randomly drawn tau_grids
-    entry. With cfg.mc_loss each step scores every path on one random grid
+    paths under theta, each mirroring a randomly drawn sequence of
+    dataset_obs: its horizon, its snapshot times and its emission law.
+    With cfg.mc_loss each step scores every path on one random grid
     step (Monte Carlo over time); cfg.loss picks the forward-KL or the
     density-ratio loss. Each loss runs on a SLEEP_DTYPE copy of psi, and
     its gradients are cast back to float64 for the Adam step on psi. The
     generator is lazy: it draws nothing from rng after the caller's last
     step."""
-    q0_support = q0_support_logmask(p0)
+    q0_support = tn._support_logmask(p0)
     for step in range(n_steps):
         if step % cfg.reuse == 0:
-            batch_taus = [tau_grids[int(rng.integers(len(tau_grids)))]
-                          for _ in range(cfg.batch)]
-            items = _simulate_sleep_batch(model, spec, theta, p0, batch_taus,
-                                          obs_template, cfg, rng,
-                                          with_negatives=cfg.loss == "dre")
+            seqs = [dataset_obs[int(rng.integers(len(dataset_obs)))]
+                    for _ in range(cfg.batch)]
+            items = _simulate_sleep_batch(model, spec, theta, p0, seqs, cfg,
+                                          rng, with_negatives=cfg.loss == "dre")
         mcs = ([int(rng.integers(len(it.grid) - 1)) for it in items]
                if cfg.mc_loss else None)
         low = psi.astype(SLEEP_DTYPE)
@@ -208,8 +203,8 @@ def sleep_steps(psi, adam, theta, model, spec, p0, tau_grids, obs_template,
         yield psi, loss
 
 
-def sleep_phase(psi, psi_adam, theta, model, spec, p0, tau_grids, obs_template,
-                cfg, rng, n_steps, telemetry=None, global_iter=0, pretrain=False):
+def sleep_phase(psi, psi_adam, theta, model, spec, p0, dataset_obs, cfg, rng,
+                n_steps, telemetry=None, global_iter=0, pretrain=False):
     """n_steps sleep steps on the twist (sleep_steps), one telemetry row
     each. mc_loss applies to the sleep loop only; the wake phase always
     uses the exact full-path objective.
@@ -219,8 +214,8 @@ def sleep_phase(psi, psi_adam, theta, model, spec, p0, tau_grids, obs_template,
     window = PRETRAIN_WINDOW
     losses = []
     for step, (psi, loss) in enumerate(
-            sleep_steps(psi, psi_adam, theta, model, spec, p0, tau_grids,
-                        obs_template, cfg, rng, n_steps), 1):
+            sleep_steps(psi, psi_adam, theta, model, spec, p0, dataset_obs,
+                        cfg, rng, n_steps), 1):
         losses.append(loss)
         if telemetry is not None:
             telemetry.add(global_iter, "pretrain" if pretrain else "sleep",
@@ -231,13 +226,6 @@ def sleep_phase(psi, psi_adam, theta, model, spec, p0, tau_grids, obs_template,
             if (prev - last) / max(abs(prev), 1e-9) < PRETRAIN_REL_TOL:
                 break
     return psi
-
-
-def q0_support_logmask(p0):
-    """Log-mask of the prior initial support: 0 where a node value can
-    occur at time zero, -inf elsewhere."""
-    mask = np.where(p0.probs > 0, 0.0, -np.inf)
-    return mask
 
 
 def wake_phase(theta_state: ThetaState, psi, model, spec, p0, dataset_obs,
@@ -303,9 +291,7 @@ def _wake_sample(model, spec, theta_bar, psi, p0, obs, cfg, seed):
     smc_cfg = SMCConfig(S=cfg.particles, dt=cfg.dt,
                         ess_threshold=cfg.ess_threshold, seed=seed)
     try:
-        ens, _ = run_smc(model, spec, theta_bar, twist,
-                         twist.q0_dist(q0_support_logmask(p0)), p0,
-                         obs, smc_cfg)
+        ens, _ = run_smc(model, spec, theta_bar, twist, p0, obs, smc_cfg)
     except CollapseError:
         return None
     rng = np.random.default_rng(seed + 1)
@@ -327,19 +313,17 @@ def train(model, spec, p0, dataset_obs, theta0, cfg: TrainConfig,
     psi_adam = tn.AdamState.init(psi.arrays())
     theta_state = ThetaState.init(theta0)
     telemetry = Telemetry()
-    tau_grids = [np.asarray(o.times) for o in dataset_obs]
-    obs_template = dataset_obs[0]
     skip_counter = {"skipped": 0, "attempted": 0}
 
     if cfg.pretrain_steps > 0:
         psi = sleep_phase(psi, psi_adam, theta_state.params(), model, spec, p0,
-                          tau_grids, obs_template, cfg, rng, cfg.pretrain_steps,
-                          telemetry, 0, pretrain=True)
+                          dataset_obs, cfg, rng, cfg.pretrain_steps, telemetry,
+                          0, pretrain=True)
 
     for g in range(1, cfg.global_iters + 1):
         psi = sleep_phase(psi, psi_adam, theta_state.params(), model, spec, p0,
-                          tau_grids, obs_template, cfg, rng, cfg.steps_per_phase,
-                          telemetry, g)
+                          dataset_obs, cfg, rng, cfg.steps_per_phase, telemetry,
+                          g)
         theta_state = wake_phase(theta_state, psi, model, spec, p0, dataset_obs,
                                  cfg, rng, cfg.steps_per_phase, telemetry, g,
                                  skip_counter, mapper)

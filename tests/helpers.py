@@ -3,7 +3,8 @@ tests."""
 
 import numpy as np
 
-from ipsmc.ips import euler_step_table, make_grid, sample_values, sum_values
+from ipsmc.ips import (euler_step_table, grid_indices, make_grid, sample_values,
+                       sum_values)
 from ipsmc import oracle as orc
 from ipsmc import smc
 from ipsmc import twistnet as tn
@@ -204,13 +205,15 @@ def reference_marginals(ens, V, eps):
     return (1.0 - eps) * out + eps / V
 
 
-def reference_run_smc(model, spec, theta, twist, q0, p0, obs, cfg, grid):
+def reference_run_smc(model, spec, theta, twist, p0, obs, cfg):
     """(states, log weights, log_z, ESS history, trajectories) of run_smc
     with the same arguments, from a loop with reference_propose_step, three
     log-sum-exps per resampling step and a stored history rewritten at
     every resampling."""
+    grid = make_grid(obs.horizon, cfg.dt, obs.times)
     M = len(grid) - 1
-    pot = smc._potential_lookup(obs, grid)
+    pot = {j: k for k, j in enumerate(grid_indices(grid, obs.times))}
+    q0 = twist.q0_dist(p0)
     rng = np.random.default_rng(cfg.seed)
     S = cfg.S
     Z = q0.sample(rng, S)

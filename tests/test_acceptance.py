@@ -130,13 +130,12 @@ def test_criterion_4_log_normalizer():
                                               grid)
     la = orc.exact_lookahead(model, spec, None,
                              orc.potential_vectors(spec, obs), grid)
-    q0 = la.q0_dist(p0_vec)
     p0 = orc.DenseInitial(spec, p0_vec)
-    tz = [run_smc(model, spec, None, la, q0, p0, obs,
-                  SMCConfig(S=256, dt=0.01, seed=s), grid=grid)[1]
+    tz = [run_smc(model, spec, None, la, p0, obs,
+                  SMCConfig(S=256, dt=0.01, seed=s))[1]
           for s in range(20)]
     bz = [bpf_run(model, spec, None, p0, obs,
-                  SMCConfig(S=2048, dt=0.01, seed=100 + s), grid=grid)[1]
+                  SMCConfig(S=2048, dt=0.01, seed=100 + s))[1]
           for s in range(20)]
     t_rel = abs(np.mean(tz) - exact) / abs(exact)
     b_se = np.std(bz, ddof=1) / math.sqrt(len(bz))

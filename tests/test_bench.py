@@ -176,8 +176,7 @@ def test_oracle_posterior_ce_beats_bootstrap(pair_spec):
         truth = path.states_at(grid)
         ce_oracle.append(cross_entropy_metric(node, truth))
         ens, _ = bpf_run(model, pair_spec, params, orc.DenseInitial(pair_spec, p0_vec),
-                         obs, SMCConfig(S=24, dt=0.1, seed=1000 + idx),
-                         grid=grid)
+                         obs, SMCConfig(S=24, dt=0.1, seed=1000 + idx))
         emp = posterior_marginals_from_ensemble(ens, V=3, eps=1e-3)
         ce_bpf.append(cross_entropy_metric(emp, truth))
     assert np.mean(ce_oracle) <= np.mean(ce_bpf)

@@ -3,6 +3,7 @@ import filecmp
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -546,6 +547,26 @@ class TestTrainTwist:
 
         _, _, header = tn.load_checkpoint(str(tmp_path / "dre" / "twist.npz"))
         assert header["loss"] == "dre"
+
+
+@pytest.mark.parametrize("key", ["gamma", "T"])
+def test_dataset_missing_key_rejected(dataset, tmp_path, capsys, key):
+    # a params.json without a rate or the horizon ends in exit 2, naming
+    # the file and the key, not in a KeyError traceback
+    ds = tmp_path / "ds"
+    shutil.copytree(dataset, ds)
+    with open(ds / "params.json") as f:
+        params = json.load(f)
+    del params[key]
+    with open(ds / "params.json", "w") as f:
+        json.dump(params, f)
+    out = tmp_path / "out"
+    cfg = {"dataset": str(ds), "out": str(out), "method": "bpf", "S": 4,
+           "dt": 0.2}
+    assert main(["infer", "--config", write_cfg(tmp_path, "c.json", cfg)]) == 2
+    assert (f"{ds / 'params.json'} lacks keys ['{key}']"
+            in capsys.readouterr().err)
+    assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize("arrays", [

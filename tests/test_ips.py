@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 
@@ -10,8 +11,8 @@ from scipy.linalg import expm
 from ipsmc.errors import StepSizeError
 from ipsmc.ips import (PathSample, RateModel, SIRSParams, StateSpaceSpec,
                        euler_simulate_batch, euler_step_table,
-                       gillespie_simulate, make_grid, path_log_density,
-                       read_path, sample_values, sirs_model,
+                       gillespie_simulate, grid_indices, make_grid,
+                       path_log_density, read_path, sample_values, sirs_model,
                        sirs_off_rates_batch, sum_values, write_path)
 from ipsmc import oracle as orc
 
@@ -344,6 +345,14 @@ class TestPathLogDensity:
         val = path_log_density(model, spec, None, path, self._point_mass([0]))
         assert val == pytest.approx(math.log(0.5) - 1.0)
 
+    def test_rejects_time_inhomogeneous_model(self):
+        spec = chain_spec(1, V=2)
+        model = dataclasses.replace(make_flip_model(1.0, 1.0),
+                                    time_homogeneous=False)
+        path = PathSample(horizon=2.0, initial=np.array([0]))
+        with pytest.raises(ValueError, match="time-homogeneous"):
+            path_log_density(model, spec, None, path, self._point_mass([0]))
+
     def test_zero_rate_jump_gives_minus_inf(self):
         spec = chain_spec(2, V=3)
         p = SIRSParams(0.0, 0.0, 0.4, 0.0)
@@ -462,6 +471,15 @@ def test_path_validation():
                      jump_nodes=np.array([0, 0]), jump_values=np.array([1, 0]))
     with pytest.raises(ValueError):
         bad.validate()
+
+
+def test_grid_indices():
+    grid = make_grid(1.0, 0.25, [0.3])
+    assert grid_indices(grid, [0.3, 1.0, 0.0]).tolist() == [2, 5, 0]
+    assert grid_indices(grid, [0.25 + 5e-10]).tolist() == [1]
+    assert grid_indices(grid, []).tolist() == []
+    with pytest.raises(ValueError, match="snapshot time 0.4"):
+        grid_indices(grid, [0.3, 0.4])
 
 
 def test_make_grid_contains_observation_times():

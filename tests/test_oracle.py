@@ -235,6 +235,14 @@ class TestLookahead:
         assert np.abs(la.log_h).max() < 1e-12
         assert np.abs(la.log_h_left).max() < 1e-12
 
+    def test_off_grid_potential_rejected(self):
+        spec = chain_spec(1, V=2)
+        grid = make_grid(1.0, 0.25)
+        g = np.log(np.array([0.7, 0.2]))
+        with pytest.raises(ValueError, match="snapshot time 0.6"):
+            orc.exact_lookahead(two_state_model(), spec, None,
+                                [(0.5, g), (0.6, g)], grid)
+
     def test_single_horizon_potential(self):
         spec = chain_spec(1, V=2)
         model = two_state_model()

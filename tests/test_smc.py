@@ -175,7 +175,7 @@ class TestTrivialRuns:
         for seed in (0, 1, 17):
             cfg = SMCConfig(S=32, dt=0.1, seed=seed)
             ens, logz = run_smc(model, spec, None, ConstantTwist(2, 2), p0,
-                                p0, empty, cfg)
+                                empty, cfg)
             assert logz == 0.0
             assert np.all(ens.log_weights == 0.0)
 
@@ -197,14 +197,12 @@ class TestAgainstOracle:
         grid = make_grid(1.0, 0.02, obs.times)
         la = orc.exact_lookahead(model, spec, None,
                                  orc.potential_vectors(spec, obs), grid)
-        q0 = la.q0_dist(p0_vec)
         p0 = orc.DenseInitial(spec, p0_vec)
         exact = self._exact(spec, model, obs, p0_vec, grid)
         vals = []
         for seed in range(8):
             cfg = SMCConfig(S=128, dt=0.02, seed=seed)
-            _, logz = run_smc(model, spec, None, la, q0, p0, obs, cfg,
-                              grid=grid)
+            _, logz = run_smc(model, spec, None, la, p0, obs, cfg)
             vals.append(logz)
         assert abs(np.mean(vals) - exact) < 0.01 * abs(exact) + 0.01
 
@@ -214,7 +212,7 @@ class TestAgainstOracle:
         p0 = orc.DenseInitial(spec, p0_vec)
         exact = self._exact(spec, model, obs, p0_vec, grid)
         vals = [bpf_run(model, spec, None, p0, obs,
-                        SMCConfig(S=512, dt=0.02, seed=s), grid=grid)[1]
+                        SMCConfig(S=512, dt=0.02, seed=s))[1]
                 for s in range(10)]
         se = np.std(vals, ddof=1) / math.sqrt(len(vals))
         assert abs(np.mean(vals) - exact) < 3 * se + 1e-3
@@ -224,10 +222,9 @@ class TestAgainstOracle:
         grid = make_grid(1.0, 0.01, obs.times)
         la = orc.exact_lookahead(model, spec, None,
                                  orc.potential_vectors(spec, obs), grid)
-        q0 = la.q0_dist(p0_vec)
         p0 = orc.DenseInitial(spec, p0_vec)
         cfg = SMCConfig(S=256, dt=0.01, seed=5)
-        ens, _ = run_smc(model, spec, None, la, q0, p0, obs, cfg, grid=grid)
+        ens, _ = run_smc(model, spec, None, la, p0, obs, cfg)
         ess = np.array([e for _, e in ens.ess_history])
         assert ess.min() >= 0.99 * cfg.S
 
@@ -236,10 +233,9 @@ class TestAgainstOracle:
         grid = make_grid(1.0, 0.02, obs.times)
         la = orc.exact_lookahead(model, spec, None,
                                  orc.potential_vectors(spec, obs), grid)
-        q0 = la.q0_dist(p0_vec)
         p0 = orc.DenseInitial(spec, p0_vec)
         cfg = SMCConfig(S=4000, dt=0.02, seed=2)
-        ens, _ = run_smc(model, spec, None, la, q0, p0, obs, cfg, grid=grid)
+        ens, _ = run_smc(model, spec, None, la, p0, obs, cfg)
         marg, _ = orc.exact_posterior_marginals(model, spec, None, p0_vec, obs,
                                                 grid)
         node = orc.nodewise_marginals(spec, marg)
@@ -316,6 +312,9 @@ class _CountingTwist:
         self.asked.append((t, Z.copy(), None if cells is None else cells.copy()))
         return self.twist.score_table_batch(t, Z, cells)
 
+    def q0_dist(self, p0):
+        return self.twist.q0_dist(p0)
+
 
 def _cyclic_model(rate):
     """Every node moves z -> z+1 mod V at a constant rate."""
@@ -349,11 +348,10 @@ class TestPathStorage:
         spec, model, obs, p0_vec = _flip_setup(obs_times=(0.3, 0.6),
                                                values=((1, 0), (0, 1)))
         p0 = orc.DenseInitial(spec, p0_vec)
-        grid = make_grid(1.0, 0.05, obs.times)
         cfg = SMCConfig(S=64, dt=0.05, seed=3, **cfg_kw)
-        ens, log_z = bpf_run(model, spec, None, p0, obs, cfg, grid=grid)
+        ens, log_z = bpf_run(model, spec, None, p0, obs, cfg)
         ref = reference_run_smc(model, spec, None, ConstantTwist(2, 2), p0,
-                                p0, obs, cfg, grid)
+                                obs, cfg)
         return ens, log_z, ref, cfg
 
     def test_bootstrap_filter(self):
@@ -367,14 +365,11 @@ class TestPathStorage:
         la = orc.exact_lookahead(model, spec, None,
                                  orc.potential_vectors(spec, obs), grid)
         twist = _CountingTwist(la)
-        q0 = la.q0_dist(p0_vec)
         p0 = orc.DenseInitial(spec, p0_vec)
         cfg = SMCConfig(S=64, dt=0.1, seed=4)
-        ens, log_z = run_smc(model, spec, None, twist, q0, p0, obs, cfg,
-                             grid=grid)
+        ens, log_z = run_smc(model, spec, None, twist, p0, obs, cfg)
         assert twist.calls > len(grid) - 1
-        ref = reference_run_smc(model, spec, None, twist, q0, p0, obs, cfg,
-                                grid)
+        ref = reference_run_smc(model, spec, None, twist, p0, obs, cfg)
         _assert_matches_reference(ens, log_z, ref)
 
     def test_learned_twist_past_last_snapshot(self):
@@ -388,16 +383,12 @@ class TestPathStorage:
             a[...] += rng.normal(size=a.shape) * 0.5
         twist = tn.LearnedTwist(params, spec, obs)
         p0 = FactorizedInitial(np.full((2, 2), 0.5))
-        q0 = twist.q0_dist()
-        grid = make_grid(1.0, 0.05, obs.times)
         cfg = SMCConfig(S=32, dt=0.05, seed=5)
-        ens, log_z = run_smc(model, spec, None, twist, q0, p0, obs, cfg,
-                             grid=grid)
+        ens, log_z = run_smc(model, spec, None, twist, p0, obs, cfg)
         Z = np.zeros((1, 2), dtype=np.int64)
         assert twist.score_table_batch(0.55, Z).any()
         assert not twist.score_table_batch(0.65, Z).any()
-        ref = reference_run_smc(model, spec, None, twist, q0, p0, obs, cfg,
-                                grid)
+        ref = reference_run_smc(model, spec, None, twist, p0, obs, cfg)
         _assert_matches_reference(ens, log_z, ref)
 
     def test_learned_twist_scores_positive_rate_cells(self):
@@ -414,17 +405,13 @@ class TestPathStorage:
             a[...] += rng.normal(size=a.shape) * 0.5
         twist = _CountingTwist(tn.LearnedTwist(params, spec, obs))
         p0 = FactorizedInitial(np.full((4, 3), 1 / 3))
-        q0 = twist.twist.q0_dist()
-        grid = make_grid(1.0, 0.05, obs.times)
         cfg = SMCConfig(S=16, dt=0.05, seed=7)
-        ens, log_z = run_smc(model, spec, None, twist, q0, p0, obs, cfg,
-                             grid=grid)
-        assert len(twist.asked) == len(grid) - 1
+        ens, log_z = run_smc(model, spec, None, twist, p0, obs, cfg)
+        assert len(twist.asked) == len(ens.grid) - 1
         for t, Z, cells in twist.asked:
             assert np.array_equal(cells, model.off_rates_batch(t, Z, spec, None) > 0)
             assert np.all(cells.sum(axis=2) == 1)
-        ref = reference_run_smc(model, spec, None, twist, q0, p0, obs, cfg,
-                                grid)
+        ref = reference_run_smc(model, spec, None, twist, p0, obs, cfg)
         _assert_matches_reference(ens, log_z, ref)
 
     def test_uniform_weights_are_not_resampled(self):
@@ -471,11 +458,10 @@ class TestPathStorage:
         obs = ObservationSequence(horizon=1.0, times=np.array([0.5, 1.0]),
                                   values=np.array([[252, 299, V], [255, 2, 1]]),
                                   V=V, p_mask=0.5, label_noise=0.001)
-        grid = make_grid(1.0, 0.05, obs.times)
         cfg = SMCConfig(S=32, dt=0.05, seed=6)
-        ens, log_z = bpf_run(model, spec, None, p0, obs, cfg, grid=grid)
+        ens, log_z = bpf_run(model, spec, None, p0, obs, cfg)
         ref = reference_run_smc(model, spec, None, ConstantTwist(d, V), p0,
-                                p0, obs, cfg, grid)
+                                obs, cfg)
         assert ens.trajectories.max() > 255
         _assert_matches_reference(ens, log_z, ref)
 
@@ -544,12 +530,11 @@ class TestAdaptiveSubstepping:
         grid = make_grid(1.0, 0.1, obs.times)
         la = orc.exact_lookahead(model, spec, None,
                                  orc.potential_vectors(spec, obs), grid)
-        q0 = la.q0_dist(p0_vec)
         p0 = orc.DenseInitial(spec, p0_vec)
         exact = orc.exact_log_marginal_likelihood(model, spec, None, p0_vec,
                                                   obs, grid)
-        vals = [run_smc(model, spec, None, la, q0, p0, obs,
-                        SMCConfig(S=256, dt=0.1, seed=s), grid=grid)[1]
+        vals = [run_smc(model, spec, None, la, p0, obs,
+                        SMCConfig(S=256, dt=0.1, seed=s))[1]
                 for s in range(6)]
         se = np.std(vals, ddof=1) / math.sqrt(len(vals))
         # coarse grid: allow discretization slack on top of the MC band

@@ -715,8 +715,8 @@ class TestQ0:
     def test_zero_weights_uniform(self):
         spec = chain_spec(3, V=3)
         params = tn.init_params(3, m=8, seed=0)
-        ctx = tn.TwistContext(spec, _obs3(d=3))
-        dist = tn._Q0Dist(params, ctx)
+        p0 = FactorizedInitial(np.full((3, 3), 1 / 3))
+        dist = tn.LearnedTwist(params, spec, _obs3(d=3)).q0_dist(p0)
         assert np.allclose(dist.probs, 1 / 3)
 
     def test_support_mask_restricts(self):
@@ -725,9 +725,8 @@ class TestQ0:
         obs = ObservationSequence(horizon=1.0, times=np.array([0.5]),
                                   values=np.array([[1, 3]]), V=3, p_mask=0.5,
                                   label_noise=0.001)
-        ctx = tn.TwistContext(spec, obs)
-        mask = np.array([[0.0, 0.0, -np.inf], [0.0, 0.0, -np.inf]])
-        dist = tn._Q0Dist(params, ctx, support_logmask=mask)
+        p0 = FactorizedInitial(np.array([[0.5, 0.5, 0.0], [0.9, 0.1, 0.0]]))
+        dist = tn.LearnedTwist(params, spec, obs).q0_dist(p0)
         assert np.all(dist.probs[:, 2] == 0.0)
         Z = dist.sample(np.random.default_rng(0), 200)
         assert Z.max() <= 1

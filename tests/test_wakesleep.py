@@ -14,7 +14,7 @@ from ipsmc.smc import FactorizedInitial
 from ipsmc.twisting import ObservationSequence, emission_log_potential
 from ipsmc import wakesleep
 from ipsmc.wakesleep import (ThetaState, TrainConfig, Telemetry,
-                             q0_support_logmask, sleep_phase, sleep_steps,
+                             sleep_phase, sleep_steps,
                              train, wake_loss_and_grad, wake_phase,
                              _simulate_sleep_batch)
 
@@ -85,9 +85,13 @@ class TestWakeLoss:
         # M two-point paths add up to the gradient of the whole path
         spec, theta, model, obs, grid, states = self._setup()
         _, full_grad = wake_loss_and_grad(theta, model, spec, states, obs, grid)
+        # the gradient has no emission terms, and a two-point grid holds no
+        # snapshot time, so the pieces are scored without observations
+        no_obs = dataclasses.replace(obs, times=obs.times[:0],
+                                     values=obs.values[:0])
         M = len(grid) - 1
         total = sum(wake_loss_and_grad(theta, model, spec, states[m:m + 2],
-                                       obs, grid[m:m + 2])[1]
+                                       no_obs, grid[m:m + 2])[1]
                     for m in range(M))
         assert np.allclose(total, full_grad, atol=1e-10)
 
@@ -104,6 +108,14 @@ class TestWakeLoss:
         a = wake_loss_and_grad(theta, model, spec, states, obs, grid)[0]
         b = wake_loss_and_grad(theta, model, spec, states, other, grid)[0]
         assert a - b == pytest.approx(diff, rel=1e-10)
+
+    def test_grid_without_snapshot_time_rejected(self):
+        # the grid must hold every snapshot time, not merely a point near it
+        spec, theta, model, obs, grid, states = self._setup()
+        coarse = make_grid(1.5, 0.25)  # holds 0.5 but not 1.1
+        with pytest.raises(ValueError, match="snapshot time 1.1"):
+            wake_loss_and_grad(theta, model, spec, states[:len(coarse)], obs,
+                               coarse)
 
     def test_impossible_jump_has_infinite_loss(self, pair_spec):
         # S -> R in one step has zero SIRS rate: the path is impossible, so
@@ -213,34 +225,34 @@ def _sleep_setup(d=2, seed=0):
     probs[:, 0] = 0.8
     probs[:, 1] = 0.2
     p0 = FactorizedInitial(probs)
-    template = ObservationSequence(horizon=1.5, times=np.array([0.6, 1.2]),
-                                   values=np.full((2, d), 3), V=3, p_mask=0.5,
-                                   label_noise=0.01)
-    tau_grids = [np.array([0.6, 1.2]), np.array([0.3, 1.0])]
-    return spec, theta, model, p0, template, tau_grids
+    seqs = [ObservationSequence(horizon=1.5, times=np.array(times),
+                                values=np.full((2, d), 3), V=3, p_mask=0.5,
+                                label_noise=0.01)
+            for times in ([0.6, 1.2], [0.3, 1.0])]
+    return spec, theta, model, p0, seqs
 
 
 class TestSleepPhase:
     def test_zero_steps_is_identity(self):
-        spec, theta, model, p0, template, tau_grids = _sleep_setup()
+        spec, theta, model, p0, seqs = _sleep_setup()
         cfg = TrainConfig(batch=2, dt=0.25, seed=0, pretrain_steps=0)
         psi = tn.init_params(3, m=8, seed=0)
         adam = tn.AdamState.init(psi.arrays())
         before = {k: v.copy() for k, v in psi.arrays().items()}
-        out = sleep_phase(psi, adam, theta, model, spec, p0, tau_grids,
-                          template, cfg, np.random.default_rng(0), n_steps=0)
+        out = sleep_phase(psi, adam, theta, model, spec, p0, seqs, cfg,
+                          np.random.default_rng(0), n_steps=0)
         for k in before:
             assert np.array_equal(out.arrays()[k], before[k])
 
     def test_loss_decreases_over_training(self):
-        spec, theta, model, p0, template, tau_grids = _sleep_setup()
+        spec, theta, model, p0, seqs = _sleep_setup()
         cfg = TrainConfig(batch=8, dt=0.15, seed=1, mc_loss=False, reuse=5,
                           lr_psi=3e-3, pretrain_steps=0)
         psi = tn.init_params(3, m=16, seed=1)
         adam = tn.AdamState.init(psi.arrays())
         telemetry = Telemetry()
-        sleep_phase(psi, adam, theta, model, spec, p0, tau_grids, template,
-                    cfg, np.random.default_rng(1), n_steps=200,
+        sleep_phase(psi, adam, theta, model, spec, p0, seqs, cfg,
+                    np.random.default_rng(1), n_steps=200,
                     telemetry=telemetry)
         losses = [r["loss"] for r in telemetry.rows]
         assert np.mean(losses[-20:]) < np.mean(losses[:20])
@@ -248,15 +260,14 @@ class TestSleepPhase:
     def test_steps_draw_nothing_past_the_last_step(self):
         # stopping after a batch's last step leaves the generator where a
         # run of exactly that many steps leaves it
-        spec, theta, model, p0, template, tau_grids = _sleep_setup()
+        spec, theta, model, p0, seqs = _sleep_setup()
         cfg = TrainConfig(batch=2, dt=0.25, seed=0, reuse=3, pretrain_steps=0)
         ends = []
         for n_steps in (3, 9):
             psi = tn.init_params(3, m=8, seed=0)
             rng = np.random.default_rng(4)
             steps = sleep_steps(psi, tn.AdamState.init(psi.arrays()), theta,
-                                model, spec, p0, tau_grids, template, cfg,
-                                rng, n_steps)
+                                model, spec, p0, seqs, cfg, rng, n_steps)
             for _ in range(3):
                 psi, _ = next(steps)
             ends.append((rng.bit_generator.state, psi.arrays()))
@@ -269,7 +280,7 @@ class TestSleepPhase:
         # each step hands the loss a float32 copy of psi and applies Adam,
         # on float64 gradients, to the float64 weights: the step equals an
         # Adam step on the loss's gradients cast to float64
-        spec, theta, model, p0, template, tau_grids = _sleep_setup()
+        spec, theta, model, p0, seqs = _sleep_setup()
         cfg = TrainConfig(batch=2, dt=0.25, seed=0, reuse=3, loss=loss,
                           pretrain_steps=0)
         name = "sleep_loss_forward_kl" if loss == "kl" else "dre_loss"
@@ -284,8 +295,8 @@ class TestSleepPhase:
         psi = tn.init_params(3, m=8, seed=0)
         adam = tn.AdamState.init(psi.arrays())
         ref_adam = tn.AdamState.init(psi.arrays())
-        steps = sleep_steps(psi, adam, theta, model, spec, p0, tau_grids,
-                            template, cfg, np.random.default_rng(4), 4)
+        steps = sleep_steps(psi, adam, theta, model, spec, p0, seqs, cfg,
+                            np.random.default_rng(4), 4)
         for new, _ in steps:
             low, grads = seen[-1]
             for k, a in psi.arrays().items():
@@ -304,33 +315,33 @@ class TestSleepPhase:
         # a batch whose items share one grid runs on that grid, bitwise as
         # a shared-grid call, and so also under a time-inhomogeneous model;
         # unequal grids run in lockstep, which needs a homogeneous model
-        spec, theta, model, p0, template, tau_grids = _sleep_setup()
+        spec, theta, model, p0, seqs = _sleep_setup()
         cfg = TrainConfig(batch=3, dt=0.25, seed=3, pretrain_steps=0)
-        items = _simulate_sleep_batch(model, spec, theta, p0, [tau_grids[0]] * 3,
-                                      template, cfg, np.random.default_rng(5))
+        items = _simulate_sleep_batch(model, spec, theta, p0, [seqs[0]] * 3,
+                                      cfg, np.random.default_rng(5))
         rng = np.random.default_rng(5)
         paths = euler_simulate_batch(model, spec, theta, p0.sample(rng, 3),
                                      items[0].grid, rng)
         for b, item in enumerate(items):
             assert np.array_equal(item.states, paths[b])
         inhomogeneous = dataclasses.replace(model, time_homogeneous=False)
-        _simulate_sleep_batch(inhomogeneous, spec, theta, p0, [tau_grids[0]] * 2,
-                              template, cfg, np.random.default_rng(5))
+        _simulate_sleep_batch(inhomogeneous, spec, theta, p0, [seqs[0]] * 2,
+                              cfg, np.random.default_rng(5))
         with pytest.raises(ValueError, match="time-homogeneous"):
-            _simulate_sleep_batch(inhomogeneous, spec, theta, p0, tau_grids,
-                                  template, cfg, np.random.default_rng(5))
+            _simulate_sleep_batch(inhomogeneous, spec, theta, p0, seqs, cfg,
+                                  np.random.default_rng(5))
 
     def test_mc_gradient_expectation_matches_full(self):
-        spec, theta, model, p0, template, tau_grids = _sleep_setup()
+        spec, theta, model, p0, seqs = _sleep_setup()
         cfg = TrainConfig(batch=3, dt=0.25, seed=3, pretrain_steps=0)
         rng = np.random.default_rng(5)
-        items = _simulate_sleep_batch(model, spec, theta, p0,
-                                      [tau_grids[0]] * 3, template, cfg, rng)
+        items = _simulate_sleep_batch(model, spec, theta, p0, [seqs[0]] * 3,
+                                      cfg, rng)
         psi = tn.init_params(3, m=8, seed=2)
         rng2 = np.random.default_rng(7)
         for k, a in psi.arrays().items():
             a[...] += rng2.normal(size=a.shape) * 0.1
-        support = q0_support_logmask(p0)
+        support = tn._support_logmask(p0)
         _, full = tn.sleep_loss_forward_kl(psi, model, spec, theta, items,
                                            q0_support=support)
         M = len(items[0].grid) - 1
@@ -366,7 +377,7 @@ class TestWakePhase:
         return out
 
     def test_zero_steps_is_identity(self):
-        spec, theta, model, p0, template, tau_grids = _sleep_setup(d=3)
+        spec, theta, model, p0, seqs = _sleep_setup(d=3)
         obs = self._dataset(spec, theta, model, p0, 2, 0)
         cfg = TrainConfig(batch=2, particles=4, dt=0.25, seed=0,
                           pretrain_steps=0)
@@ -379,7 +390,7 @@ class TestWakePhase:
 
     def test_batch_without_survivors_raises(self, monkeypatch):
         # every tSMC run collapsing must end the phase, not loop forever
-        spec, theta, model, p0, template, tau_grids = _sleep_setup(d=3)
+        spec, theta, model, p0, seqs = _sleep_setup(d=3)
         obs = self._dataset(spec, theta, model, p0, 2, 0)
         cfg = TrainConfig(batch=2, particles=4, dt=0.25, seed=0,
                           pretrain_steps=0)
@@ -396,7 +407,7 @@ class TestWakePhase:
     def test_every_batch_samples_under_the_starting_theta(self, monkeypatch):
         # the tSMC runs of every batch use the parameters the phase started
         # with, while the wake steps between batches move them
-        spec, theta, model, p0, template, tau_grids = _sleep_setup(d=3)
+        spec, theta, model, p0, seqs = _sleep_setup(d=3)
         obs = self._dataset(spec, theta, model, p0, 2, 0)
         cfg = TrainConfig(batch=2, particles=4, dt=0.25, seed=0, reuse=2,
                           pretrain_steps=0)
@@ -423,15 +434,14 @@ class TestWakePhase:
         # parameters starting at the truth should end a wake phase close to
         # it; residual motion is stochastic-gradient noise plus the finite
         # dataset's own maximum-likelihood offset
-        spec, theta, model, p0, template, tau_grids = _sleep_setup(d=3)
+        spec, theta, model, p0, seqs = _sleep_setup(d=3)
         obs = self._dataset(spec, theta, model, p0, 20, 1)
         cfg = TrainConfig(batch=8, particles=8, dt=0.05, seed=2, reuse=5,
                           lr_psi=2e-3, lr_theta=2e-3, mc_loss=False,
                           pretrain_steps=0)
         psi = tn.init_params(3, m=16, seed=3)
         adam = tn.AdamState.init(psi.arrays())
-        psi = sleep_phase(psi, adam, theta, model, spec, p0,
-                          [o.times for o in obs], template, cfg,
+        psi = sleep_phase(psi, adam, theta, model, spec, p0, obs, cfg,
                           np.random.default_rng(3), n_steps=120)
         state = ThetaState.init(theta)
         wake_phase(state, psi, model, spec, p0, obs, cfg,
@@ -443,8 +453,8 @@ class TestWakePhase:
 
 class TestTrain:
     def test_zero_global_iters_returns_initials(self):
-        spec, theta, model, p0, template, tau_grids = _sleep_setup()
-        obs = [template]
+        spec, theta, model, p0, seqs = _sleep_setup()
+        obs = seqs[:1]
         cfg = TrainConfig(global_iters=0, steps_per_phase=0, batch=1,
                           particles=2, dt=0.25, seed=0, pretrain_steps=0)
         state, psi, telemetry = train(model, spec, p0, obs,
@@ -453,8 +463,8 @@ class TestTrain:
         assert telemetry.rows == []
 
     def test_telemetry_row_count(self):
-        spec, theta, model, p0, template, tau_grids = _sleep_setup()
-        obs = [template, template]
+        spec, theta, model, p0, seqs = _sleep_setup()
+        obs = [seqs[0], seqs[0]]
         cfg = TrainConfig(global_iters=2, steps_per_phase=3, batch=2,
                           particles=4, dt=0.25, seed=0, reuse=3,
                           pretrain_steps=4)
@@ -467,20 +477,20 @@ class TestTrain:
     def test_pretraining_stops_on_plateau_at_batch_end(self, monkeypatch):
         # any change passes a relative tolerance of 1e9, so pretraining stops
         # at the first batch end with 2 * PRETRAIN_WINDOW losses: step 6
-        spec, theta, model, p0, template, tau_grids = _sleep_setup()
+        spec, theta, model, p0, seqs = _sleep_setup()
         monkeypatch.setattr(wakesleep, "PRETRAIN_WINDOW", 2)
         monkeypatch.setattr(wakesleep, "PRETRAIN_REL_TOL", 1e9)
         cfg = TrainConfig(global_iters=1, steps_per_phase=2, batch=2,
                           particles=4, dt=0.25, seed=0, reuse=3,
                           pretrain_steps=20)
-        _, _, telemetry = train(model, spec, p0, [template, template],
+        _, _, telemetry = train(model, spec, p0, [seqs[0], seqs[0]],
                                 SIRSParams(0.2, 0.2, 0.2, 0.2), cfg)
         phases = [r["phase"] for r in telemetry.rows]
         assert phases == ["pretrain"] * 6 + ["sleep"] * 2 + ["wake"] * 2
 
     def test_determinism(self):
-        spec, theta, model, p0, template, tau_grids = _sleep_setup()
-        obs = [template, template]
+        spec, theta, model, p0, seqs = _sleep_setup()
+        obs = [seqs[0], seqs[0]]
         cfg = TrainConfig(global_iters=1, steps_per_phase=2, batch=2,
                           particles=4, dt=0.25, seed=9, reuse=2,
                           pretrain_steps=2)
