@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ips import (PathSample, SIRSParams, StateSpaceSpec, gillespie_simulate,
+from .ips import (SIRSParams, StateSpaceSpec, gillespie_simulate_batch,
                   read_path, rng_streams, sirs_model, write_path, I, S)
 from .smc import FactorizedInitial
 from .twisting import (ObservationSequence, read_observations, sample_emission,
@@ -101,37 +101,32 @@ class BenchmarkDataset:
 
 
 def generate_dataset(spec, params, T, K, p_mask, delta, n_train, n_test, seed,
-                     infect_prob=DEFAULT_INFECT_PROB, mapper=map) -> BenchmarkDataset:
+                     infect_prob=DEFAULT_INFECT_PROB) -> BenchmarkDataset:
     """Exact trajectories with per-trajectory uniform snapshot times and
-    masked noisy observations, simulated through mapper (builtin map, or a
-    pool's). Reproducible from the seed alone."""
-    model = sirs_model()
+    masked noisy observations. Each trajectory draws its initial state, its
+    path (all paths simulated in lockstep), then its snapshots from its own
+    generator, so the dataset is reproducible from the seed alone."""
     p0 = initial_distribution(spec, infect_prob)
     n = n_train + n_test
     streams = rng_streams(seed, n)
+    Z0 = np.array([p0.sample(rng, 1)[0] for rng in streams],
+                  dtype=np.int64).reshape(n, spec.d)
+    paths = gillespie_simulate_batch(sirs_model(), spec, params, Z0, T, streams)
 
-    def one(idx):
-        rng = streams[idx]
-        z0 = p0.sample(rng, 1)[0]
-        path = gillespie_simulate(model, spec, params, z0, T, rng)
+    def observe(path, rng):
         taus = np.sort(rng.uniform(0.0, T, size=K))
         while K and (len(np.unique(taus)) < K or taus[0] <= 0):
             taus = np.sort(rng.uniform(0.0, T, size=K))
         template = ObservationSequence(horizon=T, times=taus,
                                        values=np.full((K, spec.d), spec.V),
                                        V=spec.V, p_mask=p_mask, label_noise=delta)
-        if K:
-            values = np.stack([sample_emission(template, path.state_at(t), rng)
-                               for t in taus])
-        else:
-            values = np.zeros((0, spec.d), dtype=np.int64)
-        obs = ObservationSequence(horizon=T, times=taus, values=values, V=spec.V,
-                                  p_mask=p_mask, label_noise=delta)
-        return path, obs
+        values = np.array([sample_emission(template, z, rng)
+                           for z in path.states_at(taus)],
+                          dtype=np.int64).reshape(K, spec.d)
+        return ObservationSequence(horizon=T, times=taus, values=values, V=spec.V,
+                                   p_mask=p_mask, label_noise=delta)
 
-    results = list(mapper(one, range(n)))
-    paths = [r[0] for r in results]
-    obs = [r[1] for r in results]
+    obs = [observe(path, rng) for path, rng in zip(paths, streams)]
     return BenchmarkDataset(spec=spec, params=params, T=T, K=K, p_mask=p_mask,
                             label_noise=delta, infect_prob=infect_prob,
                             train_paths=paths[:n_train], train_obs=obs[:n_train],

@@ -214,10 +214,9 @@ def _write_manifest(out_dir, meta, command):
 def cmd_generate(cfg: GenerateConfig, threads=1, emit_svg=False):
     rng = np.random.default_rng(cfg.seed)
     spec = generate_graph(cfg.d, cfg.expected_degree, cfg.feature_dim, rng)
-    with _mapper(threads) as mapper:
-        ds = generate_dataset(spec, cfg.params, cfg.T, cfg.K, cfg.p_mask, cfg.delta,
-                              cfg.n_train, cfg.n_test, seed=cfg.seed,
-                              infect_prob=cfg.infect_prob, mapper=mapper)
+    ds = generate_dataset(spec, cfg.params, cfg.T, cfg.K, cfg.p_mask, cfg.delta,
+                          cfg.n_train, cfg.n_test, seed=cfg.seed,
+                          infect_prob=cfg.infect_prob)
     save_dataset(ds, cfg.out)
     meta = _meta(dataclasses.asdict(cfg), cfg.seed)
     _write_manifest(cfg.out, meta, "generate")

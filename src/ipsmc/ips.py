@@ -3,7 +3,8 @@ interacting jump processes on graphs, and path log-densities.
 
 States are dense integer vectors in {0..V-1}^d. A rate model gives the
 off-target jump intensities of every coordinate for a batch of states,
-(B, d, V); the entry at each coordinate's current value is zero.
+(..., d) -> (..., d, V); the entry at each coordinate's current value is
+zero.
 """
 
 from __future__ import annotations
@@ -70,14 +71,6 @@ class StateSpaceSpec:
         W.flags.writeable = False
         return W
 
-    def validate_state(self, z):
-        z = np.asarray(z)
-        if z.shape != (self.d,):
-            raise ValueError(f"state has shape {z.shape}, expected ({self.d},)")
-        if np.any(z < 0) or np.any(z >= self.V):
-            raise ValueError("state entries must lie in [0, V)")
-        return z.astype(np.int64)
-
 
 @dataclass
 class PathSample:
@@ -139,9 +132,18 @@ class PathSample:
 
 @dataclass(frozen=True)
 class RateModel:
-    """A local-rate model: pure function (t, Z, spec, theta) -> (B, d, V)
-    nonnegative off-target rates of a batch of states Z (B, d), zero at each
-    coordinate's current value.
+    """A local-rate model: pure function (t, Z, spec, theta) -> (..., d, V)
+    nonnegative off-target rates of a batch of states Z (..., d) with any
+    leading batch dims, zero at each coordinate's current value.
+
+    A rate that mixes a state's coordinates through a matrix product (the
+    SIRS infection pressure) may round a state's rates differently in a
+    (B, d) batch, whose rows BLAS multiplies together, than in a batch of
+    one. The samplers (Euler paths, SMC, the twist network, the oracle's
+    tables) read (B, d) batches. The exact simulators read each state as a
+    batch of one: path_log_density and thinning as (1, d), and the lockstep
+    next-event rounds as a stack of one-state batches (L, 1, d), so a path
+    keeps its bits in any batch.
 
     lambda_bar_fn bounds the total exit rate (assumption: bounded total
     rate). rate_grad_fn, when present, returns d rates / d theta of the
@@ -155,7 +157,7 @@ class RateModel:
     rate_grad_fn: Callable | None = None
 
     def off_rates_batch(self, t, Z, spec, theta):
-        """Nonnegative off-target rates for a batch of states: (B, d, V)."""
+        """Nonnegative off-target rates for a batch of states: (..., d, V)."""
         return self.batch_off_rate_fn(t, Z, spec, theta)
 
     def lambda_bar(self, spec, theta):
@@ -188,15 +190,15 @@ def sirs_infection_pressure(spec, Z):
 
 
 def sirs_off_rates_batch(t, Z, spec, params):
-    """Cyclic S -> I -> R -> S local rates with graph-weighted infection."""
+    """Cyclic S -> I -> R -> S local rates with graph-weighted infection:
+    (..., d) -> (..., d, V)."""
     if spec.V != 3:
         raise ValueError("SIRS requires V = 3")
-    B, d = Z.shape
     w = sirs_infection_pressure(spec, Z)
-    off = np.zeros((B, d, spec.V))
-    off[:, :, I] = (params.alpha0 + params.alpha1 * w) * (Z == S)
-    off[:, :, R] = params.beta * (Z == I)
-    off[:, :, S] = params.gamma * (Z == R)
+    off = np.zeros(Z.shape + (spec.V,))
+    off[..., I] = (params.alpha0 + params.alpha1 * w) * (Z == S)
+    off[..., R] = params.beta * (Z == I)
+    off[..., S] = params.gamma * (Z == R)
     return off
 
 
@@ -305,72 +307,140 @@ def euler_simulate_batch(model, spec, theta, Z0, grid, rng):
     return out
 
 
-def gillespie_simulate(model, spec, theta, z0, T, rng) -> PathSample:
-    """Statistically exact event-driven path on [0, T].
+def gillespie_simulate_batch(model, spec, theta, Z0, T, rngs):
+    """Statistically exact event-driven paths on [0, T], one per state of
+    Z0 (B, d). Path b draws from rngs[b] alone, in the order a lone path
+    draws, so it is gillespie_simulate's path from rngs[b] whatever else is
+    in the batch. Returns B PathSamples.
 
-    Time-homogeneous models use the classic next-event recipe. Otherwise
-    candidate events arrive at the declared total-rate bound and are
-    accepted by thinning, so the bound is required.
+    Time-homogeneous models use the classic next-event recipe with the live
+    paths in lockstep: each round reads their rates in one call, on a stack
+    of one-state batches (L, 1, d) (see RateModel), then each path draws
+    its waiting time and, before T, its event. Otherwise each path runs
+    alone by thinning: candidate events arrive at the declared total-rate
+    bound and are accepted with probability rate / bound, so the bound is
+    required.
     """
-    z = spec.validate_state(z0).copy()
-    times, nodes, values = [], [], []
-    t = 0.0
+    Z0 = np.asarray(Z0)
+    if Z0.shape != (len(rngs), spec.d):
+        raise ValueError(f"states have shape {Z0.shape}, expected "
+                         f"({len(rngs)}, {spec.d}): one per generator")
+    if np.any(Z0 < 0) or np.any(Z0 >= spec.V):
+        raise ValueError("state entries must lie in [0, V)")
+    Z0 = Z0.astype(np.int64)
+    events = [([], [], []) for _ in rngs]  # times, nodes, values per path
     if model.time_homogeneous:
-        off = model.off_rates_batch(t, z[None], spec, theta)[0]
-        while True:
-            lam = _exit_rate(off)
-            if lam <= 0:
-                break
-            t += rng.exponential(1.0 / lam)
-            if t >= T:
-                break
-            i, v = _draw_event(off, rng)
-            z[i] = v
-            times.append(t)
-            nodes.append(i)
-            values.append(v)
-            off = model.off_rates_batch(t, z[None], spec, theta)[0]
+        _lockstep_events(model, spec, theta, Z0.copy(), T, rngs, events)
     else:
         lam_bar = model.lambda_bar(spec, theta)
         if not np.isfinite(lam_bar) or lam_bar < 0:
             raise ValueError("thinning requires a finite total-rate bound")
-        if lam_bar > 0:
-            while True:
-                t += rng.exponential(1.0 / lam_bar)
-                if t >= T:
-                    break
-                off = model.off_rates_batch(t, z[None], spec, theta)[0]
-                lam = _exit_rate(off)
-                if lam > lam_bar * (1 + 1e-9):
-                    raise ValueError(
-                        f"declared rate bound {lam_bar} violated at t={t} (rate {lam})"
-                    )
-                if rng.random() < lam / lam_bar:
-                    i, v = _draw_event(off, rng)
-                    z[i] = v
-                    times.append(t)
-                    nodes.append(i)
-                    values.append(v)
-    return PathSample(horizon=T, initial=spec.validate_state(z0),
-                      jump_times=np.array(times), jump_nodes=np.array(nodes, dtype=np.int64),
-                      jump_values=np.array(values, dtype=np.int64))
+        for z, rng, ev in zip(Z0, rngs, events):
+            _thinned_events(model, spec, theta, z.copy(), T, rng, lam_bar, ev)
+    return [PathSample(horizon=T, initial=z0, jump_times=np.array(times),
+                       jump_nodes=np.array(nodes, dtype=np.int64),
+                       jump_values=np.array(values, dtype=np.int64))
+            for z0, (times, nodes, values) in zip(Z0, events)]
+
+
+def gillespie_simulate(model, spec, theta, z0, T, rng) -> PathSample:
+    """One statistically exact path on [0, T] from z0 (d,): the batch of
+    one of gillespie_simulate_batch."""
+    return gillespie_simulate_batch(model, spec, theta, np.asarray(z0)[None],
+                                    T, [rng])[0]
+
+
+def _lockstep_events(model, spec, theta, Z, T, rngs, events):
+    """Next-event rounds over the paths from Z (B, d); each jump is
+    appended to its path's events. A path leaves the rounds, and its row
+    leaves Z, once it has no exit rate or its next event falls at or past
+    T."""
+    t = [0.0] * len(Z)
+    ids = list(range(len(Z)))  # the path of each row of Z
+    while ids:
+        off = model.off_rates_batch(0.0, Z[:, None], spec, theta)
+        off = off.reshape(len(ids), -1)
+        fired, u = [], []
+        for j, (b, lam) in enumerate(zip(ids, _exit_rates(off))):
+            if lam <= 0:
+                continue
+            tb = t[b] + rngs[b].exponential(1.0 / lam)
+            if tb >= T:
+                continue
+            t[b] = tb
+            events[b][0].append(tb)
+            fired.append(j)
+            u.append(rngs[b].random())
+        if not fired:
+            return
+        if len(fired) < len(ids):
+            ids = [ids[j] for j in fired]
+            Z, off = Z[fired], off[fired]
+        for j, (b, k) in enumerate(zip(ids, _draw_cells(off, u))):
+            i, v = divmod(k, spec.V)
+            Z[j, i] = v
+            events[b][1].append(i)
+            events[b][2].append(v)
+
+
+def _thinned_events(model, spec, theta, z, T, rng, lam_bar, ev):
+    """Thinning for one path from z (d,) under a time-inhomogeneous model
+    with total-rate bound lam_bar; each jump is appended to ev."""
+    t = 0.0
+    while lam_bar > 0:
+        t += rng.exponential(1.0 / lam_bar)
+        if t >= T:
+            return
+        off = model.off_rates_batch(t, z[None], spec, theta).reshape(1, -1)
+        lam = _exit_rate(off)
+        if lam > lam_bar * (1 + 1e-9):
+            raise ValueError(
+                f"declared rate bound {lam_bar} violated at t={t} (rate {lam})"
+            )
+        if rng.random() < lam / lam_bar:
+            i, v = divmod(_draw_cells(off, [rng.random()])[0], spec.V)
+            z[i] = v
+            ev[0].append(t)
+            ev[1].append(i)
+            ev[2].append(v)
 
 
 def _exit_rate(off):
-    """Total exit rate of one state's (d, V) off-target rates. Only the
-    positive entries are summed, which fixes the floating-point summation
-    order that simulated paths depend on."""
-    return float(off[off > 0].sum())
+    """Total exit rate of one state's off-target rates. Only the positive
+    entries are summed, which fixes the floating-point summation order
+    that simulated paths depend on."""
+    return float(np.add.reduce(off[off > 0]))
 
 
-def _draw_event(off, rng):
-    """Pick (node, value) proportional to one state's off-target rates;
-    index ties are impossible a.s. and resolve by flat order."""
-    d, V = off.shape
-    c = np.cumsum(off.ravel())
-    k = int(np.searchsorted(c, rng.random() * c[-1], side="right"))
-    k = min(k, d * V - 1)
-    return k // V, k % V
+def _exit_rates(off):
+    """_exit_rate of each row of off (L, n), as a list, with the same bits.
+    NumPy's pairwise summation order depends on how many entries it adds,
+    so rows are summed in groups with the same count of positive
+    entries."""
+    if len(off) == 1:
+        return [_exit_rate(off)]
+    pos = off > 0
+    counts = np.add.reduce(pos, axis=1)
+    lam = np.zeros(len(off))
+    for n in set(counts.tolist()) - {0}:
+        rows = counts == n
+        lam[rows] = np.add.reduce(off[rows][pos[rows]].reshape(-1, n), axis=1)
+    return lam.tolist()
+
+
+def _draw_cells(off, u):
+    """Flat cell of each row of off (L, n) drawn by inverse cdf at the
+    uniforms u (L,), as a list: np.searchsorted(c, u * c[-1], "right") on
+    the row's running sums c, clipped to n - 1. Index ties are impossible
+    a.s. and resolve by flat order."""
+    if len(off) == 1:
+        c = off[0].cumsum()
+        return [int(c[:-1].searchsorted(u[0] * c[-1], "right"))]
+    # per row, the count of running sums at or below the target among all
+    # but the last
+    c = off.cumsum(axis=1)
+    x = np.array(u) * c[:, -1]
+    return np.add.reduce(c[:, :-1] <= x[:, None], axis=1).tolist()
 
 
 def path_log_density(model, spec, theta, path: PathSample, p0_log):

@@ -224,6 +224,12 @@ class DenseInitial:
     def log_pmf_batch(self, Z):
         return self.log_probs[state_index(self.spec, Z)]
 
+    def node_support(self):
+        """(d, V) mask of the values each node takes with positive mass."""
+        mask = np.zeros((self.spec.d, self.spec.V), dtype=bool)
+        mask[np.arange(self.spec.d), self.table[self.probs > 0]] = True
+        return mask
+
 
 @dataclass
 class LookaheadTable(TwistOracle):

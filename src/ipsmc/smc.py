@@ -132,6 +132,10 @@ class FactorizedInitial:
         d = self.probs.shape[0]
         return self.log_probs[np.arange(d)[None, :], Z].sum(axis=1)
 
+    def node_support(self):
+        """(d, V) mask of the values each node takes with positive mass."""
+        return self.probs > 0
+
 
 def run_smc(model, spec, theta, twist, p0, obs, cfg):
     """Generic twisted SMC (Algorithm: propose with the tilted product

@@ -379,8 +379,9 @@ def q0_logp(params, F0, support_logmask=None):
 
 
 def _support_logmask(p0):
-    """(d, V) log-mask of a factorized p0's support: 0 on it, -inf off it."""
-    return np.where(p0.probs > 0, 0.0, -np.inf)
+    """(d, V) log-mask of each node's support under p0: 0 on it, -inf off
+    it."""
+    return np.where(p0.node_support(), 0.0, -np.inf)
 
 
 class _Q0Dist(FactorizedInitial):

@@ -5,16 +5,16 @@ from ipsmc.ips import RateModel, StateSpaceSpec
 
 
 def flip_off_rates(up, down, coupling=0.0):
-    """Batch off-rate function for a V=2 model: rate to 1 grows with the
-    number of neighbors at 1 when coupling is set."""
+    """Batch off-rate function for a V=2 model, (..., d) -> (..., d, 2):
+    rate to 1 grows with the number of neighbors at 1 when coupling is
+    set."""
 
     def fn(t, Z, spec, theta):
-        B, d = Z.shape
         ones = (Z == 1).astype(float)
         n1 = ones @ spec.adjacency.T.astype(float)
-        off = np.zeros((B, d, 2))
-        off[:, :, 1] = (up + coupling * n1) * (Z == 0)
-        off[:, :, 0] = (down + 0.5 * coupling * n1) * (Z == 1)
+        off = np.zeros(Z.shape + (2,))
+        off[..., 1] = (up + coupling * n1) * (Z == 0)
+        off[..., 0] = (down + 0.5 * coupling * n1) * (Z == 1)
         return off
 
     return fn

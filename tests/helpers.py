@@ -13,6 +13,33 @@ from ipsmc.twisting import (SCORE_CLIP, ObservationSequence,
 from ipsmc.wakesleep import wake_loss_and_grad
 
 
+def reference_gillespie(model, spec, theta, z0, T, rng):
+    """One next-event path under a time-homogeneous model, event by event:
+    the rates of the one-state batch z[None], the exit rate as the sum of
+    the positive rates, then an exponential waiting time and, before T, an
+    inverse-cdf event draw from the flat running sums. Returns a tuple of
+    the times, nodes and values lists."""
+    z = np.array(z0, dtype=np.int64)
+    times, nodes, values = [], [], []
+    t = 0.0
+    while True:
+        off = model.off_rates_batch(t, z[None], spec, theta)[0]
+        lam = float(off[off > 0].sum())
+        if lam <= 0:
+            break
+        t += rng.exponential(1.0 / lam)
+        if t >= T:
+            break
+        c = np.cumsum(off.ravel())
+        k = int(np.searchsorted(c, rng.random() * c[-1], side="right"))
+        i, v = divmod(min(k, c.size - 1), spec.V)
+        z[i] = v
+        times.append(t)
+        nodes.append(i)
+        values.append(v)
+    return (times, nodes, values)
+
+
 def kernel_pmf(off, Z, dt, table, scores=None):
     """Enumerated one-step pmf of the product kernel that run_smc samples
     from: (B, n), from each state of Z (B, d) with off-target rates off

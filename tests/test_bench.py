@@ -57,13 +57,31 @@ class TestGraphGeneration:
 
 
 class TestDatasetGeneration:
-    def _make(self, p_mask=0.5, delta=0.001, seed=0, n_train=3, n_test=2):
+    def _make(self, p_mask=0.5, delta=0.001, seed=0, n_train=3, n_test=2, K=4):
         rng = np.random.default_rng(7)
         spec = generate_graph(6, 2.0, 4, rng)
         params = SIRSParams(0.3, 1.0, 0.5, 0.2)
-        return generate_dataset(spec, params, T=2.0, K=4, p_mask=p_mask,
+        return generate_dataset(spec, params, T=2.0, K=K, p_mask=p_mask,
                                 delta=delta, n_train=n_train, n_test=n_test,
                                 seed=seed)
+
+    def test_no_snapshots(self):
+        # each path draws its snapshots after its jumps, so K=0 keeps the
+        # paths of K=4
+        empty, full = self._make(K=0), self._make(K=4)
+        for path, ref, obs in zip(empty.train_paths + empty.test_paths,
+                                  full.train_paths + full.test_paths,
+                                  empty.train_obs + empty.test_obs):
+            assert np.array_equal(path.jump_times, ref.jump_times)
+            assert np.array_equal(path.jump_values, ref.jump_values)
+            assert obs.times.shape == (0,)
+            assert obs.values.shape == (0, 6)
+        assert sum(p.n_jumps for p in empty.train_paths) > 0
+
+    def test_no_paths(self):
+        ds = self._make(n_train=0, n_test=0)
+        assert ds.train_paths == ds.test_paths == []
+        assert ds.train_obs == ds.test_obs == []
 
     def test_full_masking(self):
         ds = self._make(p_mask=1.0)

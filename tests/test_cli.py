@@ -1,5 +1,6 @@
 import dataclasses
 import filecmp
+import hashlib
 import json
 import math
 import os
@@ -176,6 +177,53 @@ class TestGenerate:
             outs.append({k: v for k, v in dir_digest(tmp_path / sub).items()
                          if k != "manifest.json"})
         assert outs[0] == outs[1]
+
+
+# sha256 of each file that `generate` writes, except manifest.json (its
+# config hash covers `out`), recorded before the paths were simulated in
+# lockstep. The files depend on the BLAS rounding of the infection pressure;
+# these were taken with NumPy 2.4 on scipy-openblas 0.3.31 (x86-64).
+GOLDEN_GENERATE = {
+    "d5": ({"seed": 7, "d": 5, "expected_degree": 2.0, "T": 10.0, "K": 10,
+            "p_mask": 0.5, "delta": 0.001, "n_train": 4, "n_test": 0}, {
+        "obs/train/0.obs": "55e7dc8b871be790d5cb13f689bc65ddf6852d00ca9b05bb7b2c2f33c0a25ddd",
+        "obs/train/1.obs": "b78a4b9b83ca65cb1ba8b56d991b7a0f76297f5ee7e814fd025c3a0bb9a0d370",
+        "obs/train/2.obs": "148e70e57e1fcd2556da980ce216a184d16b4a75217d66a80f1feec1ef238ac4",
+        "obs/train/3.obs": "7f562fa46966d7a2d950c5c5d9466dafa9925893ffb2deb1ce2ed5be299cdc76",
+        "params.json": "5785a9dc849013eb8d58fb1d43a79f06bb17d19077d87864f80b99c36dfc473e",
+        "paths/train/0.path": "986587de06106c460d1722e531c98ce892885e2d456d6034d2647bee0f0ffabd",
+        "paths/train/1.path": "9cd2dbcb44079d8a1d713a321b716534c17467fbfd0fd536c4378ebc5e8abfc5",
+        "paths/train/2.path": "ed9aa1725576a44b692d91f1e474026e559223009ce1cab985d3eb9921bd09c1",
+        "paths/train/3.path": "1308c61f3cfc1a7bb72206ec52b31f0885d37d6984c24254f86d513f4274952d",
+        "spec.json": "91058430864540c316e2e48afa6ff5f4dc8828d8b9f0453f5afd06cc77ce2478",
+    }),
+    "d32": ({"seed": 2024, "d": 32, "T": 10.0, "K": 10, "p_mask": 0.5,
+             "delta": 0.001, "n_train": 3, "n_test": 2}, {
+        "obs/test/0.obs": "4fb2ab4924890e564d8f91035cc13ee9abd975b54342a8c11bc35971ec5cc62a",
+        "obs/test/1.obs": "5ff1f7e42983164b76cdff2cc4993e4dac1748a3d1358634bed357f0e6ffc19f",
+        "obs/train/0.obs": "709ea5b1144833fe94e6d7763d44bd49ac2d8ecab371eaa9c88718a2190569b3",
+        "obs/train/1.obs": "0e08149a28a1820fb0f4f59a5189ace79b019c9b600cb9695105e7382496895f",
+        "obs/train/2.obs": "74a7425780b40bdb04dc0789a0b836567593ffee548b924e22b79548e9da1f1c",
+        "params.json": "5785a9dc849013eb8d58fb1d43a79f06bb17d19077d87864f80b99c36dfc473e",
+        "paths/test/0.path": "b322fea412e7081cad831d56cacade99a96ffb5f46b9d0949c579798c9e5541f",
+        "paths/test/1.path": "d429f248b514dd3ca2e2cef83a33f4d45e4fc8a1b32818e59445bd937e9cc62d",
+        "paths/train/0.path": "0f35648ce5f9133b2679e813a2ce12fbc6585c331f0b0bc98d97d8d3653b4fe9",
+        "paths/train/1.path": "e8bc85d07887e0514ffa70d319b960f64ca19fbb3a8dc006e1c80a0c4e14e21d",
+        "paths/train/2.path": "0e85482933e1391a244d6cce87b796c2f8ff6ad7781b0e6b12d0788aa81133fa",
+        "spec.json": "a62ca90b7b54e5770160a17487679bdd256f3266862d478a258e506022b35710",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_GENERATE))
+def test_generate_matches_golden_digests(tmp_path, name):
+    cfg, expected = GOLDEN_GENERATE[name]
+    path = write_cfg(tmp_path, "gen.json", dict(cfg, out=str(tmp_path / "ds")))
+    assert main(["generate", "--config", path]) == 0
+    digests = {k.replace(os.sep, "/"): hashlib.sha256(v).hexdigest()
+               for k, v in dir_digest(tmp_path / "ds").items()
+               if k != "manifest.json"}
+    assert digests == expected
 
 
 class TestOracle:

@@ -9,15 +9,17 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from ipsmc.errors import StepSizeError
+from ipsmc.bench import generate_graph
 from ipsmc.ips import (PathSample, RateModel, SIRSParams, StateSpaceSpec,
-                       euler_simulate_batch, euler_step_table,
-                       gillespie_simulate, grid_indices, make_grid,
-                       path_log_density, read_path, sample_values, sirs_model,
+                       _exit_rates, euler_simulate_batch, euler_step_table,
+                       gillespie_simulate, gillespie_simulate_batch,
+                       grid_indices, make_grid, path_log_density, read_path,
+                       rng_streams, sample_values, sirs_model,
                        sirs_off_rates_batch, sum_values, write_path)
 from ipsmc import oracle as orc
 
 from conftest import chain_spec, make_flip_model
-from helpers import kernel_pmf
+from helpers import kernel_pmf, reference_gillespie
 
 
 def test_spec_rejects_degenerate_vocabulary():
@@ -320,6 +322,112 @@ class TestGillespie:
         with pytest.raises(ValueError):
             gillespie_simulate(model, spec, None, np.array([0]), 1.0,
                                np.random.default_rng(0))
+
+
+def _simulation_case(name):
+    """(model, spec, theta, T) of the lockstep simulator tests."""
+    if name == "flip":
+        return make_flip_model(0.6, 0.4, coupling=0.5), chain_spec(6), None, 3.0
+    d, degree, F, seed = {"sirs5": (5, 2.0, 4, 7),
+                          "sirs32": (32, 5.0, 16, 2024)}[name[:6]]
+    spec = generate_graph(d, degree, F, np.random.default_rng(seed))
+    # without spontaneous infection a susceptible node with no infected
+    # neighbor has no exit rate, so states differ in their count of rates
+    theta = SIRSParams(alpha0=0.0) if name.endswith("_a0") else SIRSParams()
+    return sirs_model(), spec, theta, 10.0
+
+
+def _as_lists(path):
+    return (path.initial.tolist(), path.jump_times.tolist(),
+            path.jump_nodes.tolist(), path.jump_values.tolist())
+
+
+class TestGillespieBatch:
+    B = 100
+
+    def _start(self, spec):
+        return np.random.default_rng(1).integers(spec.V, size=(self.B, spec.d))
+
+    @pytest.mark.parametrize("case", ["sirs5", "sirs32", "sirs32_a0", "flip"])
+    def test_paths_match_lone_runs(self, case):
+        model, spec, theta, T = _simulation_case(case)
+        Z0 = self._start(spec)
+        batch_rngs, lone_rngs, ref_rngs = (rng_streams(11, self.B) for _ in range(3))
+        batch = gillespie_simulate_batch(model, spec, theta, Z0, T, batch_rngs)
+        assert sum(p.n_jumps for p in batch) > 2 * self.B
+        for b in range(self.B):
+            lone = gillespie_simulate(model, spec, theta, Z0[b], T, lone_rngs[b])
+            assert _as_lists(batch[b]) == _as_lists(lone)
+            ref = reference_gillespie(model, spec, theta, Z0[b], T, ref_rngs[b])
+            assert _as_lists(lone)[1:] == ref
+            # the same draws, and no more, came from each generator
+            assert batch_rngs[b].random() == lone_rngs[b].random()
+            batch[b].validate()
+
+    @pytest.mark.parametrize("case", ["sirs5", "sirs32", "flip"])
+    def test_path_does_not_depend_on_the_batch(self, case):
+        model, spec, theta, T = _simulation_case(case)
+        Z0 = self._start(spec)
+        firsts = [gillespie_simulate_batch(model, spec, theta, Z0[:n], T,
+                                           rng_streams(11, self.B)[:n])[0]
+                  for n in (1, 4, self.B)]
+        assert firsts[0].n_jumps > 0
+        for path in firsts[1:]:
+            assert _as_lists(path) == _as_lists(firsts[0])
+
+    def test_exit_rates_match_row_sums(self):
+        # rows with 0 to 200 positive entries, where NumPy's pairwise sum
+        # takes its 8-way and its recursive branches
+        rng = np.random.default_rng(4)
+        off = rng.random((300, 200)) * 10.0 ** rng.uniform(-3, 3, (300, 200))
+        off[rng.random((300, 200)) < rng.random((300, 1))] = 0.0
+        assert len(set((off > 0).sum(axis=1).tolist())) > 50
+        expected = [row[row > 0].sum() for row in off]
+        assert _exit_rates(off) == expected
+        assert [_exit_rates(row[None])[0] for row in off] == expected
+
+    def test_stacked_rates_match_lone_states(self):
+        model, spec, theta, _ = _simulation_case("sirs32")
+        Z = np.random.default_rng(0).integers(3, size=(200, spec.d))
+        stacked = model.off_rates_batch(0.0, Z[:, None], spec, theta)
+        assert stacked.shape == (200, 1, spec.d, 3)
+        for z, off in zip(Z, stacked):
+            assert np.array_equal(off, model.off_rates_batch(0.0, z[None], spec, theta))
+
+    def test_zero_rate_model_draws_nothing(self):
+        spec = chain_spec(3)
+        rngs = rng_streams(5, 4)
+        paths = gillespie_simulate_batch(make_flip_model(0.0, 0.0), spec, None,
+                                         np.zeros((4, 3), dtype=int), 5.0, rngs)
+        assert [p.n_jumps for p in paths] == [0, 0, 0, 0]
+        for rng, fresh in zip(rngs, rng_streams(5, 4)):
+            assert rng.random() == fresh.random()
+
+    def test_no_paths(self):
+        model, spec, theta, T = _simulation_case("sirs5")
+        Z0 = np.zeros((0, spec.d), dtype=np.int64)
+        assert gillespie_simulate_batch(model, spec, theta, Z0, T, []) == []
+
+    def test_thinning_model_matches_lone_runs(self):
+        spec = chain_spec(4)
+        base = make_flip_model(0.6, 0.4, coupling=0.5)
+        model = RateModel(batch_off_rate_fn=base.batch_off_rate_fn,
+                          lambda_bar_fn=base.lambda_bar_fn,
+                          time_homogeneous=False)
+        Z0 = np.random.default_rng(2).integers(2, size=(6, 4))
+        batch = gillespie_simulate_batch(model, spec, None, Z0, 3.0,
+                                         rng_streams(3, 6))
+        assert sum(p.n_jumps for p in batch) > 6
+        for b, rng in enumerate(rng_streams(3, 6)):
+            lone = gillespie_simulate(model, spec, None, Z0[b], 3.0, rng)
+            assert _as_lists(batch[b]) == _as_lists(lone)
+
+    @pytest.mark.parametrize("Z0", [np.zeros((2, 3), dtype=int),
+                                    np.array([[0, 1, 2]] * 3)])
+    def test_rejects_bad_states(self, Z0):
+        with pytest.raises(ValueError):
+            gillespie_simulate_batch(make_flip_model(), chain_spec(3), None,
+                                     Z0, 1.0, rng_streams(0, 3))
 
 
 class TestPathLogDensity:

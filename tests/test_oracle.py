@@ -21,10 +21,9 @@ from helpers import lookahead_by_expm_action, propagator_lengths
 
 def two_state_model(r01=0.5, r10=0.3):
     def batch(t, Z, spec, theta):
-        B = len(Z)
-        off = np.zeros((B, 1, 2))
-        off[:, 0, 1] = r01 * (Z[:, 0] == 0)
-        off[:, 0, 0] = r10 * (Z[:, 0] == 1)
+        off = np.zeros(Z.shape + (2,))
+        off[..., 1] = r01 * (Z == 0)
+        off[..., 0] = r10 * (Z == 1)
         return off
 
     return RateModel(batch_off_rate_fn=batch,

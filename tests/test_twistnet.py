@@ -9,7 +9,7 @@ from ipsmc.ips import (SIRSParams, StateSpaceSpec, euler_simulate_batch,
                        make_grid, sirs_model)
 from ipsmc import oracle as orc
 from ipsmc import twistnet as tn
-from ipsmc.smc import FactorizedInitial
+from ipsmc.smc import FactorizedInitial, SMCConfig, run_smc
 from ipsmc.twisting import ObservationSequence
 
 from conftest import chain_spec, make_flip_model
@@ -731,6 +731,27 @@ class TestQ0:
         Z = dist.sample(np.random.default_rng(0), 200)
         assert Z.max() <= 1
         assert np.all(np.isfinite(dist.log_pmf_batch(Z)))
+
+    def test_dense_initial_matches_factorized_law(self):
+        # a DenseInitial equal to a factorized p0 has the same nodewise
+        # support, so the learned q0 and the twisted SMC run agree
+        spec = chain_spec(3, V=3)
+        twist = tn.LearnedTwist(_rand_params(3, 8, seed=4), spec, _obs3(d=3))
+        fac = FactorizedInitial(np.array([[0.5, 0.5, 0.0], [0.9, 0.1, 0.0],
+                                          [0.2, 0.3, 0.5]]))
+        dense = orc.DenseInitial(
+            spec, np.exp(fac.log_pmf_batch(orc.state_table(spec))))
+        assert np.array_equal(dense.node_support(), fac.node_support())
+        q_fac, q_dense = twist.q0_dist(fac), twist.q0_dist(dense)
+        assert np.array_equal(q_dense.log_probs, q_fac.log_probs)
+        assert np.all(q_fac.probs[:2, 2] == 0.0)
+        cfg = SMCConfig(S=32, dt=0.1, seed=5)
+        p = SIRSParams(0.3, 1.0, 0.5, 0.3)
+        ens_fac, lz_fac = run_smc(sirs_model(), spec, p, twist, fac, _obs3(d=3), cfg)
+        ens_dense, lz_dense = run_smc(sirs_model(), spec, p, twist, dense,
+                                      _obs3(d=3), cfg)
+        assert np.array_equal(ens_dense.states, ens_fac.states)
+        assert lz_dense == pytest.approx(lz_fac, rel=1e-12, abs=1e-12)
 
     def test_concentrates_on_point_mass_prior(self):
         # constant-atom prior: sleep training should drive the initial head
